@@ -161,9 +161,10 @@ def _stage(name: str, func, *args, **kwargs):
         raise StageFailure(name, exc) from exc
 
 
-def _mine(config: RunConfig, out_dir: Path) -> miner.FrequencyTable:
+def _mine(
+    config: RunConfig, out_dir: Path, criteria: scoring.CriteriaSet
+) -> miner.FrequencyTable:
     corpus = _stage("mine", _load_corpus, config)
-    criteria = _stage("mine", _criteria, config)
     stoplist = _stage("mine", _stoplist, config)
     if config.strategy == "binary":
         kwfile = _stage(
@@ -178,10 +179,12 @@ def _mine(config: RunConfig, out_dir: Path) -> miner.FrequencyTable:
 
 
 def _score(
-    config: RunConfig, table: miner.FrequencyTable, out_dir: Path
+    config: RunConfig,
+    table: miner.FrequencyTable,
+    out_dir: Path,
+    criteria: scoring.CriteriaSet,
 ) -> list[scoring.ScoreCard]:
     corpus = _stage("score", _load_corpus, config)
-    criteria = _stage("score", _criteria, config)
     meta = scoring.report_metadata(corpus)
     cards = _stage("score", scoring.build_scorecards, table, meta, criteria)
     sample = _stage(
@@ -211,7 +214,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _cmd_mine(config: RunConfig) -> int:
     out_dir = _ensure_out_dir(config)
-    _mine(config, out_dir)
+    _mine(config, out_dir, _stage("mine", _criteria, config))
     return 0
 
 
@@ -219,7 +222,7 @@ def _cmd_score(config: RunConfig, frequencies: str | None) -> int:
     out_dir = _ensure_out_dir(config)
     freq_path = Path(frequencies) if frequencies else out_dir / FREQUENCIES_NAME
     table = _stage("score", miner.read_frequency_csv, freq_path)
-    _score(config, table, out_dir)
+    _score(config, table, out_dir, _stage("score", _criteria, config))
     return 0
 
 
@@ -257,8 +260,9 @@ def _cmd_sem(config: RunConfig, scorecards: str | None) -> int:
 def _cmd_pipeline(config: RunConfig) -> int:
     """Chain every stage; analysis failures leave diagnostic artifacts."""
     out_dir = _ensure_out_dir(config)
-    table = _mine(config, out_dir)
-    sample = _score(config, table, out_dir)
+    criteria = _stage("mine", _criteria, config)
+    table = _mine(config, out_dir, criteria)
+    sample = _score(config, table, out_dir, criteria)
 
     try:
         rows = anova_mod.anova_table(sample)

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import csv
 import re
+import unicodedata
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
@@ -44,12 +47,6 @@ class Document:
 
 
 Corpus = list[Document]
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    tokens: tuple[str, ...]
-    source_id: str
 
 
 class KeywordRecord(NamedTuple):
@@ -89,7 +86,8 @@ def stem_token(token: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    # NFC: a decomposed accent is a combining mark, which the pattern treats as a separator.
+    return _TOKEN_RE.findall(unicodedata.normalize("NFC", text.lower()))
 
 
 def preprocess_text(
@@ -101,15 +99,6 @@ def preprocess_text(
     if stemming:
         tokens = [stem_token(t) for t in tokens]
     return tokens
-
-
-def preprocess(
-    doc: Document, stoplist: Iterable[str] = frozenset(), stemming: bool = False
-) -> TokenSequence:
-    return TokenSequence(
-        tokens=tuple(preprocess_text(doc.text, stoplist, stemming)),
-        source_id=doc.report_id,
-    )
 
 
 def default_stoplist() -> frozenset[str]:
@@ -129,7 +118,7 @@ def load_stoplist(path) -> frozenset[str]:
 def _parse_stoplist(text: str) -> frozenset[str]:
     words = set()
     for line in text.splitlines():
-        word = line.split("#", 1)[0].strip().lower()
+        word = unicodedata.normalize("NFC", line.split("#", 1)[0].strip().lower())
         if word:
             if any(ch.isspace() for ch in word):
                 raise ValidationError(f"stop-list entries must be single words: {word!r}")
@@ -212,22 +201,31 @@ class FrequencyTable:
 def build_sorted_keyword_file(
     corpus: Corpus, stoplist: Iterable[str] = frozenset(), stemming: bool = False
 ) -> KeywordFile:
-    """One record per surviving token occurrence, sorted by (keyword, file)."""
+    """One record per surviving token occurrence, sorted by (keyword, file).
+
+    Built from per-report token counts without sorting the occurrences:
+    postings are filled in report-id order, keywords are walked in sorted
+    order, and each (keyword, report) record is one shared object repeated
+    once per occurrence.
+    """
     stopset = frozenset(stoplist)
-    records = [
-        KeywordRecord(token, doc.report_id)
-        for doc in corpus
-        for token in preprocess_text(doc.text, stopset, stemming)
-    ]
-    records.sort()
+    postings: defaultdict[str, list] = defaultdict(list)  # keyword -> [id, count, id, count, ...]
+    for doc in sorted(corpus, key=lambda d: d.report_id):
+        for token, count in Counter(preprocess_text(doc.text, stopset, stemming)).items():
+            postings[token] += (doc.report_id, count)
+    records: list[KeywordRecord] = []
+    for keyword in sorted(postings):
+        posting = postings[keyword]
+        for report_id, count in zip(posting[::2], posting[1::2]):
+            records += [KeywordRecord(keyword, report_id)] * count
     return KeywordFile(records=records, sorted_flag=True, stoplist=stopset, stemming=stemming)
 
 
 def write_keyword_file(kwfile: KeywordFile, path) -> None:
     """External format: one ``keyword<TAB>report_id`` line per record, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in kwfile.records:
-            fh.write(f"{rec.keyword}\t{rec.file_name}\n")
+        for rec, run in groupby(kwfile.records):
+            fh.write(f"{rec.keyword}\t{rec.file_name}\n" * len(list(run)))
 
 
 def read_keyword_file(path, stoplist: Iterable[str] = frozenset(), stemming: bool = False) -> KeywordFile:
@@ -243,50 +241,56 @@ def read_keyword_file(path, stoplist: Iterable[str] = frozenset(), stemming: boo
     return KeywordFile(records, sorted_flag, frozenset(stoplist), stemming)
 
 
+# First token -> (criterion index, phrase) entries, longest phrase first
+# within each criterion.
+CriteriaIndex = dict[str, list[tuple[int, tuple[str, ...]]]]
+
+
 def _compile_criteria(
     criteria: Sequence["Criterion"], stoplist: frozenset[str], stemming: bool
-) -> dict[str, dict[str, list[tuple[str, ...]]]]:
-    """Preprocess each criterion's phrases and index them by first token.
+) -> CriteriaIndex:
+    """Preprocess every criterion's phrases into one first-token index.
 
-    Alternatives are kept longest-first within each first-token bucket so the
-    greedy scan always prefers the longest match at a position.
+    Within each criterion, alternatives are entered longest-first so the
+    greedy scan always prefers the criterion's longest match at a position.
     """
-    compiled: dict[str, dict[str, list[tuple[str, ...]]]] = {}
-    for crit in criteria:
-        seen: set[tuple[str, ...]] = set()
-        alternatives: list[tuple[str, ...]] = []
-        for phrase in crit.alternatives:
-            toks = tuple(preprocess_text(phrase, stoplist, stemming))
-            if toks and toks not in seen:
-                seen.add(toks)
-                alternatives.append(toks)
-        alternatives.sort(key=lambda alt: (-len(alt), alt))
-        by_first: dict[str, list[tuple[str, ...]]] = {}
-        for alt in alternatives:
-            by_first.setdefault(alt[0], []).append(alt)
-        compiled[crit.criterion_id] = by_first
-    return compiled
+    index: CriteriaIndex = {}
+    for ci, crit in enumerate(criteria):
+        alternatives = {tuple(preprocess_text(p, stoplist, stemming)) for p in crit.alternatives}
+        alternatives.discard(())
+        for alt in sorted(alternatives, key=lambda alt: (-len(alt), alt)):
+            index.setdefault(alt[0], []).append((ci, alt))
+    return index
 
 
-def _count_hits(tokens: Sequence[str], by_first: dict[str, list[tuple[str, ...]]]) -> int:
-    """Greedy left-to-right count of non-overlapping phrase occurrences."""
-    count = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        candidates = by_first.get(tokens[i])
-        if candidates:
-            for alt in candidates:
+def _count_hits(tokens: Sequence[str], index: CriteriaIndex, n_criteria: int) -> list[int]:
+    """Greedy left-to-right counts of non-overlapping phrase occurrences, per criterion.
+
+    One pass serves all criteria: each keeps its own next free position, so
+    its matches never overlap each other but may overlap another criterion's.
+    """
+    counts = [0] * n_criteria
+    free = [0] * n_criteria
+    for i, token in enumerate(tokens):
+        entries = index.get(token)
+        if entries is None:
+            continue
+        for ci, alt in entries:
+            if free[ci] <= i:
                 k = len(alt)
-                if i + k <= n and tuple(tokens[i : i + k]) == alt:
-                    count += 1
-                    i += k
-                    break
-            else:
-                i += 1
-        else:
-            i += 1
-    return count
+                if k == 1 or tuple(tokens[i : i + k]) == alt:
+                    counts[ci] += 1
+                    free[ci] = i + k
+    return counts
+
+
+def _frequency_table(corpus: Corpus, criteria: Sequence["Criterion"], rows) -> FrequencyTable:
+    """Table from one row of per-criterion counts per report, in corpus order."""
+    cids = [crit.criterion_id for crit in criteria]
+    counts: dict[tuple[str, str], int] = {}
+    for doc, row in zip(corpus, rows):
+        counts.update(zip([(doc.report_id, cid) for cid in cids], row))
+    return FrequencyTable([doc.report_id for doc in corpus], cids, counts)
 
 
 def mine_linear(
@@ -299,17 +303,12 @@ def mine_linear(
     if not criteria:
         raise ValidationError("criteria set is empty")
     stopset = frozenset(stoplist)
-    compiled = _compile_criteria(criteria, stopset, stemming)
-    counts: dict[tuple[str, str], int] = {}
-    for doc in corpus:
-        tokens = preprocess_text(doc.text, stopset, stemming)
-        for cid, by_first in compiled.items():
-            counts[(doc.report_id, cid)] = _count_hits(tokens, by_first)
-    return FrequencyTable(
-        report_ids=[doc.report_id for doc in corpus],
-        criterion_ids=[crit.criterion_id for crit in criteria],
-        counts=counts,
+    index = _compile_criteria(criteria, stopset, stemming)
+    rows = (
+        _count_hits(preprocess_text(doc.text, stopset, stemming), index, len(criteria))
+        for doc in corpus
     )
+    return _frequency_table(corpus, criteria, rows)
 
 
 def mine_binary(
@@ -317,49 +316,39 @@ def mine_binary(
 ) -> FrequencyTable:
     """Keyword-file strategy; must agree exactly with :func:`mine_linear`.
 
-    Single keywords are counted by binary search over the sorted records.
-    Phrase alternatives are screened by locating their first word in the
-    records, then confirmed against the report's token sequence, which is
-    rebuilt with the preprocessing settings the keyword file carries.
+    Each phrase's first word is screened by binary search over the sorted
+    records. A criterion with no surviving first word counts 0, and one
+    whose only surviving alternative is a single keyword takes the record
+    count. If any criterion is left, the report's token sequence is rebuilt
+    with the preprocessing settings the keyword file carries and scanned
+    once for all criteria.
     """
     if not kwfile.sorted_flag:
         raise PreconditionError("keyword file is not sorted")
     if not criteria:
         raise ValidationError("criteria set is empty")
     keys = kwfile.records
-    compiled = _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming)
+    index = _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming)
 
     def occurrences(word: str, report_id: str) -> int:
         rec = KeywordRecord(word, report_id)
         return bisect_right(keys, rec) - bisect_left(keys, rec)
 
-    counts: dict[tuple[str, str], int] = {}
-    for doc in corpus:
-        doc_tokens: Sequence[str] | None = None
-        for cid, by_first in compiled.items():
-            alive = {
-                first: alts
-                for first, alts in by_first.items()
-                if occurrences(first, doc.report_id) > 0
-            }
-            if not alive:
-                counts[(doc.report_id, cid)] = 0
-                continue
-            alternatives = [alt for alts in alive.values() for alt in alts]
-            if len(alternatives) == 1 and len(alternatives[0]) == 1:
-                # Single keyword: the record count is already the frequency.
-                counts[(doc.report_id, cid)] = occurrences(
-                    alternatives[0][0], doc.report_id
-                )
-                continue
-            if doc_tokens is None:
-                doc_tokens = preprocess_text(doc.text, kwfile.stoplist, kwfile.stemming)
-            counts[(doc.report_id, cid)] = _count_hits(doc_tokens, alive)
-    return FrequencyTable(
-        report_ids=[doc.report_id for doc in corpus],
-        criterion_ids=[crit.criterion_id for crit in criteria],
-        counts=counts,
-    )
+    def row(doc: Document) -> list[int]:
+        # Per criterion: (alternative, record count of its first word) for each survivor.
+        alive: list[list[tuple[tuple[str, ...], int]]] = [[] for _ in criteria]
+        for first, entries in index.items():
+            n = occurrences(first, doc.report_id)
+            if n:
+                for ci, alt in entries:
+                    alive[ci].append((alt, n))
+        if all(not alts or (len(alts) == 1 and len(alts[0][0]) == 1) for alts in alive):
+            # Single keywords: the record counts are already the frequencies.
+            return [alts[0][1] if alts else 0 for alts in alive]
+        tokens = preprocess_text(doc.text, kwfile.stoplist, kwfile.stemming)
+        return _count_hits(tokens, index, len(criteria))
+
+    return _frequency_table(corpus, criteria, (row(doc) for doc in corpus))
 
 
 def write_frequency_csv(table: FrequencyTable, path) -> None:
@@ -378,13 +367,19 @@ def read_frequency_csv(path) -> FrequencyTable:
         except StopIteration:
             raise ValidationError("frequency file has no header row") from None
         criterion_ids = header[1:]
-        report_ids = []
+        report_ids: dict[str, None] = {}  # insertion-ordered, O(1) duplicate check
         counts = {}
         for row in reader:
             if not row:
                 continue
             rid = row[0]
-            report_ids.append(rid)
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"row {reader.line_num} ({rid}) has {len(row)} cells, header has {len(header)}"
+                )
+            if rid in report_ids:
+                raise ValidationError(f"row {reader.line_num}: duplicate report_id {rid!r}")
+            report_ids[rid] = None
             for cid, value in zip(criterion_ids, row[1:]):
                 try:
                     counts[(rid, cid)] = int(value)
@@ -392,4 +387,4 @@ def read_frequency_csv(path) -> FrequencyTable:
                     raise ValidationError(
                         f"non-integer count {value!r} for ({rid}, {cid})"
                     ) from None
-    return FrequencyTable(report_ids, criterion_ids, counts)
+    return FrequencyTable(list(report_ids), criterion_ids, counts)

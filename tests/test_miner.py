@@ -1,4 +1,6 @@
 import csv
+import unicodedata
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,6 @@ from cera.miner import (
     load_corpus,
     mine_binary,
     mine_linear,
-    preprocess,
     preprocess_text,
     read_frequency_csv,
     read_keyword_file,
@@ -86,11 +87,6 @@ class TestPreprocess:
     def test_case_folding_with_stemming(self):
         tokens = preprocess_text("emissions Emissions EMISSIONS", frozenset(), True)
         assert tokens == ["emission", "emission", "emission"]
-
-    def test_document_wrapper_keeps_source(self):
-        seq = preprocess(doc("r1", "Water and air"), {"and"}, False)
-        assert seq.source_id == "r1"
-        assert list(seq.tokens) == ["water", "air"]
 
 
 class TestLoadCorpus:
@@ -339,6 +335,88 @@ def test_preprocess_removes_stoplist(words, stemming):
     assert not set(tokens) & stop
 
 
+def greedy_count(tokens, phrases):
+    """Reference counter for one criterion: greedy, longest phrase first, no overlap."""
+    phrases = sorted(phrases, key=lambda p: (-len(p), p))
+    count = i = 0
+    while i < len(tokens):
+        for phrase in phrases:
+            if tuple(tokens[i : i + len(phrase)]) == phrase:
+                count += 1
+                i += len(phrase)
+                break
+        else:
+            i += 1
+    return count
+
+
+# Criteria that share whole phrases and first tokens, so one scan over all
+# criteria must keep each criterion's matches apart.
+SHARED_VOCAB = ["sustainable", "development", "goals", "climate", "change", "policy",
+                "carbon", "the", "of"]
+SHARED_CRITERIA = [
+    crit("v1", "sustainable development", "development goals"),
+    crit("v2", "sustainable development", "climate"),
+    crit("v3", "climate change", "climate", "change policy"),
+    crit("v4", "carbon", "carbon policy", "policy"),
+    crit("v5", "the climate", "climate of change"),
+]
+
+
+@given(st.lists(st.sampled_from(SHARED_VOCAB), max_size=80), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_merged_scan_matches_per_criterion_oracle(words, stemming, use_stop):
+    stop = frozenset(["the", "of"]) if use_stop else frozenset()
+    corpus = [doc("r", " ".join(words))]
+    linear = mine_linear(corpus, SHARED_CRITERIA, stop, stemming)
+    binary = mine_binary(build_sorted_keyword_file(corpus, stop, stemming), corpus, SHARED_CRITERIA)
+    tokens = preprocess_text(corpus[0].text, stop, stemming)
+    for c in SHARED_CRITERIA:
+        phrases = {tuple(preprocess_text(alt, stop, stemming)) for alt in c.alternatives} - {()}
+        expected = greedy_count(tokens, phrases)
+        assert linear.get("r", c.criterion_id) == expected, c.criterion_id
+        assert binary.get("r", c.criterion_id) == expected, c.criterion_id
+
+
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "ab", "c", "the"]), max_size=30), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_words):
+    # Descending ids, some of which sort differently as strings than as numbers.
+    corpus = [doc(f"r{len(docs_words) - i}", " ".join(words)) for i, words in enumerate(docs_words)]
+    kwfile = build_sorted_keyword_file(corpus, {"the"})
+    occurrences = sorted(
+        (token, d.report_id) for d in corpus for token in preprocess_text(d.text, {"the"})
+    )
+    assert kwfile.records == [KeywordRecord(*occ) for occ in occurrences]
+    path = tmp_path_factory.mktemp("kw") / "kw.tsv"
+    write_keyword_file(kwfile, path)
+    assert path.read_bytes() == "".join(f"{k}\t{r}\n" for k, r in occurrences).encode()
+
+
+ACCENTED_VOCAB = ["énergie", "renouvelable", "forêt", "naïve", "café", "à", "accès", "the"]
+ACCENTED_CRITERIA = [
+    crit("v1", "énergie renouvelable", "énergie"),
+    crit("v2", "forêt"),
+    crit("v3", "accès à énergie", "naïve café"),
+]
+
+
+@given(st.lists(st.sampled_from(ACCENTED_VOCAB), max_size=60), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_nfc_and_nfd_inputs_count_alike(words, stemming):
+    tables = []
+    for form in ("NFC", "NFD"):
+        norm = partial(unicodedata.normalize, form)
+        corpus = [doc("r", norm(" ".join(words)))]
+        criteria = [crit(c.criterion_id, *map(norm, c.alternatives)) for c in ACCENTED_CRITERIA]
+        stop = miner._parse_stoplist(norm("à\nthe\n"))
+        tables.append(mine_linear(corpus, criteria, stop, stemming))
+        kwfile = build_sorted_keyword_file(corpus, stop, stemming)
+        tables.append(mine_binary(kwfile, corpus, criteria))
+    assert all(t.counts == tables[0].counts for t in tables)
+    assert tables[0].get("r", "v2") == words.count("forêt")
+
+
 class TestFrequencyCsv:
     def test_round_trip(self, tmp_path, fixture_corpus):
         from cera.scoring import default_criteria
@@ -377,4 +455,16 @@ class TestFrequencyCsv:
         path = tmp_path / "freq.csv"
         path.write_text("report_id,v1\nr1,two\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="r1"):
+            read_frequency_csv(path)
+
+    def test_duplicate_report_id_rejected(self, tmp_path):
+        path = tmp_path / "freq.csv"
+        path.write_text("report_id,v1,v2\nA,1,2\nA,3,4\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="row 3.*duplicate.*'A'"):
+            read_frequency_csv(path)
+
+    def test_extra_cell_rejected(self, tmp_path):
+        path = tmp_path / "freq.csv"
+        path.write_text("report_id,v1,v2\nA,1,2\nB,5,6,99\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="row 3 \\(B\\) has 4 cells"):
             read_frequency_csv(path)
