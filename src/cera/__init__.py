@@ -14,7 +14,6 @@ from .errors import (
     IngestionError,
     ParameterBoundsError,
     PreconditionError,
-    SingularMatrixError,
     ValidationError,
 )
 from .miner import (
@@ -52,7 +51,6 @@ __all__ = [
     "IngestionError",
     "ParameterBoundsError",
     "PreconditionError",
-    "SingularMatrixError",
     "ValidationError",
     "Document",
     "FrequencyTable",

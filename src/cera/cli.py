@@ -49,7 +49,6 @@ class RunConfig:
     elimination: str = "conjunction"
     language: str = "en"
     sem_model: Path | None = None  # None = packaged example model
-    seed: int | None = None
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -117,8 +116,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     config.elimination = str(pick("elimination", "elimination", "conjunction"))
     config.language = str(pick("language", "language", "en"))
     config.sem_model = _opt_path(pick("sem_model", "sem_model", None))
-    seed = pick("seed", "seed", None)
-    config.seed = int(seed) if seed is not None else None
     config.validate()
     return config
 
@@ -194,18 +191,6 @@ def _score(
     return sample
 
 
-def _write_error_json(path: Path, stage: str, error: Exception) -> None:
-    payload = {
-        "status": "error",
-        "stage": stage,
-        "error_class": type(error).__name__,
-        "message": str(error),
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2)
@@ -230,30 +215,85 @@ def _read_cards(path: Path, stage: str) -> list[scoring.ScoreCard]:
     return _stage(stage, scoring.read_scorecards_csv, path)
 
 
-def _cmd_anova(config: RunConfig, scorecards: str | None) -> int:
-    out_dir = _ensure_out_dir(config)
-    cards = _read_cards(_cards_path(scorecards, out_dir), "anova")
-    rows = _stage("anova", anova_mod.anova_table, cards)
+# One computation and one artifact writer per analysis, shared by the single
+# commands, pipeline and report. They look the analysis functions up through
+# their modules at call time, so bench/tracing.py can wrap them.
+def _anova(config: RunConfig, cards: list[scoring.ScoreCard]) -> list[anova_mod.AnovaRow]:
+    return anova_mod.anova_table(cards)
+
+
+def _write_anova(out_dir: Path, rows: list[anova_mod.AnovaRow]) -> None:
     anova_mod.write_anova_csv(rows, out_dir / ANOVA_NAME)
-    return 0
 
 
-def _cmd_mda(config: RunConfig, scorecards: str | None) -> int:
-    out_dir = _ensure_out_dir(config)
-    cards = _read_cards(_cards_path(scorecards, out_dir), "mda")
-    result = _stage("mda", mda_mod.run_mda, cards)
+def _mda(config: RunConfig, cards: list[scoring.ScoreCard]) -> mda_mod.MdaResult:
+    return mda_mod.run_mda(cards)
+
+
+def _write_mda(out_dir: Path, result: mda_mod.MdaResult) -> None:
     _write_json(out_dir / MDA_NAME, mda_mod.mda_result_to_dict(result))
     mda_mod.write_case_scores_csv(result.projections, out_dir / CASE_SCORES_NAME)
-    return 0
 
 
-def _cmd_sem(config: RunConfig, scorecards: str | None) -> int:
+def _sem(config: RunConfig, cards: list[scoring.ScoreCard]) -> sem_mod.SemFit:
+    model = _sem_model(config)
+    s, n = sem_mod.covariance_from_cards(cards, model.observed_vars)
+    return sem_mod.fit_model(model, s, n)
+
+
+def _write_sem(out_dir: Path, fit: sem_mod.SemFit) -> None:
+    _write_json(out_dir / SEM_NAME, sem_mod.fit_to_dict(fit))
+
+
+ANALYSES = {
+    "anova": (_anova, _write_anova),
+    "mda": (_mda, _write_mda),
+    "sem": (_sem, _write_sem),
+}
+
+
+def _write_failure(out_dir: Path, name: str, error: CeraError) -> None:
+    """A failed analysis leaves a header-only anova.csv or an error JSON."""
+    if name == "anova":
+        _write_anova(out_dir, [])
+        return
+    payload = {
+        "status": "error",
+        "stage": name,
+        "error_class": type(error).__name__,
+        "message": str(error),
+    }
+    _write_json(out_dir / (MDA_NAME if name == "mda" else SEM_NAME), payload)
+
+
+def _run_analyses(
+    config: RunConfig, cards: list[scoring.ScoreCard], out_dir: Path | None = None
+) -> dict:
+    """Every analysis on ``cards``; a failed one reports on stderr and yields None.
+
+    With ``out_dir``, each analysis writes its artifacts there, or its
+    failure artifact.
+    """
+    results = {}
+    for name, (analyze, write) in ANALYSES.items():
+        try:
+            results[name] = analyze(config, cards)
+        except CeraError as exc:
+            print(f"{name}: {exc}", file=sys.stderr)
+            results[name] = None
+            if out_dir is not None:
+                _write_failure(out_dir, name, exc)
+        else:
+            if out_dir is not None:
+                write(out_dir, results[name])
+    return results
+
+
+def _cmd_analysis(name: str, config: RunConfig, scorecards: str | None) -> int:
     out_dir = _ensure_out_dir(config)
-    cards = _read_cards(_cards_path(scorecards, out_dir), "sem")
-    model = _stage("sem", _sem_model, config)
-    s, n = _stage("sem", sem_mod.covariance_from_cards, cards, model.observed_vars)
-    fit = _stage("sem", sem_mod.fit_model, model, s, n)
-    sem_mod.write_fit_json(fit, out_dir / SEM_NAME)
+    cards = _read_cards(_cards_path(scorecards, out_dir), name)
+    analyze, write = ANALYSES[name]
+    write(out_dir, _stage(name, analyze, config, cards))
     return 0
 
 
@@ -263,30 +303,7 @@ def _cmd_pipeline(config: RunConfig) -> int:
     criteria = _stage("mine", _criteria, config)
     table = _mine(config, out_dir, criteria)
     sample = _score(config, table, out_dir, criteria)
-
-    try:
-        rows = anova_mod.anova_table(sample)
-        anova_mod.write_anova_csv(rows, out_dir / ANOVA_NAME)
-    except CeraError as exc:
-        anova_mod.write_anova_csv([], out_dir / ANOVA_NAME)
-        print(f"anova: {exc}", file=sys.stderr)
-
-    try:
-        result = mda_mod.run_mda(sample)
-        _write_json(out_dir / MDA_NAME, mda_mod.mda_result_to_dict(result))
-        mda_mod.write_case_scores_csv(result.projections, out_dir / CASE_SCORES_NAME)
-    except CeraError as exc:
-        _write_error_json(out_dir / MDA_NAME, "mda", exc)
-        print(f"mda: {exc}", file=sys.stderr)
-
-    try:
-        model = _sem_model(config)
-        s, n = sem_mod.covariance_from_cards(sample, model.observed_vars)
-        fit = sem_mod.fit_model(model, s, n)
-        sem_mod.write_fit_json(fit, out_dir / SEM_NAME)
-    except CeraError as exc:
-        _write_error_json(out_dir / SEM_NAME, "sem", exc)
-        print(f"sem: {exc}", file=sys.stderr)
+    _run_analyses(config, sample, out_dir)
     return 0
 
 
@@ -294,26 +311,8 @@ def _cmd_report(config: RunConfig, scorecards: str | None, out: str | None) -> i
     out_dir = _ensure_out_dir(config)
     cards = _read_cards(_cards_path(scorecards, out_dir), "report")
     composition = _stage("report", scoring.sector_composition, cards)
-
-    anova_rows = None
-    try:
-        anova_rows = anova_mod.anova_table(cards)
-    except CeraError as exc:
-        print(f"anova: {exc}", file=sys.stderr)
-    mda_result = None
-    try:
-        mda_result = mda_mod.run_mda(cards)
-    except CeraError as exc:
-        print(f"mda: {exc}", file=sys.stderr)
-    sem_fit = None
-    try:
-        model = _sem_model(config)
-        s, n = sem_mod.covariance_from_cards(cards, model.observed_vars)
-        sem_fit = sem_mod.fit_model(model, s, n)
-    except CeraError as exc:
-        print(f"sem: {exc}", file=sys.stderr)
-
-    bundle = ResultsBundle(composition, anova_rows, mda_result, sem_fit)
+    results = _run_analyses(config, cards)
+    bundle = ResultsBundle(composition, results["anova"], results["mda"], results["sem"])
     text = _stage("report", emit_report, bundle)
     target = Path(out) if out else out_dir / REPORT_NAME
     with open(target, "w", encoding="utf-8", newline="") as fh:
@@ -333,11 +332,6 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with default option values")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="seed for any randomized tooling; the analyses themselves are deterministic",
-    )
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -430,12 +424,8 @@ def run_subcommand(argv: list[str] | None = None) -> int:
             return _cmd_mine(config)
         if args.command == "score":
             return _cmd_score(config, args.frequencies)
-        if args.command == "anova":
-            return _cmd_anova(config, args.scorecards)
-        if args.command == "mda":
-            return _cmd_mda(config, args.scorecards)
-        if args.command == "sem":
-            return _cmd_sem(config, args.scorecards)
+        if args.command in ANALYSES:
+            return _cmd_analysis(args.command, config, args.scorecards)
         if args.command == "pipeline":
             return _cmd_pipeline(config)
         if args.command == "report":

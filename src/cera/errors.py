@@ -17,18 +17,6 @@ class PreconditionError(CeraError):
     """An operation was called in a state its contract forbids."""
 
 
-class SingularMatrixError(CeraError):
-    """A matrix required to be invertible is singular.
-
-    ``pivot_index`` is the zero-based elimination step at which the pivot
-    fell below the singularity threshold.
-    """
-
-    def __init__(self, message: str, pivot_index: int | None = None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-
-
 class ConditioningError(CeraError):
     """A matrix fails a definiteness or conditioning requirement."""
 

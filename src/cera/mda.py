@@ -116,8 +116,14 @@ class CaseProjections:
     n_functions: int
 
 
-def _group_name(g) -> str:
+def group_name(g) -> str:
+    """Display name of a group label: a Sector's value, else ``str(label)``."""
     return g.value if hasattr(g, "value") else str(g)
+
+
+def _sector_order(labels: Sequence[Hashable]) -> tuple[Hashable, ...]:
+    present = set(labels)
+    return tuple(s for s in SECTOR_ORDER if s in present)
 
 
 def data_matrix(cards: Sequence[ScoreCard]) -> tuple[np.ndarray, list, list[str]]:
@@ -154,7 +160,7 @@ def scatter_from_data(
     for g, idx in indices.items():
         if len(idx) < p + 1:
             raise ValidationError(
-                f"group {_group_name(g)} has {len(idx)} cases; needs at least {p + 1} "
+                f"group {group_name(g)} has {len(idx)} cases; needs at least {p + 1} "
                 f"for a nonsingular within-group scatter"
             )
     grand_mean = x.mean(axis=0)
@@ -174,12 +180,6 @@ def scatter_from_data(
     w = 0.5 * (w + w.T)
     b = 0.5 * (b + b.T)
     return ScatterPair(w, b, group_sizes, group_means, grand_mean, group_order)
-
-
-def scatter_matrices(cards: Sequence[ScoreCard]) -> ScatterPair:
-    x, labels, _ = data_matrix(cards)
-    order = tuple(s for s in SECTOR_ORDER if s in set(labels))
-    return scatter_from_data(x, labels, order)
 
 
 def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
@@ -210,8 +210,7 @@ def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
 
 def fit_mda(cards: Sequence[ScoreCard]) -> MdaModel:
     x, labels, cids = data_matrix(cards)
-    order = tuple(s for s in SECTOR_ORDER if s in set(labels))
-    return fit_mda_data(x, labels, order, criterion_ids=cids)
+    return fit_mda_data(x, labels, _sector_order(labels), criterion_ids=cids)
 
 
 def fit_mda_data(
@@ -318,7 +317,7 @@ def box_m_from_data(
         rows = x[[i for i, lab in enumerate(labels) if lab == grp]]
         if len(rows) <= p:
             raise ValidationError(
-                f"group {_group_name(grp)} has {len(rows)} cases; needs more than {p} "
+                f"group {group_name(grp)} has {len(rows)} cases; needs more than {p} "
                 f"for a nonsingular covariance"
             )
         sizes[grp] = len(rows)
@@ -327,10 +326,10 @@ def box_m_from_data(
     m_stat = (n - len(group_order)) * _log_det_cov(pooled, "pooled")
     for grp in group_order:
         try:
-            m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {_group_name(grp)}")
+            m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {group_name(grp)}")
         except ConditioningError:
             raise ConditioningError(
-                f"group {_group_name(grp)} covariance matrix is singular"
+                f"group {group_name(grp)} covariance matrix is singular"
             ) from None
     m_stat = max(m_stat, 0.0)
     return box_m_approximation(m_stat, [sizes[grp] for grp in group_order], p)
@@ -338,8 +337,7 @@ def box_m_from_data(
 
 def box_m(cards: Sequence[ScoreCard]) -> BoxMResult:
     x, labels, _ = data_matrix(cards)
-    order = tuple(s for s in SECTOR_ORDER if s in set(labels))
-    return box_m_from_data(x, labels, order)
+    return box_m_from_data(x, labels, _sector_order(labels))
 
 
 def _project(x: np.ndarray, model: MdaModel) -> np.ndarray:
@@ -362,7 +360,7 @@ def classify_data(
     unknown = set(labels) - set(order)
     if unknown:
         raise ValidationError(
-            f"labels not in fitted model: {sorted(map(_group_name, unknown))}"
+            f"labels not in fitted model: {sorted(map(group_name, unknown))}"
         )
     scores = _project(x, model)
     centroids = _centroid_matrix(model)
@@ -381,19 +379,24 @@ def classify(cards: Sequence[ScoreCard], model: MdaModel) -> ClassificationMatri
 
 
 def project_cases(cards: Sequence[ScoreCard], model: MdaModel) -> CaseProjections:
+    x, labels = np.empty((0, model.scatter.n_variables)), []
+    if cards:
+        x, labels, cids = data_matrix(cards)
+        if tuple(cids) != model.criterion_ids:
+            raise ValidationError("scorecards and model use different criteria")
+    return _project_data(cards, x, labels, model)
+
+
+def _project_data(
+    cards: Sequence[ScoreCard], x: np.ndarray, labels: Sequence[Hashable], model: MdaModel
+) -> CaseProjections:
     centroids = {
         g: tuple(float(f.group_centroids[g]) for f in model.functions)
         for g in model.scatter.group_order
     }
-    if not cards:
-        return CaseProjections([], centroids, len(model.functions))
-    x, labels, cids = data_matrix(cards)
-    if tuple(cids) != model.criterion_ids:
-        raise ValidationError("scorecards and model use different criteria")
-    scores = _project(x, model)
     cases = [
         CaseProjection(card.report_id, label, tuple(float(s) for s in row))
-        for card, label, row in zip(cards, labels, scores)
+        for card, label, row in zip(cards, labels, _project(x, model))
     ]
     return CaseProjections(cases, centroids, len(model.functions))
 
@@ -404,8 +407,7 @@ def write_case_scores_csv(projections: CaseProjections, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for case in projections.cases:
-            group = case.group.value if hasattr(case.group, "value") else str(case.group)
-            writer.writerow([case.report_id, group, *map(repr, case.scores)])
+            writer.writerow([case.report_id, group_name(case.group), *map(repr, case.scores)])
 
 
 @dataclass(frozen=True)
@@ -418,23 +420,25 @@ class MdaResult:
 
 
 def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
-    model = fit_mda(cards)
+    x, labels, cids = data_matrix(cards)
+    order = _sector_order(labels)
+    model = fit_mda_data(x, labels, order, criterion_ids=cids)
     sp = model.scatter
     wilks = wilks_tests(list(model.functions), sp.n_total, sp.n_variables, sp.n_groups)
-    box = box_m(cards)
-    classification = classify(cards, model)
-    projections = project_cases(cards, model)
+    box = box_m_from_data(x, labels, order)
+    classification = classify_data(x, labels, model)
+    projections = _project_data(cards, x, labels, model)
     return MdaResult(model, wilks, box, classification, projections)
 
 
 def mda_result_to_dict(result: MdaResult) -> dict:
     model = result.model
-    order = [_group_name(g) for g in model.scatter.group_order]
+    order = [group_name(g) for g in model.scatter.group_order]
     return {
         "criteria": list(model.criterion_ids),
         "groups": order,
         "group_sizes": {
-            _group_name(g): model.scatter.group_sizes[g] for g in model.scatter.group_order
+            group_name(g): model.scatter.group_sizes[g] for g in model.scatter.group_order
         },
         "functions": [
             {
@@ -442,7 +446,7 @@ def mda_result_to_dict(result: MdaResult) -> dict:
                 "eigenvalue": f.eigenvalue,
                 "coefficients": [float(c) for c in f.coefficients],
                 "centroids": {
-                    _group_name(g): f.group_centroids[g] for g in model.scatter.group_order
+                    group_name(g): f.group_centroids[g] for g in model.scatter.group_order
                 },
             }
             for f in model.functions

@@ -228,19 +228,6 @@ def write_keyword_file(kwfile: KeywordFile, path) -> None:
             fh.write(f"{rec.keyword}\t{rec.file_name}\n" * len(list(run)))
 
 
-def read_keyword_file(path, stoplist: Iterable[str] = frozenset(), stemming: bool = False) -> KeywordFile:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            keyword, _, file_name = line.partition("\t")
-            records.append(KeywordRecord(keyword, file_name))
-    sorted_flag = all(records[i] <= records[i + 1] for i in range(len(records) - 1))
-    return KeywordFile(records, sorted_flag, frozenset(stoplist), stemming)
-
-
 # First token -> (criterion index, phrase) entries, longest phrase first
 # within each criterion.
 CriteriaIndex = dict[str, list[tuple[int, tuple[str, ...]]]]

@@ -8,17 +8,12 @@ criterion), so everything is a direct dense method. Matrices are plain
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import LinAlgWarning
 from scipy.special import betainc, gammaincc
 
-from .errors import ConditioningError, SingularMatrixError, ValidationError
-
-# Relative pivot threshold below which a matrix is treated as singular.
-SINGULARITY_RTOL = 1e-12
+from .errors import ConditioningError, ValidationError
 
 # Symmetry tolerance used by consumers of symmetric matrices.
 SYMMETRY_RTOL = 1e-10
@@ -38,53 +33,6 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.abs(a - a.T) <= tol):
         raise ValidationError(f"{name} is not symmetric within tolerance")
     return a
-
-
-def _lu_pivots(a: np.ndarray):
-    """LU factorization with partial pivoting; returns (lu, piv, pivot magnitudes)."""
-    with warnings.catch_warnings():
-        # LAPACK warns on exactly-zero pivots; the caller applies its own
-        # singularity threshold instead.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    return lu, piv, np.abs(np.diag(lu))
-
-
-def determinant(m) -> float:
-    """Determinant via LU with partial pivoting.
-
-    Returns exactly 0.0 when any pivot magnitude falls below
-    ``SINGULARITY_RTOL * max|entry|``.
-    """
-    a = as_square_matrix(m)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    lu, piv, pivots = _lu_pivots(a)
-    threshold = SINGULARITY_RTOL * np.max(np.abs(a))
-    if np.any(pivots < threshold):
-        return 0.0
-    sign = 1.0 if np.count_nonzero(piv != np.arange(n)) % 2 == 0 else -1.0
-    return float(sign * np.prod(np.diag(lu)))
-
-
-def inverse(m) -> np.ndarray:
-    """Matrix inverse via the LU factorization used by :func:`determinant`.
-
-    Raises :class:`SingularMatrixError` naming the failing pivot index when a
-    pivot magnitude falls below the singularity threshold.
-    """
-    a = as_square_matrix(m)
-    n = a.shape[0]
-    lu, piv, pivots = _lu_pivots(a)
-    threshold = SINGULARITY_RTOL * np.max(np.abs(a)) if n else 0.0
-    small = np.flatnonzero(pivots < threshold)
-    if small.size:
-        k = int(small[0])
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (pivot {k})", pivot_index=k
-        )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n))
 
 
 def generalized_eigen(b, w) -> list[tuple[float, np.ndarray]]:

@@ -14,7 +14,7 @@ from typing import Hashable
 
 from .anova import AnovaRow
 from .errors import ValidationError
-from .mda import MdaResult
+from .mda import MdaResult, group_name
 from .sem import SemFit
 
 
@@ -26,10 +26,6 @@ class ResultsBundle:
     sem: SemFit | None = None
 
 
-def _name(group) -> str:
-    return group.value if hasattr(group, "value") else str(group)
-
-
 def _f3(x: float) -> str:
     return "NA" if math.isnan(x) else f"{x:.3f}"
 
@@ -38,7 +34,7 @@ def _compose_section(composition) -> list[str]:
     lines = ["SECTOR COMPOSITION", ""]
     total = sum(count for count, _ in composition.values())
     for group, (count, pct) in composition.items():
-        lines.append(f"  {_name(group):<12} {count:>5}  {pct:.2f}%")
+        lines.append(f"  {group_name(group):<12} {count:>5}  {pct:.2f}%")
     lines.append(f"  {'total':<12} {total:>5}")
     return lines
 
@@ -47,7 +43,7 @@ def _anova_section(rows: list[AnovaRow]) -> list[str]:
     lines = ["ONE-WAY ANOVA BY SECTOR", ""]
     groups = list(rows[0].group_means) if rows else []
     header = f"  {'variable':<10}" + "".join(
-        f"{'mean_' + _name(g):>16}" for g in groups
+        f"{'mean_' + group_name(g):>16}" for g in groups
     )
     header += f"{'grand_mean':>12}{'F':>10}{'p':>8}  sig"
     lines.append(header)
@@ -81,7 +77,7 @@ def _mda_section(mda: MdaResult) -> list[str]:
         )
     lines.append("  classification (rows = actual, columns = predicted):")
     cm = mda.classification
-    names = [_name(g) for g in cm.group_order]
+    names = [group_name(g) for g in cm.group_order]
     lines.append("    " + f"{'':<12}" + "".join(f"{n:>12}" for n in names) + f"{'correct':>10}")
     for i, name in enumerate(names):
         row = "".join(f"{int(c):>12}" for c in cm.counts[i])
@@ -135,8 +131,3 @@ def emit_report(bundle: ResultsBundle) -> str:
             lines.append("")
         lines.extend(section)
     return "\n".join(lines) + "\n"
-
-
-def write_report(bundle: ResultsBundle, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_report(bundle))

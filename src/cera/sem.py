@@ -9,7 +9,6 @@ reported as chi-square / df / p plus standardized estimates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -322,6 +321,14 @@ def _chol_logdet(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
+def _ml_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float, p: int) -> float:
+    """ln|Sigma| + tr(S Sigma^-1) - ln|S| - p; LinAlgError when Sigma is not PD."""
+    chol, logdet_sigma = _chol_logdet(sigma)
+    inv_chol = scipy.linalg.solve_triangular(chol, np.eye(p), lower=True)
+    trace = float(np.sum((inv_chol @ s) * inv_chol))
+    return logdet_sigma + trace - logdet_s - p
+
+
 def ml_discrepancy(s, sigma, p: int | None = None) -> float:
     """F_ML = ln|Sigma| + tr(S Sigma^-1) - ln|S| - p; zero iff Sigma = S."""
     s = numcore.check_symmetric(s, "S")
@@ -335,12 +342,9 @@ def ml_discrepancy(s, sigma, p: int | None = None) -> float:
     except np.linalg.LinAlgError:
         raise ConditioningError("sample covariance is not positive definite") from None
     try:
-        chol, logdet_sigma = _chol_logdet(sigma)
+        value = _ml_value(s, sigma, logdet_s, p)
     except np.linalg.LinAlgError:
         raise ConditioningError("implied covariance is not positive definite") from None
-    inv_chol = scipy.linalg.solve_triangular(chol, np.eye(p), lower=True)
-    trace = float(np.sum((inv_chol @ s) * inv_chol))
-    value = logdet_sigma + trace - logdet_s - p
     # Roundoff at Sigma = S can land a hair below zero.
     return 0.0 if -1e-10 < value < 0.0 else value
 
@@ -419,27 +423,20 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     if n_cases <= p:
         raise ValidationError(f"need more cases than variables: N={n_cases}, p={p}")
     try:
-        _chol_logdet(s)
+        _, logdet_s = _chol_logdet(s)
     except np.linalg.LinAlgError:
         raise ConditioningError("sample covariance is not positive definite") from None
     if model.degrees_of_freedom < 0:
         raise ValidationError("model has negative degrees of freedom")
 
-    fixed_term = None  # cache ln|S| via discrepancy calls on full matrices
-
     def objective(x: np.ndarray) -> float:
         sigma = _assemble(model, _resolve_params(model, _unpack(model, x)))
         try:
-            chol, logdet_sigma = _chol_logdet(sigma)
+            return _ml_value(s, sigma, logdet_s, p)
         except np.linalg.LinAlgError:
             # Outside the PD region: penalize by how far the spectrum dips.
             eigmin = float(np.linalg.eigvalsh(sigma)[0])
             return 1e6 * (1.0 - eigmin)
-        inv_chol = scipy.linalg.solve_triangular(chol, np.eye(p), lower=True)
-        trace = float(np.sum((inv_chol @ s) * inv_chol))
-        return logdet_sigma + trace - fixed_term - p
-
-    _, fixed_term = _chol_logdet(s)
 
     x0 = _start_vector(model, s)
     if x0.size == 0:
@@ -562,9 +559,3 @@ def fit_to_dict(fit: SemFit) -> dict:
             "heywood_variables": list(fit.heywood),
         },
     }
-
-
-def write_fit_json(fit: SemFit, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(fit_to_dict(fit), fh, indent=2)
-        fh.write("\n")

@@ -60,7 +60,8 @@ class TestPipeline:
         out = tmp_path / "out"
         run_pipeline(out)
         for name in OUTPUT_FILES:
-            assert b"\r" not in (out / name).read_bytes(), name
+            raw = (out / name).read_bytes()
+            assert b"\r" not in raw and raw.endswith(b"\n"), name
 
 
 class TestMine:
@@ -148,6 +149,21 @@ class TestAnalysisCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("anova:")
 
+    def test_single_commands_share_the_pipeline_path(self, tmp_path, capsys):
+        piped, single = tmp_path / "pipe", tmp_path / "single"
+        assert run_pipeline(piped) == 0
+        pipeline_err = capsys.readouterr().err.splitlines()
+        cards = str(piped / "scorecards.csv")
+        assert run_subcommand(["anova", "--scorecards", cards, "--out-dir", str(single)]) == 0
+        assert (single / "anova.csv").read_bytes() == (piped / "anova.csv").read_bytes()
+        for name in ("mda", "sem"):
+            code = run_subcommand([name, "--scorecards", cards, "--out-dir", str(single)])
+            assert code == 1
+            expected = [line for line in pipeline_err if line.startswith(f"{name}: ")]
+            assert len(expected) == 1
+            assert capsys.readouterr().err.splitlines() == expected
+        assert [p.name for p in single.iterdir()] == ["anova.csv"]
+
     def test_corrupt_scorecards_reported_cleanly(self, scored, capsys):
         # A hand-edited scorecard file must fail as a stage diagnostic,
         # not an unhandled parser exception.
@@ -166,7 +182,9 @@ class TestReport:
         run_pipeline(out)
         capsys.readouterr()
         assert run_subcommand(["report", "--out-dir", str(out)]) == 0
-        text = (out / "report.txt").read_text(encoding="utf-8")
+        raw = (out / "report.txt").read_bytes()
+        assert b"\r" not in raw
+        text = raw.decode("utf-8")
         assert "SECTOR COMPOSITION" in text
         assert "ONE-WAY ANOVA BY SECTOR" in text
         assert "DISCRIMINANT ANALYSIS" not in text
@@ -249,9 +267,3 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             run_subcommand(["mine", "--config", str(config_path)])
         assert excinfo.value.code == 2
-
-    def test_seed_flag_accepted(self, tmp_path):
-        out = tmp_path / "out"
-        assert run_subcommand(
-            ["mine", "--manifest", str(MANIFEST), "--out-dir", str(out), "--seed", "7"]
-        ) == 0

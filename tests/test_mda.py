@@ -18,7 +18,6 @@ from cera.mda import (
     project_cases,
     run_mda,
     scatter_from_data,
-    scatter_matrices,
     wilks_tests,
     write_case_scores_csv,
 )
@@ -75,7 +74,7 @@ class TestScatter:
         )
         # 6 cases with p = 10 cannot satisfy the size floor.
         with pytest.raises(ValidationError):
-            scatter_matrices(cards)
+            fit_mda(cards)
 
     def test_group_order_respected(self):
         x = np.array([[0.0], [2.0], [4.0], [6.0]])

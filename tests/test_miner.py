@@ -18,7 +18,6 @@ from cera.miner import (
     mine_linear,
     preprocess_text,
     read_frequency_csv,
-    read_keyword_file,
     stem_token,
     tokenize,
     write_frequency_csv,
@@ -169,7 +168,6 @@ class TestKeywordFile:
         path = tmp_path / "kw.tsv"
         write_keyword_file(kwfile, path)
         assert path.read_bytes() == b"a\tA\na\tB\nb\tA\n"
-        assert read_keyword_file(path).records == kwfile.records
 
 
 class TestMineLinear:

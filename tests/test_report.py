@@ -8,7 +8,7 @@ from cera.anova import AnovaRow
 from cera.errors import ValidationError
 from cera.mda import ClassificationMatrix, run_mda
 from cera.miner import Sector
-from cera.report import ResultsBundle, emit_report, write_report
+from cera.report import ResultsBundle, emit_report
 from cera.sem import SemFit
 
 from conftest import make_cards
@@ -125,12 +125,3 @@ class TestSections:
             ResultsBundle(sample_composition(), sample_anova_rows(), None, None)
         )
         assert "\n\nONE-WAY ANOVA BY SECTOR" in text
-
-
-class TestWriteReport:
-    def test_file_round_trip(self, tmp_path):
-        bundle = ResultsBundle(composition=sample_composition())
-        path = tmp_path / "report.txt"
-        write_report(bundle, path)
-        assert path.read_text(encoding="utf-8") == emit_report(bundle)
-        assert b"\r" not in path.read_bytes()
