@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from cera.anova import AnovaRow
+from cera.anova import AnovaRow, anova_table
+from cera.cli import run_subcommand
 from cera.errors import ValidationError
 from cera.mda import ClassificationMatrix, run_mda
 from cera.miner import Sector
 from cera.report import ResultsBundle, emit_report
+from cera.scoring import read_scorecards_csv, sector_composition
 from cera.sem import SemFit
 
-from conftest import make_cards
+from conftest import MANIFEST, make_cards
 
 
 def sample_composition():
@@ -125,3 +127,20 @@ class TestSections:
             ResultsBundle(sample_composition(), sample_anova_rows(), None, None)
         )
         assert "\n\nONE-WAY ANOVA BY SECTOR" in text
+
+
+class TestWriteReport:
+    def test_file_round_trip(self, tmp_path, capsys):
+        # The fixture sample is too small for MDA and SEM, so `cera report`
+        # renders the composition and ANOVA sections only.
+        out = tmp_path / "out"
+        assert run_subcommand(
+            ["pipeline", "--manifest", str(MANIFEST), "--out-dir", str(out)]
+        ) == 0
+        cards = read_scorecards_csv(out / "scorecards.csv")
+        path = tmp_path / "report.txt"
+        assert run_subcommand(["report", "--out-dir", str(out), "--out", str(path)]) == 0
+        capsys.readouterr()
+        bundle = ResultsBundle(sector_composition(cards), anova_table(cards))
+        assert path.read_text(encoding="utf-8") == emit_report(bundle)
+        assert b"\r" not in path.read_bytes()
