@@ -355,14 +355,19 @@ def classify_data(
     x: np.ndarray, labels: Sequence[Hashable], model: MdaModel
 ) -> ClassificationMatrix:
     """Resubstitution-style confusion matrix: nearest centroid in canonical space."""
-    order = model.scatter.group_order
-    index = {g: i for i, g in enumerate(order)}
-    unknown = set(labels) - set(order)
+    unknown = set(labels) - set(model.scatter.group_order)
     if unknown:
         raise ValidationError(
             f"labels not in fitted model: {sorted(map(group_name, unknown))}"
         )
-    scores = _project(x, model)
+    return _classify_scores(_project(x, model), labels, model)
+
+
+def _classify_scores(
+    scores: np.ndarray, labels: Sequence[Hashable], model: MdaModel
+) -> ClassificationMatrix:
+    order = model.scatter.group_order
+    index = {g: i for i, g in enumerate(order)}
     centroids = _centroid_matrix(model)
     counts = np.zeros((len(order), len(order)), dtype=int)
     for row, actual in zip(scores, labels):
@@ -378,17 +383,8 @@ def classify(cards: Sequence[ScoreCard], model: MdaModel) -> ClassificationMatri
     return classify_data(x, labels, model)
 
 
-def project_cases(cards: Sequence[ScoreCard], model: MdaModel) -> CaseProjections:
-    x, labels = np.empty((0, model.scatter.n_variables)), []
-    if cards:
-        x, labels, cids = data_matrix(cards)
-        if tuple(cids) != model.criterion_ids:
-            raise ValidationError("scorecards and model use different criteria")
-    return _project_data(cards, x, labels, model)
-
-
-def _project_data(
-    cards: Sequence[ScoreCard], x: np.ndarray, labels: Sequence[Hashable], model: MdaModel
+def _case_projections(
+    cards: Sequence[ScoreCard], scores: np.ndarray, labels: Sequence[Hashable], model: MdaModel
 ) -> CaseProjections:
     centroids = {
         g: tuple(float(f.group_centroids[g]) for f in model.functions)
@@ -396,7 +392,7 @@ def _project_data(
     }
     cases = [
         CaseProjection(card.report_id, label, tuple(float(s) for s in row))
-        for card, label, row in zip(cards, labels, _project(x, model))
+        for card, label, row in zip(cards, labels, scores)
     ]
     return CaseProjections(cases, centroids, len(model.functions))
 
@@ -426,8 +422,9 @@ def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
     sp = model.scatter
     wilks = wilks_tests(list(model.functions), sp.n_total, sp.n_variables, sp.n_groups)
     box = box_m_from_data(x, labels, order)
-    classification = classify_data(x, labels, model)
-    projections = _project_data(cards, x, labels, model)
+    scores = _project(x, model)  # labels come from the fit, so none is unknown
+    classification = _classify_scores(scores, labels, model)
+    projections = _case_projections(cards, scores, labels, model)
     return MdaResult(model, wilks, box, classification, projections)
 
 

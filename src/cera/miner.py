@@ -21,7 +21,7 @@ from enum import Enum
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence, TYPE_CHECKING
 
 from .errors import IngestionError, PreconditionError, ValidationError
 
@@ -49,29 +49,27 @@ class Document:
 Corpus = list[Document]
 
 
-class KeywordRecord(NamedTuple):
-    keyword: str
-    file_name: str
-
-
 @dataclass
 class KeywordFile:
-    """Sorted ``<keyword, file>`` records plus the preprocessing that built them.
+    """Sorted ``(keyword, report_id)`` tuples plus the preprocessing that built them.
 
     The stop list and stemming flag are carried along so that binary mining
     can reconstruct token order for adjacency checks without re-specifying
     the settings.
     """
 
-    records: list[KeywordRecord]
+    records: list[tuple[str, str]]
     sorted_flag: bool
     stoplist: frozenset[str] = frozenset()
     stemming: bool = False
 
 
-# Tokens are maximal alphanumeric runs; hyphens, apostrophes, underscores and
-# all other punctuation act as separators.
+# Tokens are maximal runs of characters for which ``str.isalnum()`` holds;
+# hyphens, apostrophes, underscores and all other punctuation act as separators.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The same rule for ASCII text, as a ``str.translate`` table: alphanumerics map
+# to themselves, every other character to a space.
+_ASCII_SEPARATORS = {c: c if chr(c).isalnum() else 32 for c in range(128)}
 
 # Suffix-stripping rules, applied once per token, first match wins. A rule
 # fires only when the remaining stem keeps at least 3 characters.
@@ -86,8 +84,13 @@ def stem_token(token: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    # NFC: a decomposed accent is a combining mark, which the pattern treats as a separator.
-    return _TOKEN_RE.findall(unicodedata.normalize("NFC", text.lower()))
+    # NFC: a decomposed accent is a combining mark, which is not alphanumeric.
+    text = unicodedata.normalize("NFC", text.lower())
+    if text.isascii():
+        # str.translate has a fast path for all-ASCII strings only; on any
+        # other string it is slower than the regex.
+        return text.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN_RE.findall(text)
 
 
 def preprocess_text(
@@ -205,27 +208,29 @@ def build_sorted_keyword_file(
 
     Built from per-report token counts without sorting the occurrences:
     postings are filled in report-id order, keywords are walked in sorted
-    order, and each (keyword, report) record is one shared object repeated
-    once per occurrence.
+    order, and each (keyword, report) record is one shared tuple repeated
+    once per occurrence. Plain tuples of strings leave the cyclic GC's
+    tracking at its first collection, so the records cost no later
+    collection anything.
     """
     stopset = frozenset(stoplist)
     postings: defaultdict[str, list] = defaultdict(list)  # keyword -> [id, count, id, count, ...]
     for doc in sorted(corpus, key=lambda d: d.report_id):
         for token, count in Counter(preprocess_text(doc.text, stopset, stemming)).items():
             postings[token] += (doc.report_id, count)
-    records: list[KeywordRecord] = []
+    records: list[tuple[str, str]] = []
     for keyword in sorted(postings):
         posting = postings[keyword]
         for report_id, count in zip(posting[::2], posting[1::2]):
-            records += [KeywordRecord(keyword, report_id)] * count
+            records += [(keyword, report_id)] * count
     return KeywordFile(records=records, sorted_flag=True, stoplist=stopset, stemming=stemming)
 
 
 def write_keyword_file(kwfile: KeywordFile, path) -> None:
     """External format: one ``keyword<TAB>report_id`` line per record, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec, run in groupby(kwfile.records):
-            fh.write(f"{rec.keyword}\t{rec.file_name}\n" * len(list(run)))
+        for (keyword, report_id), run in groupby(kwfile.records):
+            fh.write(f"{keyword}\t{report_id}\n" * len(list(run)))
 
 
 # First token -> (criterion index, phrase) entries, longest phrase first
@@ -318,7 +323,7 @@ def mine_binary(
     index = _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming)
 
     def occurrences(word: str, report_id: str) -> int:
-        rec = KeywordRecord(word, report_id)
+        rec = (word, report_id)
         return bisect_right(keys, rec) - bisect_left(keys, rec)
 
     def row(doc: Document) -> list[int]:

@@ -518,15 +518,6 @@ def _standardize(
     return table
 
 
-def standardized_estimates(fit: SemFit, model: SemModelSpec, s) -> dict[str, float]:
-    """Loadings scaled by latent SD / observed SD (sample SDs from S);
-    latent covariances become correlations, residuals become proportions."""
-    if not fit.converged:
-        raise ValidationError("fit did not converge; standardized estimates unavailable")
-    s = numcore.check_symmetric(s, "S")
-    return _standardize(model, _resolve_params(model, fit.estimates), s)
-
-
 def covariance_from_cards(
     cards: Sequence[ScoreCard], observed_vars: Sequence[str]
 ) -> tuple[np.ndarray, int]:

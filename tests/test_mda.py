@@ -15,7 +15,6 @@ from cera.mda import (
     fit_mda,
     fit_mda_data,
     mda_result_to_dict,
-    project_cases,
     run_mda,
     scatter_from_data,
     wilks_tests,
@@ -323,7 +322,7 @@ class TestClassification:
 
 
 class TestProjections:
-    def make_model(self):
+    def make_result(self):
         rng = np.random.default_rng(8)
         matrix = np.vstack(
             [rng.normal(loc, 1.0, size=(6, 2)) for loc in (0.0, 2.0, 4.0)]
@@ -332,44 +331,27 @@ class TestProjections:
             [Sector.PRIMARY] * 6 + [Sector.SECONDARY] * 6 + [Sector.TERTIARY] * 6
         )
         cards = make_cards(matrix, labels)
-        return cards, fit_mda(cards)
+        return cards, run_mda(cards)
 
     def test_group_mean_projects_to_centroid(self):
-        cards, model = self.make_model()
-        mean_primary = model.scatter.group_means[Sector.PRIMARY]
-        probe = make_cards([mean_primary], [Sector.PRIMARY])
-        projections = project_cases(probe, model)
-        for score, centroid in zip(
-            projections.cases[0].scores, projections.centroids[Sector.PRIMARY]
-        ):
-            assert score == pytest.approx(centroid, abs=1e-10)
-
-    def test_empty_cards_keep_centroids(self):
-        _, model = self.make_model()
-        projections = project_cases([], model)
-        assert projections.cases == []
-        assert set(projections.centroids) == {
-            Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY,
-        }
-        assert projections.n_functions == len(model.functions)
+        _, result = self.make_result()
+        projections = result.projections
+        for g in (Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY):
+            scores = [case.scores for case in projections.cases if case.group == g]
+            for score, centroid in zip(np.mean(scores, axis=0), projections.centroids[g]):
+                assert score == pytest.approx(centroid, abs=1e-10)
 
     def test_projection_is_affine_in_scores(self):
-        cards, model = self.make_model()
-        low = make_cards([[0.0, 0.0]], [Sector.PRIMARY])
-        high = make_cards([[4.0, 6.0]], [Sector.PRIMARY])
-        mid = make_cards([[2.0, 3.0]], [Sector.PRIMARY])
-        score = lambda cs: np.array(project_cases(cs, model).cases[0].scores)
-        assert np.allclose(score(mid), 0.5 * (score(low) + score(high)), atol=1e-10)
-
-    def test_criteria_mismatch_rejected(self):
-        cards, model = self.make_model()
-        alien = make_cards([[1.0, 2.0]], [Sector.PRIMARY], criterion_prefix="q")
-        with pytest.raises(ValidationError):
-            project_cases(alien, model)
+        cards, result = self.make_result()
+        model = result.model
+        for card, case in zip(cards, result.projections.cases):
+            x = np.array([card.scores[cid] for cid in model.criterion_ids])
+            expected = [f.coefficients @ (x - model.scatter.grand_mean) for f in model.functions]
+            assert np.allclose(case.scores, expected, atol=1e-10)
 
     def test_csv_layout(self, tmp_path):
-        cards, model = self.make_model()
-        projections = project_cases(cards, model)
+        cards, result = self.make_result()
+        projections = result.projections
         path = tmp_path / "cases.csv"
         write_case_scores_csv(projections, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -398,6 +380,14 @@ class TestRunMda:
         assert result.box.df1 == 12  # (3-1) * 3 * 4 / 2
         assert result.classification.counts.sum() == 24
         assert len(result.projections.cases) == 24
+
+    def test_classification_matches_classify_data(self):
+        cards = self.build_cards()
+        result = run_mda(cards)
+        x = np.array([[card.scores[cid] for cid in card.criterion_ids] for card in cards])
+        labels = [card.sector for card in cards]
+        expected = classify_data(x, labels, result.model)
+        assert np.array_equal(result.classification.counts, expected.counts)
 
     def test_dict_serializable(self):
         payload = mda_result_to_dict(run_mda(self.build_cards()))

@@ -1,4 +1,6 @@
 import csv
+import gc
+import re
 import unicodedata
 from functools import partial
 
@@ -10,7 +12,6 @@ from cera.errors import IngestionError, PreconditionError, ValidationError
 from cera.miner import (
     Document,
     KeywordFile,
-    KeywordRecord,
     Sector,
     build_sorted_keyword_file,
     load_corpus,
@@ -145,9 +146,9 @@ class TestKeywordFile:
         kwfile = build_sorted_keyword_file(corpus)
         assert kwfile.sorted_flag
         assert kwfile.records == [
-            KeywordRecord("a", "A"),
-            KeywordRecord("a", "B"),
-            KeywordRecord("b", "A"),
+            ("a", "A"),
+            ("a", "B"),
+            ("b", "A"),
         ]
 
     def test_empty_corpus(self):
@@ -156,7 +157,13 @@ class TestKeywordFile:
 
     def test_duplicates_retained(self):
         kwfile = build_sorted_keyword_file([doc("id", "z z")])
-        assert kwfile.records == [KeywordRecord("z", "id"), KeywordRecord("z", "id")]
+        assert kwfile.records == [("z", "id"), ("z", "id")]
+
+    def test_records_leave_gc_tracking(self):
+        kwfile = build_sorted_keyword_file([doc("A", "carbon dioxide carbon"), doc("B", "dioxide")])
+        gc.collect()
+        assert kwfile.records
+        assert not any(gc.is_tracked(rec) for rec in kwfile.records)
 
     def test_sortedness_invariant(self):
         corpus = [doc(f"r{i}", " ".join(["beta", "alpha", "gamma"] * 3)) for i in range(4)]
@@ -230,7 +237,7 @@ class TestMineBinary:
     def test_unsorted_precondition(self):
         corpus = [doc("A", "carbon dioxide")]
         kwfile = KeywordFile(
-            [KeywordRecord("dioxide", "A"), KeywordRecord("carbon", "A")], False
+            [("dioxide", "A"), ("carbon", "A")], False
         )
         with pytest.raises(PreconditionError):
             mine_binary(kwfile, corpus, [crit("v1", "carbon")])
@@ -315,6 +322,33 @@ class TestStrategyEquivalence:
         assert kw1.records == kw2.records
 
 
+# The token rule, stated as a regex: maximal runs of Unicode word characters
+# other than "_" (CPython's ``re`` defines ``\w`` as ``isalnum() or "_"``).
+TOKEN_ORACLE = re.compile(r"[^\W_]+")
+# Composed and decomposed accents, a dotted capital I whose lowercase adds a
+# combining mark, apostrophes, dashes, "_", non-ASCII digits, astral letters.
+TRICKY_CHARS = [
+    "é", "e\u0301", "ï", "i\u0308", "\u0130", "ß", "_", "'", "\u2019", "\u2013", "-",
+    "9", "\u0663", "\u00bd", "\U0001d518", "\U0001f600", " ", "\t", "\u00a0",
+]
+ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=80)
+UNICODE_TEXT = st.lists(
+    st.one_of(st.characters(), st.sampled_from(TRICKY_CHARS)), max_size=80
+).map("".join)
+
+
+@given(st.one_of(ASCII_TEXT, UNICODE_TEXT))
+@settings(max_examples=200, deadline=None)
+def test_tokenize_matches_regex_oracle(text):
+    expected = TOKEN_ORACLE.findall(unicodedata.normalize("NFC", text.lower()))
+    assert tokenize(text) == expected
+
+
+def test_ascii_table_matches_regex_on_every_ascii_code_point():
+    text = "".join(map(chr, range(128)))
+    assert tokenize(text) == TOKEN_ORACLE.findall(text.lower())
+
+
 @given(st.text(max_size=300))
 @settings(max_examples=60, deadline=None)
 def test_tokenize_properties(text):
@@ -385,7 +419,7 @@ def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_wo
     occurrences = sorted(
         (token, d.report_id) for d in corpus for token in preprocess_text(d.text, {"the"})
     )
-    assert kwfile.records == [KeywordRecord(*occ) for occ in occurrences]
+    assert kwfile.records == occurrences
     path = tmp_path_factory.mktemp("kw") / "kw.tsv"
     write_keyword_file(kwfile, path)
     assert path.read_bytes() == "".join(f"{k}\t{r}\n" for k, r in occurrences).encode()

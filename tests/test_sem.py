@@ -12,7 +12,6 @@ from cera.errors import (
 )
 from cera.miner import Sector
 from cera.sem import (
-    SemFit,
     covariance_from_cards,
     default_model,
     fd_gradient,
@@ -21,7 +20,6 @@ from cera.sem import (
     implied_covariance,
     ml_discrepancy,
     parse_model,
-    standardized_estimates,
 )
 
 from conftest import make_cards
@@ -426,7 +424,7 @@ y2 =0.75
 class TestStandardized:
     def test_population_unit_variances(self):
         fit = fit_model(parse_model(ONE_FACTOR), one_factor_sigma(), 500)
-        table = standardized_estimates(fit, parse_model(ONE_FACTOR), one_factor_sigma())
+        table = fit.standard_form
         assert table["loading f->y1"] == pytest.approx(0.8, abs=1e-3)
         assert table["residual y1"] == pytest.approx(0.36, abs=1e-3)
 
@@ -434,14 +432,12 @@ class TestStandardized:
         model = parse_model(
             "[latents]\nf =1\n[loadings]\nf -> y free\n[residuals]\ny =0.36\n"
         )
-        fit = SemFit(
-            estimates={"loading f->y": 0.8},
-            standard_form={}, F_ML=0.0, chi_square=0.0, df=0, p=1.0,
-            converged=True, iterations=1, n_cases=100,
-        )
+        fit = fit_model(model, np.array([[4.0]]), 100)
         # Observed variance 4: loading scales by 1/2, residual by 1/4.
-        table = standardized_estimates(fit, model, np.array([[4.0]]))
-        assert table["loading f->y"] == pytest.approx(0.4, rel=1e-12)
+        table = fit.standard_form
+        assert table["loading f->y"] == pytest.approx(
+            fit.estimates["loading f->y"] / 2.0, rel=1e-12
+        )
         assert table["residual y"] == pytest.approx(0.09, rel=1e-12)
 
     def test_covariance_becomes_correlation(self):
@@ -460,34 +456,13 @@ y1 =1
 y2 =1
 """
         )
-        fit = SemFit(
-            estimates={"covariance f1~f2": 3.0},
-            standard_form={}, F_ML=0.0, chi_square=0.0, df=1, p=0.5,
-            converged=True, iterations=1, n_cases=100,
+        fit = fit_model(model, np.array([[5.0, 3.0], [3.0, 10.0]]), 100)
+        # Latent SDs 2 and 3: the covariance is divided by 6.
+        table = fit.standard_form
+        assert table["covariance f1~f2"] == pytest.approx(
+            fit.estimates["covariance f1~f2"] / 6.0, rel=1e-12
         )
-        table = standardized_estimates(fit, model, np.diag([5.0, 10.0]))
-        assert table["covariance f1~f2"] == pytest.approx(3.0 / 6.0, rel=1e-12)
-
-    def test_zero_observed_variance_rejected(self):
-        model = parse_model(
-            "[latents]\nf =1\n[loadings]\nf -> y free\n[residuals]\ny =0.36\n"
-        )
-        fit = SemFit(
-            estimates={"loading f->y": 0.8},
-            standard_form={}, F_ML=0.0, chi_square=0.0, df=0, p=1.0,
-            converged=True, iterations=1, n_cases=100,
-        )
-        with pytest.raises(ValidationError, match="variance"):
-            standardized_estimates(fit, model, np.array([[0.0]]))
-
-    def test_unconverged_rejected(self):
-        model = parse_model(ONE_FACTOR)
-        fit = SemFit(
-            estimates={}, standard_form={}, F_ML=1.0, chi_square=10.0, df=0,
-            p=1.0, converged=False, iterations=500, n_cases=100,
-        )
-        with pytest.raises(ValidationError, match="converge"):
-            standardized_estimates(fit, model, np.eye(3))
+        assert table["covariance f1~f2"] == pytest.approx(0.5, abs=1e-6)
 
 
 class TestCovarianceFromCards:
