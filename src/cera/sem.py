@@ -2,9 +2,10 @@
 
 A model is a measurement structure: observed variables load on latent
 constructs (Sigma = Lambda Phi Lambda' + Theta). Models are written in a
-small text config, fit to a sample covariance matrix by quasi-Newton
-minimization of the ML discrepancy with finite-difference gradients, and
-reported as chi-square / df / p plus standardized estimates.
+small text config, compiled once per fit into matrix cells, fit to a
+sample covariance matrix by Fisher scoring on the ML discrepancy with
+analytic derivatives (Joreskog 1969; Lee & Jennrich 1979), and reported
+as chi-square / df / p plus standardized estimates.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from importlib import resources
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import numcore
 from .errors import (
@@ -33,6 +32,8 @@ HEYWOOD_RTOL = 1e-6
 
 GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 500
+# Sufficient-decrease constant of the Armijo backtracking rule.
+ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,9 @@ class SemModelSpec:
         return len(self.observed_vars)
 
     def free_parameter_names(self) -> list[str]:
-        names = [ld.name for ld in self.loadings if ld.fixed is None]
-        names += [
-            f"variance {lv}" for lv in self.latent_vars if self.latent_variances[lv] is None
-        ]
-        names += [cv.name for cv in self.latent_covariances if cv.fixed is None]
-        names += [
-            f"residual {ov}"
-            for ov in self.observed_vars
-            if self.residual_variances[ov] is None
-        ]
-        return names
+        """Free parameters in optimizer order: loadings, latent variances,
+        latent covariances, residual variances."""
+        return list(_compile(self).free)
 
     @property
     def free_parameter_count(self) -> int:
@@ -256,22 +249,88 @@ def default_model() -> SemModelSpec:
     return parse_model(text)
 
 
-def _resolve_params(model: SemModelSpec, params: Mapping[str, float]) -> dict[str, float]:
-    """Merge fixed values with the free-parameter assignment; reject gaps."""
-    values: dict[str, float] = {}
-    for ld in model.loadings:
-        values[ld.name] = ld.fixed if ld.fixed is not None else _require(params, ld.name)
-    for lv in model.latent_vars:
-        fixed = model.latent_variances[lv]
-        key = f"variance {lv}"
-        values[key] = fixed if fixed is not None else _require(params, key)
-    for cv in model.latent_covariances:
-        values[cv.name] = cv.fixed if cv.fixed is not None else _require(params, cv.name)
-    for ov in model.observed_vars:
-        fixed = model.residual_variances[ov]
-        key = f"residual {ov}"
-        values[key] = fixed if fixed is not None else _require(params, key)
-    return values
+# Matrix of a parameter's cell: Lambda (observed x latent), Phi, or Theta.
+_LAMBDA, _PHI, _THETA = range(3)
+
+
+@dataclass(frozen=True)
+class _CompiledModel:
+    """A model's parameters as matrix cells, built once per fit.
+
+    ``entries`` holds (name, cell) for every parameter in model order, a cell
+    being (matrix, row, column); ``free`` and ``cells`` are the free ones in
+    optimizer order. ``base`` is Lambda, Phi and Theta with the fixed values
+    in place. Variances (diagonal cells of Phi and Theta) enter the
+    optimizer as logarithms, so they stay positive without bounds.
+    """
+
+    entries: tuple[tuple[str, tuple[int, int, int]], ...]
+    free: tuple[str, ...]
+    cells: tuple[tuple[int, int, int], ...]
+    logged: np.ndarray
+    base: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def matrices(self, values) -> list[np.ndarray]:
+        """Lambda, Phi and Theta with the free cells set to ``values``."""
+        mats = [m.copy() for m in self.base]
+        for cell, value in zip(self.cells, values):
+            _put(mats, cell, value)
+        return mats
+
+    def natural(self, x: np.ndarray) -> np.ndarray:
+        values = x.copy()
+        with np.errstate(over="ignore"):
+            values[self.logged] = np.exp(x[self.logged])
+        return values
+
+    def start(self, s: np.ndarray) -> np.ndarray:
+        """Deterministic starts: loadings 0.5, residuals half the observed variance,
+        latent covariances 0, free latent variances 1 (all in optimizer space)."""
+        return np.array(
+            [
+                0.5 if k == _LAMBDA else math.log(0.5 * s[i, i]) if k == _THETA else 0.0
+                for k, i, _ in self.cells
+            ],
+            dtype=float,
+        )
+
+
+def _put(mats: Sequence[np.ndarray], cell: tuple[int, int, int], value: float) -> None:
+    k, i, j = cell
+    mats[k][i, j] = value
+    if k != _LAMBDA:
+        mats[k][j, i] = value
+
+
+def _compile(model: SemModelSpec) -> _CompiledModel:
+    obs = {name: i for i, name in enumerate(model.observed_vars)}
+    lat = {name: i for i, name in enumerate(model.latent_vars)}
+    params = [(ld.name, ld.fixed, (_LAMBDA, obs[ld.observed], lat[ld.latent]))
+              for ld in model.loadings]
+    params += [(f"variance {lv}", model.latent_variances[lv], (_PHI, lat[lv], lat[lv]))
+               for lv in model.latent_vars]
+    params += [(cv.name, cv.fixed, (_PHI, lat[cv.latent_a], lat[cv.latent_b]))
+               for cv in model.latent_covariances]
+    params += [(f"residual {ov}", model.residual_variances[ov], (_THETA, obs[ov], obs[ov]))
+               for ov in model.observed_vars]
+    p, m = len(obs), len(lat)
+    base = (np.zeros((p, m)), np.zeros((m, m)), np.zeros((p, p)))
+    for _, fixed, cell in params:
+        if fixed is not None:
+            _put(base, cell, fixed)
+    free = [(name, cell) for name, fixed, cell in params if fixed is None]
+    return _CompiledModel(
+        entries=tuple((name, cell) for name, _, cell in params),
+        free=tuple(name for name, _ in free),
+        cells=tuple(cell for _, cell in free),
+        logged=np.array([k != _LAMBDA and i == j for _, (k, i, j) in free], dtype=bool),
+        base=base,
+    )
+
+
+def _sigma(lam: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    sigma = lam @ phi @ lam.T + theta
+    return 0.5 * (sigma + sigma.T)
 
 
 def _require(params: Mapping[str, float], key: str) -> float:
@@ -280,40 +339,19 @@ def _require(params: Mapping[str, float], key: str) -> float:
     return float(params[key])
 
 
-def _assemble(model: SemModelSpec, values: Mapping[str, float]) -> np.ndarray:
-    p = model.n_observed
-    m = len(model.latent_vars)
-    obs_index = {name: i for i, name in enumerate(model.observed_vars)}
-    lat_index = {name: i for i, name in enumerate(model.latent_vars)}
-    lam = np.zeros((p, m))
-    for ld in model.loadings:
-        lam[obs_index[ld.observed], lat_index[ld.latent]] = values[ld.name]
-    phi = np.zeros((m, m))
-    for lv in model.latent_vars:
-        phi[lat_index[lv], lat_index[lv]] = values[f"variance {lv}"]
-    for cv in model.latent_covariances:
-        i, j = lat_index[cv.latent_a], lat_index[cv.latent_b]
-        phi[i, j] = phi[j, i] = values[cv.name]
-    theta = np.zeros((p, p))
-    for ov in model.observed_vars:
-        theta[obs_index[ov], obs_index[ov]] = values[f"residual {ov}"]
-    sigma = lam @ phi @ lam.T + theta
-    return 0.5 * (sigma + sigma.T)
-
-
 def implied_covariance(model: SemModelSpec, params: Mapping[str, float]) -> np.ndarray:
     """Sigma(theta) = Lambda Phi Lambda' + Theta for the given assignment.
 
     Free residual variances must be strictly positive; a residual may sit at
     exactly 0 only when the model fixes it there.
     """
-    values = _resolve_params(model, params)
-    for ov in model.observed_vars:
-        value = values[f"residual {ov}"]
-        fixed = model.residual_variances[ov]
-        if value < 0 or (fixed is None and value <= 0):
+    compiled = _compile(model)
+    lam, phi, theta = compiled.matrices([_require(params, name) for name in compiled.free])
+    for i, ov in enumerate(model.observed_vars):
+        value = float(theta[i, i])
+        if value < 0 or (model.residual_variances[ov] is None and value <= 0):
             raise ParameterBoundsError(f"residual variance of {ov!r} must be positive, got {value}")
-    return _assemble(model, values)
+    return _sigma(lam, phi, theta)
 
 
 def _chol_logdet(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -321,12 +359,13 @@ def _chol_logdet(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _ml_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float, p: int) -> float:
-    """ln|Sigma| + tr(S Sigma^-1) - ln|S| - p; LinAlgError when Sigma is not PD."""
+def _ml_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float, p: int) -> tuple[float, np.ndarray]:
+    """ln|Sigma| + tr(S Sigma^-1) - ln|S| - p, and Sigma^-1; LinAlgError when
+    Sigma is not PD."""
     chol, logdet_sigma = _chol_logdet(sigma)
-    inv_chol = scipy.linalg.solve_triangular(chol, np.eye(p), lower=True)
+    inv_chol = np.linalg.inv(chol)
     trace = float(np.sum((inv_chol @ s) * inv_chol))
-    return logdet_sigma + trace - logdet_s - p
+    return logdet_sigma + trace - logdet_s - p, inv_chol.T @ inv_chol
 
 
 def ml_discrepancy(s, sigma, p: int | None = None) -> float:
@@ -342,7 +381,7 @@ def ml_discrepancy(s, sigma, p: int | None = None) -> float:
     except np.linalg.LinAlgError:
         raise ConditioningError("sample covariance is not positive definite") from None
     try:
-        value = _ml_value(s, sigma, logdet_s, p)
+        value, _ = _ml_value(s, sigma, logdet_s, p)
     except np.linalg.LinAlgError:
         raise ConditioningError("implied covariance is not positive definite") from None
     # Roundoff at Sigma = S can land a hair below zero.
@@ -365,56 +404,115 @@ def fd_gradient(
     return grad
 
 
-def _start_vector(model: SemModelSpec, s: np.ndarray) -> np.ndarray:
-    """Deterministic starts: loadings 0.5, residuals half the observed variance,
-    latent covariances 0, free latent variances 1. Variances enter in log form."""
-    obs_index = {name: i for i, name in enumerate(model.observed_vars)}
-    start: list[float] = []
-    for ld in model.loadings:
-        if ld.fixed is None:
-            start.append(0.5)
-    for lv in model.latent_vars:
-        if model.latent_variances[lv] is None:
-            start.append(0.0)  # log(1.0)
-    for cv in model.latent_covariances:
-        if cv.fixed is None:
-            start.append(0.0)
-    for ov in model.observed_vars:
-        if model.residual_variances[ov] is None:
-            start.append(math.log(0.5 * s[obs_index[ov], obs_index[ov]]))
-    return np.array(start, dtype=float)
+def _penalized_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float) -> float:
+    """F_ML, or outside the PD region a penalty by how far the spectrum dips."""
+    try:
+        return _ml_value(s, sigma, logdet_s, s.shape[0])[0]
+    except np.linalg.LinAlgError:
+        return 1e6 * (1.0 - float(np.linalg.eigvalsh(sigma)[0]))
 
 
-def _unpack(model: SemModelSpec, x: np.ndarray) -> dict[str, float]:
-    """Optimizer vector -> natural-space free-parameter assignment."""
-    params: dict[str, float] = {}
-    pos = 0
-    for ld in model.loadings:
-        if ld.fixed is None:
-            params[ld.name] = float(x[pos])
-            pos += 1
-    for lv in model.latent_vars:
-        if model.latent_variances[lv] is None:
-            params[f"variance {lv}"] = math.exp(float(x[pos]))
-            pos += 1
-    for cv in model.latent_covariances:
-        if cv.fixed is None:
-            params[cv.name] = float(x[pos])
-            pos += 1
-    for ov in model.observed_vars:
-        if model.residual_variances[ov] is None:
-            params[f"residual {ov}"] = math.exp(float(x[pos]))
-            pos += 1
-    return params
+@dataclass
+class _Point:
+    """One optimizer point with what the next scoring step needs."""
+
+    x: np.ndarray
+    value: float
+    sigma_inv: np.ndarray
+    mats: list[np.ndarray]
+    natural: np.ndarray
+
+
+def _evaluate(compiled: _CompiledModel, s: np.ndarray, logdet_s: float, x: np.ndarray) -> _Point:
+    """F_ML at ``x``; LinAlgError when Sigma(x) is not PD or not finite."""
+    natural = compiled.natural(x)
+    if not np.all(np.isfinite(natural)):
+        raise np.linalg.LinAlgError("non-finite parameter")
+    mats = compiled.matrices(natural)
+    value, sigma_inv = _ml_value(s, _sigma(*mats), logdet_s, s.shape[0])
+    return _Point(x, value, sigma_inv, mats, natural)
+
+
+def _sigma_derivatives(compiled: _CompiledModel, point: _Point) -> np.ndarray:
+    """dSigma/dx_a for each free parameter a, stacked (q, p, p)."""
+    lam, phi, _ = point.mats
+    lam_phi = lam @ phi
+    p = lam.shape[0]
+    d = np.zeros((len(compiled.cells), p, p))
+    for a, (k, i, j) in enumerate(compiled.cells):
+        if k == _LAMBDA:  # e_i (Lambda Phi)_j' plus its transpose
+            d[a, i] += lam_phi[:, j]
+            d[a, :, i] += lam_phi[:, j]
+        elif k == _PHI:  # lambda_i lambda_j' plus its transpose off the diagonal
+            d[a] = np.outer(lam[:, i], lam[:, j])
+            if i != j:
+                d[a] += d[a].T
+        else:
+            d[a, i, i] = 1.0
+    # Chain rule for log-parametrized variances: d/dx = variance * d/dvariance.
+    d[compiled.logged] *= point.natural[compiled.logged, None, None]
+    return d
+
+
+def _score(compiled: _CompiledModel, s: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of F_ML and the expected information at ``point``, in optimizer space.
+
+    g_a = sum G * dSigma_a with G = Sigma^-1 (Sigma - S) Sigma^-1, and
+    H_ab = tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b).
+    """
+    d = _sigma_derivatives(compiled, point)
+    sigma_inv = point.sigma_inv
+    grad = np.einsum("ij,aij->a", sigma_inv - sigma_inv @ s @ sigma_inv, d)
+    weighted = sigma_inv @ d
+    return grad, np.einsum("aij,bji->ab", weighted, weighted)
+
+
+def _fisher_scoring(
+    compiled: _CompiledModel, s: np.ndarray, logdet_s: float, point: _Point
+) -> tuple[_Point, bool, int, str]:
+    """Minimize F_ML from ``point`` by Fisher scoring with Armijo backtracking.
+
+    The information can be singular (an unidentified direction at the
+    start), so the step is the least-squares solution of H step = -g; a
+    step that does not descend is replaced by -g. A trial point whose Sigma
+    is not positive definite counts as +inf. Returns the last point, whether
+    the gradient test was met, the number of steps taken, and why it stopped.
+    """
+    iterations = 0
+    while True:
+        grad, info = _score(compiled, s, point)
+        if np.max(np.abs(grad)) < GRADIENT_TOL:
+            return point, True, iterations, "gradient norm below tolerance"
+        if iterations == MAX_ITERATIONS:
+            return point, False, iterations, "iteration limit reached"
+        step = -np.linalg.lstsq(info, grad, rcond=None)[0]
+        slope = float(grad @ step)
+        if not slope < 0.0:
+            step, slope = -grad, -float(grad @ grad)
+        t = 1.0
+        while True:
+            x = point.x + t * step
+            if np.array_equal(x, point.x):
+                return point, False, iterations, "line search found no decrease"
+            try:
+                trial = _evaluate(compiled, s, logdet_s, x)
+            except np.linalg.LinAlgError:
+                trial = None
+            if trial is not None and trial.value <= point.value + ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+        point = trial
+        iterations += 1
 
 
 def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     """Minimize F_ML over the free parameters; chi_square = (N-1) * F_ML.
 
-    Quasi-Newton (limited-memory BFGS) with forward-difference gradients;
-    stops when the gradient infinity-norm falls below 1e-6 or after 500
-    iterations. Variances are optimized in log space, so they stay positive
-    without explicit bounds.
+    Fisher scoring with the analytic gradient and expected information,
+    backtracking by the Armijo rule; stops when the gradient infinity-norm
+    falls below 1e-6 (converged) or after 500 scoring steps. Variances are
+    optimized in log space, so they stay positive without explicit bounds.
+    ``iterations`` counts scoring steps.
     """
     s = numcore.check_symmetric(s, "S")
     p = model.n_observed
@@ -429,56 +527,38 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     if model.degrees_of_freedom < 0:
         raise ValidationError("model has negative degrees of freedom")
 
-    def objective(x: np.ndarray) -> float:
-        sigma = _assemble(model, _resolve_params(model, _unpack(model, x)))
-        try:
-            return _ml_value(s, sigma, logdet_s, p)
-        except np.linalg.LinAlgError:
-            # Outside the PD region: penalize by how far the spectrum dips.
-            eigmin = float(np.linalg.eigvalsh(sigma)[0])
-            return 1e6 * (1.0 - eigmin)
-
-    x0 = _start_vector(model, s)
-    if x0.size == 0:
-        result_x = x0
-        f_min = objective(x0)
-        converged, iterations, message = True, 0, "no free parameters"
+    compiled = _compile(model)
+    x0 = compiled.start(s)
+    try:
+        point = _evaluate(compiled, s, logdet_s, x0)
+    except np.linalg.LinAlgError:
+        point = None
+    if point is not None and x0.size:
+        point, converged, iterations, message = _fisher_scoring(compiled, s, logdet_s, point)
+        f_min, values, mats = point.value, point.natural, point.mats
     else:
-        result = scipy.optimize.minimize(
-            objective,
-            x0,
-            jac=lambda x: fd_gradient(objective, x),
-            method="L-BFGS-B",
-            options={
-                "maxiter": MAX_ITERATIONS,
-                "gtol": GRADIENT_TOL,
-                "ftol": 1e-14,
-                "maxfun": 200_000,
-            },
+        values = compiled.natural(x0)
+        mats = compiled.matrices(values)
+        f_min = _penalized_value(s, _sigma(*mats), logdet_s)
+        converged, iterations = x0.size == 0, 0
+        message = (
+            "no free parameters" if converged
+            else "implied covariance is not positive definite at the start values"
         )
-        result_x = np.asarray(result.x, dtype=float)
-        f_min = float(result.fun)
-        converged = result.status == 0
-        iterations = int(result.nit)
-        message = str(result.message)
 
-    estimates = _unpack(model, result_x)
+    estimates = {name: float(v) for name, v in zip(compiled.free, values)}
     f_min = 0.0 if -1e-10 < f_min < 0.0 else f_min
     chi_square = (n_cases - 1) * f_min
     df = model.degrees_of_freedom
     p_value = numcore.chisq_sf(chi_square, df) if df > 0 else 1.0
 
-    values = _resolve_params(model, estimates)
-    obs_index = {name: i for i, name in enumerate(model.observed_vars)}
+    theta = mats[_THETA]
     heywood = tuple(
         ov
-        for ov in model.observed_vars
-        if model.residual_variances[ov] is None
-        and values[f"residual {ov}"] < HEYWOOD_RTOL * s[obs_index[ov], obs_index[ov]]
+        for i, ov in enumerate(model.observed_vars)
+        if model.residual_variances[ov] is None and theta[i, i] < HEYWOOD_RTOL * s[i, i]
     )
-    standard_form = (
-        _standardize(model, values, s) if converged else {}
-    )
+    standard_form = _standardize(compiled, mats, s) if converged else {}
     return SemFit(
         estimates=estimates,
         standard_form=standard_form,
@@ -495,26 +575,21 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
 
 
 def _standardize(
-    model: SemModelSpec, values: Mapping[str, float], s: np.ndarray
+    compiled: _CompiledModel, mats: list[np.ndarray], s: np.ndarray
 ) -> dict[str, float]:
-    obs_index = {name: i for i, name in enumerate(model.observed_vars)}
-    obs_sd: dict[str, float] = {}
-    for ov in model.observed_vars:
-        variance = float(s[obs_index[ov], obs_index[ov]])
-        if variance <= 0:
-            raise ValidationError(f"observed variable {ov!r} has non-positive variance")
-        obs_sd[ov] = math.sqrt(variance)
-    lat_sd = {
-        lv: math.sqrt(values[f"variance {lv}"]) for lv in model.latent_vars
-    }
+    """Loadings, latent correlations and residual shares on the unit-variance scale."""
+    lam, phi, theta = mats
+    obs_sd = [math.sqrt(v) for v in np.diag(s)]
+    lat_sd = [math.sqrt(v) for v in np.diag(phi)]
     table: dict[str, float] = {}
-    for ld in model.loadings:
-        table[ld.name] = values[ld.name] * lat_sd[ld.latent] / obs_sd[ld.observed]
-    for cv in model.latent_covariances:
-        denominator = lat_sd[cv.latent_a] * lat_sd[cv.latent_b]
-        table[cv.name] = values[cv.name] / denominator if denominator > 0 else 0.0
-    for ov in model.observed_vars:
-        table[f"residual {ov}"] = values[f"residual {ov}"] / (obs_sd[ov] ** 2)
+    for name, (k, i, j) in compiled.entries:
+        if k == _LAMBDA:
+            table[name] = float(lam[i, j]) * lat_sd[j] / obs_sd[i]
+        elif k == _THETA:
+            table[name] = float(theta[i, i]) / (obs_sd[i] ** 2)
+        elif i != j:
+            denominator = lat_sd[i] * lat_sd[j]
+            table[name] = float(phi[i, j]) / denominator if denominator > 0 else 0.0
     return table
 
 

@@ -1,7 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cera
 
 from cera.cli import run_subcommand
 from cera.scoring import read_scorecards_csv
@@ -267,3 +272,24 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             run_subcommand(["mine", "--config", str(config_path)])
         assert excinfo.value.code == 2
+
+
+def test_runs_without_scipy():
+    """The package, the CLI and every analysis routine import no scipy module."""
+    script = """
+import sys
+import numpy as np
+import cera, cera.cli
+from cera import numcore, sem
+sem.fit_model(sem.default_model(), np.eye(10) + 0.3, 100)
+numcore.chisq_sf(3.0, 2)
+numcore.f_sf(2.0, 3, 7.5)
+numcore.generalized_eigen(np.eye(2), np.eye(2))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    src = str(Path(cera.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

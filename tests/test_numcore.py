@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc, gammaincc
 
 from cera import numcore
 from cera.errors import ConditioningError, ValidationError
@@ -144,6 +145,67 @@ class TestFSf:
         values = [numcore.f_sf(x, 3, 9) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+class TestTailsAgainstScipy:
+    def test_chisq_random_draws(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            df = int(rng.integers(1, 201))
+            x = float(rng.uniform(0.0, 3.0 * df + 30.0))
+            expected = gammaincc(df / 2.0, x / 2.0)
+            assert numcore.chisq_sf(x, df) == pytest.approx(expected, abs=1e-13), (x, df)
+
+    def test_f_random_draws(self):
+        # d2 up to 1e6 covers Box's M, whose F form has d2 near 4.5e5 on 539 reports.
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            d1 = float(rng.uniform(0.5, 120.0))
+            d2 = float(np.exp(rng.uniform(math.log(0.5), math.log(1e6))))
+            x = float(rng.exponential(2.0))
+            expected = betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x))
+            assert numcore.f_sf(x, d1, d2) == pytest.approx(expected, abs=1e-10), (x, d1, d2)
+
+    def test_zero_is_exactly_one(self):
+        for df in (1, 2, 39):
+            assert numcore.chisq_sf(0.0, df) == 1.0
+        for d1, d2 in ((1, 1), (0.5, 7.5), (110, 4.5e5)):
+            assert numcore.f_sf(0.0, d1, d2) == 1.0
+
+    def test_far_tail(self):
+        for df in (1, 10, 200):
+            assert numcore.chisq_sf(1e6, df) == 0.0
+            assert numcore.chisq_sf(math.inf, df) == 0.0
+        assert numcore.f_sf(math.inf, 3, 7) == 0.0
+        for x, d1, d2 in ((1e12, 2, 5), (1e300, 3, 9)):
+            expected = betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x))
+            assert numcore.f_sf(x, d1, d2) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
+    def test_series_fraction_switch(self):
+        # chisq_sf switches method at x/2 = df/2 + 1; F at x = (a+1)/(a+b+2).
+        for df in (1, 4, 39):
+            for x in np.nextafter(df + 2.0, [0.0, np.inf]):
+                assert numcore.chisq_sf(x, df) == pytest.approx(
+                    gammaincc(df / 2.0, x / 2.0), abs=1e-13
+                )
+        for d1, d2 in ((3, 7), (110, 4.5e5), (2.5, 0.7)):
+            a, b = d2 / 2.0, d1 / 2.0
+            z = (a + 1.0) / (a + b + 2.0)
+            x = d2 * (1.0 - z) / (d1 * z)
+            for point in (0.999 * x, x, 1.001 * x):
+                expected = betainc(a, b, d2 / (d2 + d1 * point))
+                assert numcore.f_sf(point, d1, d2) == pytest.approx(expected, abs=1e-10)
+
+    def test_f_df1_closed_form(self):
+        # F(1, 1) is the square of a standard Cauchy: P(F > x) = 1 - (2/pi) atan(sqrt(x)).
+        for x in (0.01, 0.5, 1.0, 3.0, 161.4, 1e6):
+            expected = 1.0 - 2.0 / math.pi * math.atan(math.sqrt(x))
+            assert numcore.f_sf(x, 1, 1) == pytest.approx(expected, abs=1e-13)
+
+    def test_fractional_df(self):
+        for x, d1, d2 in ((2.0, 3, 7.5), (0.3, 0.7, 2.2), (1.7, 110, 448871.3)):
+            expected = betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x))
+            assert numcore.f_sf(x, d1, d2) == pytest.approx(expected, abs=1e-10)
 
 
 class TestSymmetryValidation:

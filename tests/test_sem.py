@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cera.errors import (
+    CeraError,
     ConditioningError,
     IdentificationError,
     ParameterBoundsError,
@@ -12,6 +14,9 @@ from cera.errors import (
 )
 from cera.miner import Sector
 from cera.sem import (
+    _compile,
+    _evaluate,
+    _score,
     covariance_from_cards,
     default_model,
     fd_gradient,
@@ -49,6 +54,40 @@ f1 ~ f2 free
 [residuals]
 y1 =0
 y2 =0
+"""
+
+# The packaged grouping with the non-anchor loadings freed (23 free parameters).
+FREE_LOADINGS = """
+[latents]
+organizational_strategy free
+industrial free
+stakeholder free
+[loadings]
+organizational_strategy -> v1 =1
+organizational_strategy -> v2 free
+organizational_strategy -> v3 free
+industrial -> v4 =1
+industrial -> v5 free
+stakeholder -> v6 =1
+stakeholder -> v7 free
+stakeholder -> v8 free
+stakeholder -> v9 free
+stakeholder -> v10 free
+[covariances]
+organizational_strategy ~ industrial free
+organizational_strategy ~ stakeholder free
+industrial ~ stakeholder free
+[residuals]
+v1 free
+v2 free
+v3 free
+v4 free
+v5 free
+v6 free
+v7 free
+v8 free
+v9 free
+v10 free
 """
 
 TRUE_LOADINGS = np.array([0.8, 0.7, 0.6])
@@ -419,6 +458,135 @@ y2 =0.75
         small = fit_model(model, s, 101)
         large = fit_model(model, s, 201)
         assert large.chi_square == pytest.approx(2.0 * small.chi_square, rel=1e-6)
+
+
+def _natural(model, x):
+    """Optimizer vector -> free-parameter assignment; variances enter as logs."""
+    return {
+        name: math.exp(v) if name.startswith(("variance ", "residual ")) else float(v)
+        for name, v in zip(model.free_parameter_names(), x)
+    }
+
+
+def _start(model, s):
+    """The documented start values, in optimizer space."""
+    index = {name: i for i, name in enumerate(model.observed_vars)}
+    start = []
+    for name in model.free_parameter_names():
+        kind, _, target = name.partition(" ")
+        if kind == "loading":
+            start.append(0.5)
+        elif kind == "residual":
+            start.append(math.log(0.5 * s[index[target], index[target]]))
+        else:
+            start.append(0.0)
+    return np.array(start)
+
+
+@st.composite
+def small_models(draw):
+    """Model text with 2-5 observed variables, 1-2 latents, random free/fixed cells."""
+    p = draw(st.integers(2, 5))
+    m = draw(st.integers(1, min(2, p)))
+    free_variance = [draw(st.booleans()) for _ in range(m)]
+    lines = ["[latents]"]
+    lines += [f"f{k} free" if free_variance[k] else f"f{k} =1.5" for k in range(m)]
+    lines.append("[loadings]")
+    for i in range(p):
+        k = i if i < m else draw(st.integers(0, m - 1))
+        # A latent with a free variance is scaled by its first loading.
+        status = "=1" if i < m and free_variance[k] else draw(st.sampled_from(["free", "=0.7"]))
+        lines.append(f"f{k} -> y{i} {status}")
+        if m == 2 and i >= m and draw(st.booleans()):
+            lines.append(f"f{1 - k} -> y{i} free")
+    if m == 2:
+        lines += ["[covariances]", "f0 ~ f1 " + draw(st.sampled_from(["free", "=0.2"]))]
+    lines.append("[residuals]")
+    lines += [f"y{i} " + draw(st.sampled_from(["free", "free", "=0.5"])) for i in range(p)]
+    return "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=small_models(), seed=st.integers(0, 2**32 - 1))
+def test_analytic_derivatives_match_central_differences(spec, seed):
+    try:
+        model = parse_model(spec)
+    except ValidationError:
+        assume(False)
+    names = model.free_parameter_names()
+    assume(names)
+    rng = np.random.default_rng(seed)
+    spans = {"loading": 1.2, "covariance": 0.3, "variance": 0.8, "residual": 0.8}
+    x = np.array([rng.uniform(-1.0, 1.0) * spans[name.split()[0]] for name in names])
+    p = model.n_observed
+    a = rng.normal(size=(p, p))
+    s = a @ a.T / p + 0.5 * np.eye(p)
+    compiled = _compile(model)
+    sigma = implied_covariance(model, _natural(model, x))
+    assume(np.linalg.eigvalsh(sigma)[0] > 0.05)
+
+    def value(v):
+        return ml_discrepancy(s, implied_covariance(model, _natural(model, v)))
+
+    def score(cov, v):
+        return _score(compiled, cov, _evaluate(compiled, cov, np.linalg.slogdet(cov)[1], v))
+
+    h = 1e-6
+    steps = h * np.eye(x.size)
+    grad, _ = score(s, x)
+    central = np.array([(value(x + e) - value(x - e)) / (2 * h) for e in steps])
+    assert np.allclose(grad, central, rtol=1e-5, atol=1e-7)
+
+    # At S = Sigma(x) the gradient vanishes and the information is the Hessian.
+    grad, info = score(sigma, x)
+    assert np.max(np.abs(grad)) < 1e-10
+    hessian = np.array([(score(sigma, x + e)[0] - score(sigma, x - e)[0]) / (2 * h) for e in steps])
+    assert np.allclose(info, hessian, rtol=1e-5, atol=1e-7)
+
+
+def _simulated_sample(seed=2014, n=539):
+    """Scores from three correlated constructs over v1-v10, grouped as the packaged model."""
+    rng = np.random.default_rng(seed)
+    groups = [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
+    lam = np.zeros((10, 3))
+    lam[np.arange(10), groups] = rng.uniform(0.8, 1.2, size=10)
+    phi = np.array([[1.0, 0.4, 0.3], [0.4, 1.0, 0.5], [0.3, 0.5, 1.0]])
+    factors = rng.multivariate_normal(np.zeros(3), phi, size=n)
+    x = factors @ lam.T + rng.normal(size=(n, 10)) * rng.uniform(0.5, 0.9, size=10)
+    return np.cov(x, rowvar=False, ddof=1), n
+
+
+def _lbfgs_oracle(model, s):
+    """scipy's L-BFGS-B on the same objective, with central-difference gradients."""
+    from scipy.optimize import minimize
+
+    def value(v):
+        try:
+            return ml_discrepancy(s, implied_covariance(model, _natural(model, v)))
+        except CeraError:
+            return 1e6
+
+    def jac(v):
+        h = 1e-7
+        return np.array([(value(v + e) - value(v - e)) / (2 * h) for e in h * np.eye(v.size)])
+
+    result = minimize(value, _start(model, s), jac=jac, method="L-BFGS-B",
+                      options={"gtol": 1e-10, "ftol": 1e-16, "maxiter": 2000})
+    return _natural(model, result.x), float(result.fun)
+
+
+@pytest.mark.parametrize("spec", [None, FREE_LOADINGS], ids=["packaged", "free_loadings"])
+def test_fit_matches_lbfgs_oracle(spec):
+    model = default_model() if spec is None else parse_model(spec)
+    s, n = _simulated_sample()
+    fit = fit_model(model, s, n)
+    assert fit.converged and fit.heywood == ()
+    assert fit.message == "gradient norm below tolerance"
+    estimates, f_min = _lbfgs_oracle(model, s)
+    assert fit.F_ML == pytest.approx(f_min, abs=1e-9)
+    assert list(fit.estimates) == list(estimates)
+    for name, value in estimates.items():
+        assert fit.estimates[name] == pytest.approx(value, abs=1e-5), name
 
 
 class TestStandardized:
