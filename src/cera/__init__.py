@@ -38,7 +38,7 @@ from .scoring import (
     sector_composition,
 )
 from .anova import anova_table, one_way_anova
-from .mda import box_m, classify, fit_mda, run_mda, wilks_tests
+from .mda import run_mda, wilks_tests
 from .sem import covariance_from_cards, default_model, fit_model, ml_discrepancy, parse_model
 
 __version__ = "0.1.0"
@@ -71,9 +71,6 @@ __all__ = [
     "sector_composition",
     "anova_table",
     "one_way_anova",
-    "box_m",
-    "classify",
-    "fit_mda",
     "run_mda",
     "wilks_tests",
     "covariance_from_cards",

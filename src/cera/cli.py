@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import anova as anova_mod
@@ -94,34 +94,22 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Each field takes its flag (dest = key), else the config file's value, else its default."""
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    config = RunConfig()
-
-    def pick(flag_name: str, key: str, default):
-        value = getattr(args, flag_name, None)
-        if value is not None:
-            return value
-        if key in file_values and file_values[key] is not None:
-            return file_values[key]
-        return default
-
-    config.manifest = _opt_path(pick("manifest", "manifest", None))
-    config.root = _opt_path(pick("root", "root", None))
-    config.criteria = _opt_path(pick("criteria", "criteria", None))
-    config.stoplist = _opt_path(pick("stoplist", "stoplist", None))
-    config.use_stoplist = bool(pick("use_stoplist", "use_stoplist", True))
-    config.stemming = bool(pick("stemming", "stemming", False))
-    config.strategy = str(pick("strategy", "strategy", "linear"))
-    config.out_dir = Path(pick("out_dir", "out_dir", "out"))
-    config.elimination = str(pick("elimination", "elimination", "conjunction"))
-    config.language = str(pick("language", "language", "en"))
-    config.sem_model = _opt_path(pick("sem_model", "sem_model", None))
+    values = {}
+    for field in fields(RunConfig):
+        key, default = field.name, field.default
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_values.get(key)
+        if value is None:
+            continue
+        if isinstance(default, bool) and not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        values[key] = Path(value) if key in _PATH_KEYS else type(default)(value)
+    config = RunConfig(**values)
     config.validate()
     return config
-
-
-def _opt_path(value) -> Path | None:
-    return None if value is None else Path(value)
 
 
 def _stoplist(config: RunConfig) -> frozenset[str]:
@@ -433,10 +421,7 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     except StageFailure as exc:
         print(exc, file=sys.stderr)
         return 1
-    except CeraError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CeraError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

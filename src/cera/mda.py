@@ -208,11 +208,6 @@ def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
     return functions
 
 
-def fit_mda(cards: Sequence[ScoreCard]) -> MdaModel:
-    x, labels, cids = data_matrix(cards)
-    return fit_mda_data(x, labels, _sector_order(labels), criterion_ids=cids)
-
-
 def fit_mda_data(
     x: np.ndarray,
     labels: Sequence[Hashable],
@@ -233,16 +228,10 @@ def bartlett_chi_square(wilks_lambda: float, n_total: int, p: int, g: int) -> fl
     return -(n_total - 1 - (p + g) / 2.0) * math.log(wilks_lambda)
 
 
-def wilks_tests(functions, n_total: int, p: int, g: int) -> list[WilksTest]:
-    """Peel-off tests: for each k, Lambda_k multiplies 1/(1+lambda_i) over i >= k.
-
-    ``functions`` may be CanonicalFunction objects or bare eigenvalues.
-    """
+def wilks_tests(eigenvalues: Sequence[float], n_total: int, p: int, g: int) -> list[WilksTest]:
+    """Peel-off tests: for each k, Lambda_k multiplies 1/(1+lambda_i) over i >= k."""
     if n_total <= p + g:
         raise ValidationError(f"sample size {n_total} must exceed p + g = {p + g}")
-    eigenvalues = [
-        f.eigenvalue if isinstance(f, CanonicalFunction) else float(f) for f in functions
-    ]
     r = len(eigenvalues)
     tests = []
     for k in range(1, r + 1):
@@ -335,11 +324,6 @@ def box_m_from_data(
     return box_m_approximation(m_stat, [sizes[grp] for grp in group_order], p)
 
 
-def box_m(cards: Sequence[ScoreCard]) -> BoxMResult:
-    x, labels, _ = data_matrix(cards)
-    return box_m_from_data(x, labels, _sector_order(labels))
-
-
 def _project(x: np.ndarray, model: MdaModel) -> np.ndarray:
     vectors = np.column_stack([f.coefficients for f in model.functions])
     return (np.asarray(x, dtype=float) - model.scatter.grand_mean) @ vectors
@@ -374,13 +358,6 @@ def _classify_scores(
         distances = np.linalg.norm(centroids - row, axis=1)
         counts[index[actual], int(np.argmin(distances))] += 1
     return ClassificationMatrix.from_counts(counts, order)
-
-
-def classify(cards: Sequence[ScoreCard], model: MdaModel) -> ClassificationMatrix:
-    x, labels, cids = data_matrix(cards)
-    if tuple(cids) != model.criterion_ids:
-        raise ValidationError("scorecards and model use different criteria")
-    return classify_data(x, labels, model)
 
 
 def _case_projections(
@@ -420,7 +397,7 @@ def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
     order = _sector_order(labels)
     model = fit_mda_data(x, labels, order, criterion_ids=cids)
     sp = model.scatter
-    wilks = wilks_tests(list(model.functions), sp.n_total, sp.n_variables, sp.n_groups)
+    wilks = wilks_tests(model.eigenvalues, sp.n_total, sp.n_variables, sp.n_groups)
     box = box_m_from_data(x, labels, order)
     scores = _project(x, model)  # labels come from the fit, so none is unknown
     classification = _classify_scores(scores, labels, model)

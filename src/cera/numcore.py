@@ -25,16 +25,11 @@ _TINY = 1e-300
 _MAX_TERMS = 100_000
 
 
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
+def check_symmetric(m, name: str = "matrix") -> np.ndarray:
+    """Validate |a_ij - a_ji| <= SYMMETRY_RTOL * max(1, |a_ij|) entrywise."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def check_symmetric(m, name: str = "matrix") -> np.ndarray:
-    """Validate |a_ij - a_ji| <= SYMMETRY_RTOL * max(1, |a_ij|) entrywise."""
-    a = as_square_matrix(m, name)
     tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
     if not np.all(np.abs(a - a.T) <= tol):
         raise ValidationError(f"{name} is not symmetric within tolerance")

@@ -102,8 +102,8 @@ class SemFit:
 
     @property
     def acceptable_at_05(self) -> bool:
-        """Fit deemed acceptable when the chi-square p-value exceeds 0.05."""
-        return self.p > 0.05
+        """Fit deemed acceptable when it converged and the chi-square p-value exceeds 0.05."""
+        return self.converged and self.p > 0.05
 
 
 def _parse_status(tokens: list[str], context: str) -> float | None:
@@ -121,6 +121,14 @@ def _parse_status(tokens: list[str], context: str) -> float | None:
     raise ValidationError(f"expected 'free' or '=value' in {context}, got {tok!r}")
 
 
+def _parse_variance(tokens: list[str], context: str) -> float | None:
+    """A variance status: as `_parse_status`, but a fixed value may not be negative."""
+    value = _parse_status(tokens, context)
+    if value is not None and value < 0:
+        raise ValidationError(f"negative fixed variance in {context}")
+    return value
+
+
 def parse_model(spec_text: str) -> SemModelSpec:
     """Parse the model config format.
 
@@ -129,7 +137,7 @@ def parse_model(spec_text: str) -> SemModelSpec:
     at 1 unless marked `free`; loadings are `latent -> observed free|=value`;
     covariances are `a ~ b free|=value` (unlisted pairs are fixed at 0);
     residuals are `observed free|=value` and their order defines the
-    observed-variable order.
+    observed-variable order. A fixed variance may not be negative.
     """
     sections: dict[str, list[str]] = {}
     current: str | None = None
@@ -161,7 +169,7 @@ def parse_model(spec_text: str) -> SemModelSpec:
             raise ValidationError(f"duplicate latent {name!r}")
         latent_vars.append(name)
         # Default scaling: variance fixed at 1.
-        latent_variances[name] = 1.0 if len(tokens) == 1 else _parse_status(tokens[1:], line)
+        latent_variances[name] = 1.0 if len(tokens) == 1 else _parse_variance(tokens[1:], line)
 
     loadings: list[Loading] = []
     seen_loadings: set[tuple[str, str]] = set()
@@ -203,7 +211,7 @@ def parse_model(spec_text: str) -> SemModelSpec:
         if name in residuals:
             raise ValidationError(f"duplicate residual entry for {name!r}")
         observed_vars.append(name)
-        residuals[name] = _parse_status(tokens[1:] or ["free"], line)
+        residuals[name] = _parse_variance(tokens[1:] or ["free"], line)
 
     for ld in loadings:
         if ld.observed not in residuals:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import cera
 
-from cera.cli import run_subcommand
+from cera.cli import _PATH_KEYS, RunConfig, _build_config, build_parser, run_subcommand
 from cera.scoring import read_scorecards_csv
 
 from conftest import FIXTURE_DIR, FIXTURE_SCORES, MANIFEST
@@ -272,6 +273,120 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             run_subcommand(["mine", "--config", str(config_path)])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("stemming", "false"), ("use_stoplist", "no"), ("stemming", 1),
+    ])
+    def test_boolean_must_be_json_boolean(self, tmp_path, capsys, key, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"manifest": str(MANIFEST), key: value}), encoding="utf-8"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            run_subcommand(
+                ["mine", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
+            )
+        assert excinfo.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# A non-default value for every RunConfig field, as a config file states it,
+# and an argv fragment that overrides it. "@" stands for the flag directory.
+FILE_VALUES = {
+    "manifest": "inputs/manifest.csv",
+    "root": "corpus",
+    "criteria": "inputs/criteria.txt",
+    "stoplist": "inputs/stop.txt",
+    "use_stoplist": False,
+    "stemming": True,
+    "strategy": "binary",
+    "out_dir": "results",
+    "elimination": "disjunction",
+    "language": "fr",
+    "sem_model": "inputs/model.txt",
+}
+FLAG_VALUES = {
+    "manifest": (["--manifest", "@/manifest.csv"], "@/manifest.csv"),
+    "root": (["--root", "@/corpus"], "@/corpus"),
+    "criteria": (["--criteria", "@/criteria.txt"], "@/criteria.txt"),
+    "stoplist": (["--stoplist", "@/stop.txt"], "@/stop.txt"),
+    "use_stoplist": (["--no-stoplist"], False),
+    "stemming": (["--stemming"], True),
+    "strategy": (["--strategy", "linear"], "linear"),
+    "out_dir": (["--out-dir", "@/out"], "@/out"),
+    "elimination": (["--elimination", "conjunction"], "conjunction"),
+    "language": (["--language", "de"], "de"),
+    "sem_model": (["--sem-model", "@/model.txt"], "@/model.txt"),
+}
+FILE_KEYS = ("manifest", "criteria", "stoplist", "sem_model")
+
+
+class TestConfigFields:
+    """Every RunConfig field: from the config file, overridden by its flag."""
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        config_dir, flag_dir = tmp_path / "cfg", tmp_path / "flags"
+        for key in FILE_KEYS:
+            flag_path = Path(FLAG_VALUES[key][1].replace("@", str(flag_dir)))
+            for path in (config_dir / FILE_VALUES[key], flag_path):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text("", encoding="utf-8")
+        return config_dir, flag_dir
+
+    @staticmethod
+    def build(argv):
+        return _build_config(build_parser().parse_args(argv))
+
+    @staticmethod
+    def write_config(config_dir, values):
+        path = config_dir / "config.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        return str(path)
+
+    def test_tables_cover_every_field(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(FILE_VALUES) == fields
+        assert set(FLAG_VALUES) == fields
+        assert set(_PATH_KEYS) <= fields
+
+    @pytest.mark.parametrize("key", sorted(FILE_VALUES))
+    def test_field_from_config_file(self, setup, key):
+        """Relative paths resolve against the config file's directory."""
+        config_dir, _ = setup
+        path = self.write_config(config_dir, FILE_VALUES)
+        config = self.build(["pipeline", "--config", path])
+        expected = FILE_VALUES[key]
+        if key in _PATH_KEYS:
+            expected = config_dir / expected
+        assert getattr(config, key) == expected
+        assert getattr(config, key) != getattr(self.build(["pipeline"]), key)
+
+    @pytest.mark.parametrize("key", sorted(FLAG_VALUES))
+    def test_flag_overrides_field(self, setup, key):
+        config_dir, flag_dir = setup
+        path = self.write_config(config_dir, FILE_VALUES)
+        argv, expected = FLAG_VALUES[key]
+        argv = [a.replace("@", str(flag_dir)) for a in argv]
+        if key in _PATH_KEYS:
+            expected = Path(expected.replace("@", str(flag_dir)))
+        elif key in ("use_stoplist", "stemming"):
+            # The flag can only move a boolean off its default.
+            path = self.write_config(config_dir, {**FILE_VALUES, key: not expected})
+        config = self.build(["pipeline", "--config", path, *argv])
+        assert getattr(config, key) == expected
+
+    def test_unknown_key_ignored(self, setup):
+        config_dir, _ = setup
+        path = self.write_config(config_dir, {"no_such_option": 3, "language": "fr"})
+        config = self.build(["pipeline", "--config", path])
+        assert config.language == "fr"
+        assert not hasattr(config, "no_such_option")
+
+
+def test_every_export_exists():
+    assert [name for name in cera.__all__ if not hasattr(cera, name)] == []
 
 
 def test_runs_without_scipy():

@@ -12,7 +12,6 @@ from cera.mda import (
     bartlett_chi_square,
     canonical_functions,
     classify_data,
-    fit_mda,
     fit_mda_data,
     mda_result_to_dict,
     run_mda,
@@ -73,7 +72,7 @@ class TestScatter:
         )
         # 6 cases with p = 10 cannot satisfy the size floor.
         with pytest.raises(ValidationError):
-            fit_mda(cards)
+            run_mda(cards)
 
     def test_group_order_respected(self):
         x = np.array([[0.0], [2.0], [4.0], [6.0]])
@@ -172,16 +171,6 @@ class TestWilks:
             bartlett_chi_square(0.0, 100, 3, 2)
         with pytest.raises(ValidationError):
             bartlett_chi_square(1.2, 100, 3, 2)
-
-    def test_accepts_function_objects(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(24, 2))
-        x[8:16] += 1.5
-        labels = ["a"] * 8 + ["b"] * 8 + ["c"] * 8
-        model = fit_mda_data(x, labels, ("a", "b", "c"))
-        by_objects = wilks_tests(list(model.functions), 24, 2, 3)
-        by_values = wilks_tests(model.eigenvalues, 24, 2, 3)
-        assert by_objects == by_values
 
 
 class TestBoxM:

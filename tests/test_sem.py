@@ -12,7 +12,9 @@ from cera.errors import (
     ParameterBoundsError,
     ValidationError,
 )
+from cera import sem
 from cera.miner import Sector
+from cera.report import ResultsBundle, emit_report
 from cera.sem import (
     _compile,
     _evaluate,
@@ -110,6 +112,12 @@ class TestParseModel:
         model = parse_model(SATURATED)
         assert model.free_parameter_count == 3
         assert model.degrees_of_freedom == 0
+        assert model.residual_variances["y1"] == 0.0
+
+    @pytest.mark.parametrize("entry, negative", [("f =1", "f =-0.1"), ("y2 free", "y2 =-0.5")])
+    def test_negative_fixed_variance_rejected(self, entry, negative):
+        with pytest.raises(ValidationError, match=f"variance in {negative}"):
+            parse_model(ONE_FACTOR.replace(entry, negative))
 
     def test_defaults_and_comments(self):
         model = parse_model(
@@ -674,3 +682,14 @@ class TestSerialization:
     def test_acceptable_property(self):
         fit = fit_model(parse_model(ONE_FACTOR), one_factor_sigma(), 500)
         assert fit.acceptable_at_05 == (fit.p > 0.05)
+
+    def test_unconverged_fit_never_acceptable(self, monkeypatch):
+        # A saturated model has df = 0 and so p = 1, fitted or not.
+        monkeypatch.setattr(sem, "MAX_ITERATIONS", 0)
+        fit = fit_model(parse_model(ONE_FACTOR), one_factor_sigma(), 500)
+        assert fit.df == 0 and fit.p == 1.0
+        assert not fit.converged
+        assert fit.acceptable_at_05 is False
+        assert fit_to_dict(fit)["acceptable_at_05"] is False
+        text = emit_report(ResultsBundle(sem=fit))
+        assert "acceptable at the 5% level (p > 0.05): no" in text
