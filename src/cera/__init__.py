@@ -28,9 +28,7 @@ from .miner import (
 )
 from .scoring import (
     Criterion,
-    RatingScale,
     ScoreCard,
-    DEFAULT_SCALE,
     build_scorecards,
     default_criteria,
     filter_sample,
@@ -61,9 +59,7 @@ __all__ = [
     "mine_binary",
     "mine_linear",
     "Criterion",
-    "RatingScale",
     "ScoreCard",
-    "DEFAULT_SCALE",
     "build_scorecards",
     "default_criteria",
     "filter_sample",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -79,9 +79,9 @@ def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
 def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
     """One row per criterion, testing score means across the three sectors.
 
-    A criterion whose scores are constant within every sector has no defined
-    F ratio; its row is marked degenerate (F and p are NaN) so the remaining
-    criteria still report.
+    Group means are listed in sector order. A criterion whose scores are
+    constant within every sector has no defined F ratio; its row is marked
+    degenerate (F and p are NaN) so the remaining criteria still report.
     """
     if not cards:
         raise ValidationError("no scorecards")
@@ -97,6 +97,7 @@ def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
         )
         try:
             row = one_way_anova(sample, variable_id=cid)
+            row = replace(row, group_means={s: row.group_means[s] for s in SECTOR_ORDER})
         except DegenerateVarianceError:
             group_means = {
                 sector: float(np.mean([c.scores[cid] for c in cards if c.sector is sector]))

@@ -77,6 +77,11 @@ class StageFailure(Exception):
 
 
 def _load_config_file(path: str) -> dict:
+    """The config file's values for RunConfig fields; null means unset.
+
+    Booleans must be JSON booleans and every other value a JSON string.
+    Relative paths resolve against the file's directory.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -85,12 +90,18 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     base = Path(path).parent
-    resolved = {}
-    for key, value in raw.items():
-        if key in _PATH_KEYS and value is not None:
-            value = str((base / value)) if not Path(value).is_absolute() else value
-        resolved[key] = value
-    return resolved
+    values = {}
+    for field in fields(RunConfig):
+        key, value = field.name, raw.get(field.name)
+        if value is None:
+            continue
+        if isinstance(field.default, bool):
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        elif not isinstance(value, str):
+            raise ValueError(f"config key {key!r} must be a string, got {value!r}")
+        values[key] = base / value if key in _PATH_KEYS else value
+    return values
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -98,15 +109,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     values = {}
     for field in fields(RunConfig):
-        key, default = field.name, field.default
-        value = getattr(args, key, None)
+        value = getattr(args, field.name, None)
         if value is None:
-            value = file_values.get(key)
-        if value is None:
-            continue
-        if isinstance(default, bool) and not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
-        values[key] = Path(value) if key in _PATH_KEYS else type(default)(value)
+            value = file_values.get(field.name)
+        if value is not None:
+            values[field.name] = Path(value) if field.name in _PATH_KEYS else value
     config = RunConfig(**values)
     config.validate()
     return config

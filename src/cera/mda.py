@@ -112,7 +112,6 @@ class CaseProjection:
 @dataclass(frozen=True)
 class CaseProjections:
     cases: list[CaseProjection]
-    centroids: dict[Hashable, tuple[float, ...]]
     n_functions: int
 
 
@@ -363,15 +362,11 @@ def _classify_scores(
 def _case_projections(
     cards: Sequence[ScoreCard], scores: np.ndarray, labels: Sequence[Hashable], model: MdaModel
 ) -> CaseProjections:
-    centroids = {
-        g: tuple(float(f.group_centroids[g]) for f in model.functions)
-        for g in model.scatter.group_order
-    }
     cases = [
         CaseProjection(card.report_id, label, tuple(float(s) for s in row))
         for card, label, row in zip(cards, labels, scores)
     ]
-    return CaseProjections(cases, centroids, len(model.functions))
+    return CaseProjections(cases, len(model.functions))
 
 
 def write_case_scores_csv(projections: CaseProjections, path) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import re
 import unicodedata
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -308,12 +308,10 @@ def mine_binary(
 ) -> FrequencyTable:
     """Keyword-file strategy; must agree exactly with :func:`mine_linear`.
 
-    Each phrase's first word is screened by binary search over the sorted
-    records. A criterion with no surviving first word counts 0, and one
-    whose only surviving alternative is a single keyword takes the record
-    count. If any criterion is left, the report's token sequence is rebuilt
-    with the preprocessing settings the keyword file carries and scanned
-    once for all criteria.
+    Each report is first screened by binary search over the sorted records:
+    if no criterion phrase's first word occurs in it, every count is 0.
+    Otherwise its token sequence is rebuilt with the preprocessing settings
+    the keyword file carries and scanned once for all criteria.
     """
     if not kwfile.sorted_flag:
         raise PreconditionError("keyword file is not sorted")
@@ -322,21 +320,14 @@ def mine_binary(
     keys = kwfile.records
     index = _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming)
 
-    def occurrences(word: str, report_id: str) -> int:
+    def occurs(word: str, report_id: str) -> bool:
         rec = (word, report_id)
-        return bisect_right(keys, rec) - bisect_left(keys, rec)
+        i = bisect_left(keys, rec)
+        return i < len(keys) and keys[i] == rec
 
     def row(doc: Document) -> list[int]:
-        # Per criterion: (alternative, record count of its first word) for each survivor.
-        alive: list[list[tuple[tuple[str, ...], int]]] = [[] for _ in criteria]
-        for first, entries in index.items():
-            n = occurrences(first, doc.report_id)
-            if n:
-                for ci, alt in entries:
-                    alive[ci].append((alt, n))
-        if all(not alts or (len(alts) == 1 and len(alts[0][0]) == 1) for alts in alive):
-            # Single keywords: the record counts are already the frequencies.
-            return [alts[0][1] if alts else 0 for alts in alive]
+        if not any(occurs(first, doc.report_id) for first in index):
+            return [0] * len(criteria)
         tokens = preprocess_text(doc.text, kwfile.stoplist, kwfile.stemming)
         return _count_hits(tokens, index, len(criteria))
 

@@ -9,10 +9,10 @@ Ten shipped criteria (v1..v10) each carry a set of phrase alternatives and a
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import IngestionError, ValidationError
 from .miner import Corpus, FrequencyTable, Sector, SECTOR_ORDER
@@ -37,58 +37,19 @@ class Criterion:
 CriteriaSet = list[Criterion]
 
 
-class RatingBand(NamedTuple):
-    lower_bound: int  # inclusive
-    score: int
-    label: str
+# (lower bound, score) bands, highest first; a frequency scores the first band
+# whose lower bound it reaches, and 0 when it reaches none.
+BANDS = ((75, 10), (50, 7), (20, 5), (5, 3), (1, 1))
 
 
-@dataclass(frozen=True)
-class RatingScale:
-    """Ordered frequency bands; together with the implicit zero band they
-    partition the nonnegative integers."""
-
-    bands: tuple[RatingBand, ...]
-
-    def __post_init__(self):
-        if not self.bands:
-            raise ValidationError("rating scale needs at least one band")
-        bounds = [b.lower_bound for b in self.bands]
-        scores = [b.score for b in self.bands]
-        if sorted(bounds, reverse=True) != bounds or len(set(bounds)) != len(bounds):
-            raise ValidationError("band lower bounds must strictly decrease")
-        if bounds[-1] != 1:
-            raise ValidationError("lowest band must start at frequency 1")
-        if sorted(scores, reverse=True) != scores or len(set(scores)) != len(scores):
-            raise ValidationError("band scores must strictly decrease")
-
-    def rate(self, freq: int) -> int:
-        if freq < 0:
-            raise ValidationError(f"frequency must be nonnegative, got {freq}")
-        for band in self.bands:
-            if freq >= band.lower_bound:
-                return band.score
-        return 0
-
-    @property
-    def top_score(self) -> int:
-        return self.bands[0].score
-
-
-DEFAULT_SCALE = RatingScale(
-    bands=(
-        RatingBand(75, 10, "Very strong"),
-        RatingBand(50, 7, "Strong"),
-        RatingBand(20, 5, "Moderate"),
-        RatingBand(5, 3, "Weak"),
-        RatingBand(1, 1, "Very weak"),
-    )
-)
-
-
-def rate_frequency(freq: int, scale: RatingScale = DEFAULT_SCALE) -> int:
+def rate_frequency(freq: int) -> int:
     """Map a keyword frequency to its band score; zero frequency scores 0."""
-    return scale.rate(freq)
+    if freq < 0:
+        raise ValidationError(f"frequency must be nonnegative, got {freq}")
+    for lower_bound, score in BANDS:
+        if freq >= lower_bound:
+            return score
+    return 0
 
 
 @dataclass(frozen=True)
@@ -120,7 +81,6 @@ def build_scorecards(
     freq: FrequencyTable,
     corpus_meta: Mapping[str, ReportMeta],
     criteria: CriteriaSet,
-    scale: RatingScale = DEFAULT_SCALE,
 ) -> list[ScoreCard]:
     """One scorecard per report in the frequency table, rating every criterion."""
     by_id = {c.criterion_id: c for c in criteria}
@@ -128,10 +88,10 @@ def build_scorecards(
         crit = by_id.get(cid)
         if crit is None:
             raise ValidationError(f"frequency table column {cid!r} is not a known criterion")
-        if scale.top_score > crit.max_score:
+        if BANDS[0][1] > crit.max_score:
             raise ValidationError(
                 f"criterion {cid} max_score {crit.max_score} is below the "
-                f"scale's top score {scale.top_score}"
+                f"scale's top score {BANDS[0][1]}"
             )
     cards = []
     for rid in freq.report_ids:
@@ -139,7 +99,7 @@ def build_scorecards(
         if meta is None:
             raise ValidationError(f"report {rid!r} missing from corpus metadata")
         frequencies = freq.row(rid)
-        scores = {cid: scale.rate(n) for cid, n in frequencies.items()}
+        scores = {cid: rate_frequency(n) for cid, n in frequencies.items()}
         cards.append(ScoreCard(rid, meta.sector, meta.language_tag, frequencies, scores))
     return cards
 

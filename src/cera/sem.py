@@ -137,7 +137,8 @@ def parse_model(spec_text: str) -> SemModelSpec:
     at 1 unless marked `free`; loadings are `latent -> observed free|=value`;
     covariances are `a ~ b free|=value` (unlisted pairs are fixed at 0);
     residuals are `observed free|=value` and their order defines the
-    observed-variable order. A fixed variance may not be negative.
+    observed-variable order. A fixed variance may not be negative, and a
+    fixed latent variance may not be zero.
     """
     sections: dict[str, list[str]] = {}
     current: str | None = None
@@ -170,6 +171,8 @@ def parse_model(spec_text: str) -> SemModelSpec:
         latent_vars.append(name)
         # Default scaling: variance fixed at 1.
         latent_variances[name] = 1.0 if len(tokens) == 1 else _parse_variance(tokens[1:], line)
+        if latent_variances[name] == 0:
+            raise ValidationError(f"latent variance fixed at zero in {line}")
 
     loadings: list[Loading] = []
     seen_loadings: set[tuple[str, str]] = set()
@@ -367,29 +370,27 @@ def _chol_logdet(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _ml_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float, p: int) -> tuple[float, np.ndarray]:
+def _ml_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float) -> tuple[float, np.ndarray]:
     """ln|Sigma| + tr(S Sigma^-1) - ln|S| - p, and Sigma^-1; LinAlgError when
     Sigma is not PD."""
     chol, logdet_sigma = _chol_logdet(sigma)
     inv_chol = np.linalg.inv(chol)
     trace = float(np.sum((inv_chol @ s) * inv_chol))
-    return logdet_sigma + trace - logdet_s - p, inv_chol.T @ inv_chol
+    return logdet_sigma + trace - logdet_s - s.shape[0], inv_chol.T @ inv_chol
 
 
-def ml_discrepancy(s, sigma, p: int | None = None) -> float:
+def ml_discrepancy(s, sigma) -> float:
     """F_ML = ln|Sigma| + tr(S Sigma^-1) - ln|S| - p; zero iff Sigma = S."""
     s = numcore.check_symmetric(s, "S")
     sigma = numcore.check_symmetric(sigma, "sigma")
     if s.shape != sigma.shape:
         raise ValidationError(f"shape mismatch: {s.shape} vs {sigma.shape}")
-    if p is None:
-        p = s.shape[0]
     try:
         _, logdet_s = _chol_logdet(s)
     except np.linalg.LinAlgError:
         raise ConditioningError("sample covariance is not positive definite") from None
     try:
-        value, _ = _ml_value(s, sigma, logdet_s, p)
+        value, _ = _ml_value(s, sigma, logdet_s)
     except np.linalg.LinAlgError:
         raise ConditioningError("implied covariance is not positive definite") from None
     # Roundoff at Sigma = S can land a hair below zero.
@@ -415,7 +416,7 @@ def fd_gradient(
 def _penalized_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float) -> float:
     """F_ML, or outside the PD region a penalty by how far the spectrum dips."""
     try:
-        return _ml_value(s, sigma, logdet_s, s.shape[0])[0]
+        return _ml_value(s, sigma, logdet_s)[0]
     except np.linalg.LinAlgError:
         return 1e6 * (1.0 - float(np.linalg.eigvalsh(sigma)[0]))
 
@@ -437,7 +438,7 @@ def _evaluate(compiled: _CompiledModel, s: np.ndarray, logdet_s: float, x: np.nd
     if not np.all(np.isfinite(natural)):
         raise np.linalg.LinAlgError("non-finite parameter")
     mats = compiled.matrices(natural)
-    value, sigma_inv = _ml_value(s, _sigma(*mats), logdet_s, s.shape[0])
+    value, sigma_inv = _ml_value(s, _sigma(*mats), logdet_s)
     return _Point(x, value, sigma_inv, mats, natural)
 
 

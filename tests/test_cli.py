@@ -278,17 +278,39 @@ class TestConfigFile:
         ("stemming", "false"), ("use_stoplist", "no"), ("stemming", 1),
     ])
     def test_boolean_must_be_json_boolean(self, tmp_path, capsys, key, value):
+        assert repr(key) in self.usage_error(tmp_path, capsys, {key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("manifest", 5), ("out_dir", ["a"]), ("language", 5), ("strategy", {"a": 1}),
+    ])
+    def test_text_and_path_values_must_be_strings(self, tmp_path, capsys, key, value):
+        err = self.usage_error(tmp_path, capsys, {key: value})
+        assert f"config key {key!r} must be a string" in err
+
+    @staticmethod
+    def usage_error(tmp_path, capsys, values) -> str:
+        """Run `mine` with ``values`` as its config file; expect exit 2 and return stderr."""
         config_path = tmp_path / "config.json"
         config_path.write_text(
-            json.dumps({"manifest": str(MANIFEST), key: value}), encoding="utf-8"
+            json.dumps({"manifest": str(MANIFEST), **values}), encoding="utf-8"
         )
         with pytest.raises(SystemExit) as excinfo:
             run_subcommand(
                 ["mine", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
             )
         assert excinfo.value.code == 2
-        assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        return capsys.readouterr().err
+
+    def test_null_means_unset(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"manifest": str(MANIFEST), "language": None, "stemming": None,
+                        "out_dir": None}),
+            encoding="utf-8",
+        )
+        config = _build_config(build_parser().parse_args(["score", "--config", str(config_path)]))
+        assert (config.language, config.stemming, config.out_dir) == ("en", False, Path("out"))
 
 
 # A non-default value for every RunConfig field, as a config file states it,

@@ -324,10 +324,10 @@ class TestProjections:
 
     def test_group_mean_projects_to_centroid(self):
         _, result = self.make_result()
-        projections = result.projections
         for g in (Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY):
-            scores = [case.scores for case in projections.cases if case.group == g]
-            for score, centroid in zip(np.mean(scores, axis=0), projections.centroids[g]):
+            scores = [case.scores for case in result.projections.cases if case.group == g]
+            for k, score in enumerate(np.mean(scores, axis=0)):
+                centroid = result.model.functions[k].group_centroids[g]
                 assert score == pytest.approx(centroid, abs=1e-10)
 
     def test_projection_is_affine_in_scores(self):

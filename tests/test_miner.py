@@ -254,6 +254,28 @@ class TestMineBinary:
         table = mine_binary(kwfile, corpus, [crit("v1", "carbon dioxide")])
         assert table.get("A", "v1") == 0
 
+    def test_report_without_first_words_is_screened_out(self, monkeypatch):
+        import numpy as np
+
+        screened = [doc("z1", "water energy sites"), doc("z2", "dioxide emissions change")]
+        mentions = random_corpus(np.random.default_rng(9), 6, 60)
+        corpus = mentions[:3] + screened + mentions[3:]
+        kwfile = build_sorted_keyword_file(corpus)
+        seen = []
+        original = miner.preprocess_text
+
+        def counting(text, *args):
+            seen.append(text)
+            return original(text, *args)
+
+        monkeypatch.setattr(miner, "preprocess_text", counting)
+        table = mine_binary(kwfile, corpus, TEST_CRITERIA)
+        for d in screened:
+            assert set(table.row(d.report_id).values()) == {0}
+            assert d.text not in seen
+        monkeypatch.undo()
+        assert table.counts == mine_linear(corpus, TEST_CRITERIA).counts
+
 
 VOCAB = [
     "environmental", "policy", "climate", "change", "human", "rights",

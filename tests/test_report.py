@@ -144,3 +144,23 @@ class TestWriteReport:
         bundle = ResultsBundle(sector_composition(cards), anova_table(cards))
         assert path.read_text(encoding="utf-8") == emit_report(bundle)
         assert b"\r" not in path.read_bytes()
+
+    def test_anova_columns_follow_sector_order(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_subcommand(
+            ["pipeline", "--manifest", str(MANIFEST), "--out-dir", str(out)]
+        ) == 0
+        header, *rows = (out / "scorecards.csv").read_text(encoding="utf-8").splitlines()
+        reversed_cards = tmp_path / "reversed.csv"
+        reversed_cards.write_text("\n".join([header, *rows[::-1]]) + "\n", encoding="utf-8")
+        headers = []
+        for cards in (out / "scorecards.csv", reversed_cards):
+            path = tmp_path / f"{cards.stem}.txt"
+            assert run_subcommand(
+                ["report", "--out-dir", str(out), "--scorecards", str(cards), "--out", str(path)]
+            ) == 0
+            lines = path.read_text(encoding="utf-8").splitlines()
+            headers.append(lines[lines.index("ONE-WAY ANOVA BY SECTOR") + 2])
+        capsys.readouterr()
+        assert headers[0] == headers[1]
+        assert headers[0].split()[1:4] == ["mean_primary", "mean_secondary", "mean_tertiary"]

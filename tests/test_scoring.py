@@ -4,10 +4,7 @@ from hypothesis import given, settings, strategies as st
 from cera.errors import ValidationError
 from cera.miner import FrequencyTable, Sector
 from cera.scoring import (
-    DEFAULT_SCALE,
     Criterion,
-    RatingBand,
-    RatingScale,
     ReportMeta,
     ScoreCard,
     build_scorecards,
@@ -60,12 +57,6 @@ class TestRateFrequency:
     @settings(max_examples=200, deadline=None)
     def test_monotone(self, freq):
         assert rate_frequency(freq + 1) >= rate_frequency(freq)
-
-    def test_scale_validation(self):
-        with pytest.raises(ValidationError):
-            RatingScale((RatingBand(50, 7, "a"), RatingBand(75, 10, "b")))
-        with pytest.raises(ValidationError):
-            RatingScale((RatingBand(75, 7, "a"), RatingBand(1, 10, "b")))
 
 
 class TestBuildScorecards:

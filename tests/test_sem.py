@@ -119,6 +119,12 @@ class TestParseModel:
         with pytest.raises(ValidationError, match=f"variance in {negative}"):
             parse_model(ONE_FACTOR.replace(entry, negative))
 
+    def test_zero_latent_variance_rejected(self):
+        # Its loadings would have no effect on Sigma; a residual may still be fixed at 0.
+        with pytest.raises(ValidationError, match="latent variance fixed at zero in f =0"):
+            parse_model(ONE_FACTOR.replace("f =1", "f =0"))
+        assert parse_model(ONE_FACTOR.replace("y2 free", "y2 =0")).residual_variances["y2"] == 0.0
+
     def test_defaults_and_comments(self):
         model = parse_model(
             """
@@ -446,6 +452,47 @@ y2 =0.75
         assert fit.chi_square < 1e-10
         assert fit.df == 3
         assert fit.p == pytest.approx(1.0)
+
+    def test_no_free_parameters_reports_exact_discrepancy(self):
+        model = parse_model(ONE_FACTOR.replace("free", "=0.5"))
+        s = np.array([[1.0, 0.5, 0.4], [0.5, 1.0, 0.3], [0.4, 0.3, 1.0]])
+        fit = fit_model(model, s, 101)
+        assert (fit.converged, fit.iterations, fit.message) == (True, 0, "no free parameters")
+        assert fit.estimates == {}
+        assert fit.F_ML == ml_discrepancy(s, implied_covariance(model, {})) > 0.0
+        assert fit.chi_square == 100 * fit.F_ML
+
+    def test_not_positive_definite_at_start_values(self):
+        # Unit variances with covariance 2 make Phi indefinite; with the start
+        # loadings of 0.5 and residuals of 0.5, Sigma is indefinite too.
+        model = parse_model(
+            """
+[latents]
+f1
+f2
+[loadings]
+f1 -> y1
+f1 -> y2
+f1 -> y3
+f2 -> y4
+f2 -> y5
+f2 -> y6
+[covariances]
+f1 ~ f2 =2
+[residuals]
+y1
+y2
+y3
+y4
+y5
+y6
+"""
+        )
+        fit = fit_model(model, np.eye(6), 100)
+        assert fit.message == "implied covariance is not positive definite at the start values"
+        assert (fit.converged, fit.iterations) == (False, 0)
+        assert not fit.acceptable_at_05
+        assert fit.standard_form == {}
 
     def test_sample_size_guard(self):
         with pytest.raises(ValidationError, match="cases"):
