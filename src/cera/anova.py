@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from . import numcore
 from .errors import DegenerateVarianceError, ValidationError
 from .miner import Sector, SECTOR_ORDER
@@ -36,6 +34,11 @@ class AnovaRow:
     degenerate: bool = False
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Mean of ``values``; ``fsum`` sums integer scores exactly, whatever their order."""
+    return math.fsum(values) / len(values)
+
+
 def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
     """F test of equal group means.
 
@@ -54,8 +57,8 @@ def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
 
     n_total = len(sample.values)
     g = len(groups)
-    grand_mean = float(np.mean(sample.values))
-    group_means = {label: float(np.mean(vals)) for label, vals in groups.items()}
+    grand_mean = _mean(sample.values)
+    group_means = {label: _mean(vals) for label, vals in groups.items()}
     ssb = sum(len(vals) * (group_means[label] - grand_mean) ** 2 for label, vals in groups.items())
     ssw = sum(
         (v - group_means[label]) ** 2 for label, vals in groups.items() for v in vals
@@ -100,13 +103,13 @@ def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
             row = replace(row, group_means={s: row.group_means[s] for s in SECTOR_ORDER})
         except DegenerateVarianceError:
             group_means = {
-                sector: float(np.mean([c.scores[cid] for c in cards if c.sector is sector]))
+                sector: _mean([c.scores[cid] for c in cards if c.sector is sector])
                 for sector in SECTOR_ORDER
             }
             row = AnovaRow(
                 variable_id=cid,
                 group_means=group_means,
-                grand_mean=float(np.mean([c.scores[cid] for c in cards])),
+                grand_mean=_mean([c.scores[cid] for c in cards]),
                 F=math.nan,
                 p=math.nan,
                 significant_at_05=False,

@@ -4,21 +4,29 @@ Subcommands: mine, score, anova, mda, sem, pipeline, report. A JSON file
 passed with --config supplies defaults for any flag; flags given on the
 command line win. Exit codes: 0 success, 1 runtime or analysis error,
 2 usage error.
+
+The analysis modules are imported by the commands that run them, so
+``--help``, ``mine``, ``score`` and ``anova`` never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import anova as anova_mod
-from . import mda as mda_mod
-from . import miner, scoring, sem as sem_mod
+from . import miner, scoring
 from .errors import CeraError
 from .report import ResultsBundle, emit_report
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .anova import AnovaRow
+    from .mda import MdaResult
+    from .sem import SemFit, SemModelSpec
 
 STRATEGIES = ("linear", "binary")
 ELIMINATION_RULES = ("conjunction", "disjunction")
@@ -133,7 +141,9 @@ def _criteria(config: RunConfig) -> scoring.CriteriaSet:
     return scoring.default_criteria()
 
 
-def _sem_model(config: RunConfig) -> sem_mod.SemModelSpec:
+def _sem_model(config: RunConfig) -> SemModelSpec:
+    from . import sem as sem_mod
+
     if config.sem_model is not None:
         return sem_mod.load_model(config.sem_model)
     return sem_mod.default_model()
@@ -211,32 +221,45 @@ def _read_cards(path: Path, stage: str) -> list[scoring.ScoreCard]:
 
 
 # One computation and one artifact writer per analysis, shared by the single
-# commands, pipeline and report. They look the analysis functions up through
-# their modules at call time, so bench/tracing.py can wrap them.
-def _anova(config: RunConfig, cards: list[scoring.ScoreCard]) -> list[anova_mod.AnovaRow]:
+# commands, pipeline and report. Each imports its analysis module when it
+# runs and looks the analysis functions up through that module at call time,
+# so bench/tracing.py can wrap them.
+def _anova(config: RunConfig, cards: list[scoring.ScoreCard]) -> list[AnovaRow]:
+    from . import anova as anova_mod
+
     return anova_mod.anova_table(cards)
 
 
-def _write_anova(out_dir: Path, rows: list[anova_mod.AnovaRow]) -> None:
+def _write_anova(out_dir: Path, rows: list[AnovaRow]) -> None:
+    from . import anova as anova_mod
+
     anova_mod.write_anova_csv(rows, out_dir / ANOVA_NAME)
 
 
-def _mda(config: RunConfig, cards: list[scoring.ScoreCard]) -> mda_mod.MdaResult:
+def _mda(config: RunConfig, cards: list[scoring.ScoreCard]) -> MdaResult:
+    from . import mda as mda_mod
+
     return mda_mod.run_mda(cards)
 
 
-def _write_mda(out_dir: Path, result: mda_mod.MdaResult) -> None:
+def _write_mda(out_dir: Path, result: MdaResult) -> None:
+    from . import mda as mda_mod
+
     _write_json(out_dir / MDA_NAME, mda_mod.mda_result_to_dict(result))
     mda_mod.write_case_scores_csv(result.projections, out_dir / CASE_SCORES_NAME)
 
 
-def _sem(config: RunConfig, cards: list[scoring.ScoreCard]) -> sem_mod.SemFit:
+def _sem(config: RunConfig, cards: list[scoring.ScoreCard]) -> SemFit:
+    from . import sem as sem_mod
+
     model = _sem_model(config)
     s, n = sem_mod.covariance_from_cards(cards, model.observed_vars)
     return sem_mod.fit_model(model, s, n)
 
 
-def _write_sem(out_dir: Path, fit: sem_mod.SemFit) -> None:
+def _write_sem(out_dir: Path, fit: SemFit) -> None:
+    from . import sem as sem_mod
+
     _write_json(out_dir / SEM_NAME, sem_mod.fit_to_dict(fit))
 
 
@@ -434,7 +457,18 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+# Environment variables that size the BLAS thread pool numpy starts.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main() -> None:
+    # cera's largest BLAS operands are the n x 10 score matrix and a 23 x 23
+    # information matrix. At that size a BLAS thread pool only adds start-up
+    # time and a core spinning beside the work, so the command runs BLAS on
+    # one thread unless the user chose a pool size. numpy reads the variable
+    # when it is first imported, which is after this point.
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run_subcommand())
 
 

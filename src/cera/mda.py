@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numcore
 from .errors import ConditioningError, ValidationError
-from .miner import SECTOR_ORDER
+from .miner import SECTOR_ORDER, group_name
 from .scoring import ScoreCard
 
 
@@ -113,11 +113,6 @@ class CaseProjection:
 class CaseProjections:
     cases: list[CaseProjection]
     n_functions: int
-
-
-def group_name(g) -> str:
-    """Display name of a group label: a Sector's value, else ``str(label)``."""
-    return g.value if hasattr(g, "value") else str(g)
 
 
 def _sector_order(labels: Sequence[Hashable]) -> tuple[Hashable, ...]:

@@ -38,6 +38,11 @@ class Sector(str, Enum):
 SECTOR_ORDER = (Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY)
 
 
+def group_name(g) -> str:
+    """Display name of a group label: a Sector's value, else ``str(label)``."""
+    return g.value if hasattr(g, "value") else str(g)
+
+
 @dataclass(frozen=True)
 class Document:
     report_id: str

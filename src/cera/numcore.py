@@ -2,17 +2,21 @@
 
 Problem sizes here are tiny (at most 10x10: one row/column per scoring
 criterion), so everything is a direct dense method. Matrices are plain
-``numpy`` arrays; anything array-like is accepted and converted.
+``numpy`` arrays; anything array-like is accepted and converted. numpy is
+imported by the matrix functions only, so the distribution tails (all that
+ANOVA needs) load without it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConditioningError, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 # Symmetry tolerance used by consumers of symmetric matrices.
 SYMMETRY_RTOL = 1e-10
@@ -27,6 +31,8 @@ _MAX_TERMS = 100_000
 
 def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     """Validate |a_ij - a_ji| <= SYMMETRY_RTOL * max(1, |a_ij|) entrywise."""
+    import numpy as np
+
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
@@ -44,6 +50,8 @@ def generalized_eigen(b, w) -> list[tuple[float, np.ndarray]]:
     each vector normalized so v' W v = 1 and its first nonzero component
     positive.
     """
+    import numpy as np
+
     b = check_symmetric(b, "b")
     w = check_symmetric(w, "w")
     if b.shape != w.shape:

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
-from .anova import AnovaRow
 from .errors import ValidationError
-from .mda import MdaResult, group_name
-from .sem import SemFit
+from .miner import group_name
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .anova import AnovaRow
+    from .mda import MdaResult
+    from .sem import SemFit
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,16 @@ def build_scorecards(
     corpus_meta: Mapping[str, ReportMeta],
     criteria: CriteriaSet,
 ) -> list[ScoreCard]:
-    """One scorecard per report in the frequency table, rating every criterion."""
+    """One scorecard per report in the frequency table, rating every criterion.
+
+    The table's columns must be exactly the configured criteria, in any order.
+    """
     by_id = {c.criterion_id: c for c in criteria}
+    missing = [cid for cid in by_id if cid not in freq.criterion_ids]
+    if missing:
+        raise ValidationError(
+            f"frequency table lacks criterion column(s): {', '.join(missing)}"
+        )
     for cid in freq.criterion_ids:
         crit = by_id.get(cid)
         if crit is None:
@@ -225,6 +233,12 @@ def write_scorecards_csv(cards: Sequence[ScoreCard], path) -> None:
 
 
 def read_scorecards_csv(path) -> list[ScoreCard]:
+    """Scorecards from a CSV laid out as :func:`write_scorecards_csv` writes it.
+
+    The header needs at least one ``<criterion>_score`` column. Every row
+    must have as many cells as the header and a report_id no earlier row
+    used; blank lines are skipped.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -233,11 +247,24 @@ def read_scorecards_csv(path) -> list[ScoreCard]:
             raise ValidationError("scorecard file has no header row") from None
         freq_cols = [(i, h[: -len("_freq")]) for i, h in enumerate(header) if h.endswith("_freq")]
         score_cols = [(i, h[: -len("_score")]) for i, h in enumerate(header) if h.endswith("_score")]
+        if not score_cols:
+            raise ValidationError("scorecard header has no <criterion>_score column")
         lang_idx = header.index("language") if "language" in header else None
         cards = []
-        for line, row in enumerate(reader, start=2):
+        seen: set[str] = set()
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"scorecard row at line {line} has {len(row)} cells, header has {len(header)}"
+                )
+            if row[0] in seen:
+                raise ValidationError(
+                    f"scorecard row at line {line}: duplicate report_id {row[0]!r}"
+                )
+            seen.add(row[0])
             try:
                 frequencies = {cid: int(row[i]) for i, cid in freq_cols}
                 scores = {cid: int(row[i]) for i, cid in score_cols}

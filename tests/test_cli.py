@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 import cera
 
 from cera.cli import _PATH_KEYS, RunConfig, _build_config, build_parser, run_subcommand
-from cera.scoring import read_scorecards_csv
+from cera.miner import SECTOR_ORDER
+from cera.scoring import ScoreCard, rate_frequency, read_scorecards_csv, write_scorecards_csv
 
 from conftest import FIXTURE_DIR, FIXTURE_SCORES, MANIFEST
 
@@ -120,6 +122,22 @@ class TestScore:
         assert code == 0
         assert (out / "scorecards.csv").is_file()
 
+    def test_frequencies_missing_a_criterion(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out)])
+        cut = tmp_path / "freqs.csv"
+        lines = (out / "frequencies.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith(",v10")
+        cut.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines),
+                       encoding="utf-8")
+        code = run_subcommand(
+            ["score", "--manifest", str(MANIFEST), "--out-dir", str(out),
+             "--frequencies", str(cut)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "score: frequency table lacks criterion column(s): v10\n"
+        assert not (out / "scorecards.csv").exists()
+
     def test_score_before_mine(self, tmp_path, capsys):
         code = run_subcommand(
             ["score", "--manifest", str(MANIFEST), "--out-dir", str(tmp_path / "out")]
@@ -180,6 +198,18 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err
         assert err.startswith("anova:")
         assert "line" in err
+
+    @pytest.mark.parametrize("command", ["anova", "mda", "sem", "report"])
+    def test_scorecards_without_scores_fail_cleanly(self, tmp_path, capsys, command):
+        path = tmp_path / "cards.csv"
+        rows = [f"r{i},{s},{i},en" for i, s in enumerate(["primary", "secondary", "tertiary"] * 3)]
+        path.write_text("report_id,sector,v1_freq,language\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_subcommand([command, "--scorecards", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{command}: scorecard header has no <criterion>_score column\n"
+        assert list(out.iterdir()) == []
 
 
 class TestReport:
@@ -411,6 +441,16 @@ def test_every_export_exists():
     assert [name for name in cera.__all__ if not hasattr(cera, name)] == []
 
 
+def run_child(script: str, *args: str, env: dict | None = None) -> str:
+    """Run ``script`` in a fresh interpreter that imports this checkout's cera."""
+    src = str(Path(cera.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_runs_without_scipy():
     """The package, the CLI and every analysis routine import no scipy module."""
     script = """
@@ -425,8 +465,116 @@ numcore.generalized_eigen(np.eye(2), np.eye(2))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
-    src = str(Path(cera.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_child(script)
+
+
+def test_commands_without_matrix_work_load_no_numpy(tmp_path):
+    """--help, mine, score and anova run without importing numpy."""
+    script = """
+import contextlib, io, sys
+from cera.cli import run_subcommand
+manifest, out = sys.argv[1:]
+common = ["--out-dir", out]
+for argv in (["--help"], ["mine", "--manifest", manifest, *common],
+             ["score", "--manifest", manifest, *common], ["anova", *common]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_subcommand(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0, argv
+    loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+    assert not loaded, (argv[0], loaded[:5])
+"""
+    out = tmp_path / "out"
+    run_child(script, str(MANIFEST), str(out))
+    assert (out / "anova.csv").is_file()
+
+
+class TestBlasThreadDefault:
+    def main_env(self, monkeypatch, **preset):
+        """The BLAS variables as ``main()`` leaves them, given ``preset``."""
+        import cera.cli as cli
+
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in preset.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(cli, "run_subcommand", lambda argv=None: 0)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        return {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS}
+
+    def test_one_thread_when_unset(self, monkeypatch):
+        assert self.main_env(monkeypatch) == {
+            "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+        }
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_setting_wins(self, monkeypatch, var):
+        expected = {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None,
+                    "OMP_NUM_THREADS": None, var: "3"}
+        assert self.main_env(monkeypatch, **{var: "3"}) == expected
+
+    def test_set_before_numpy_is_imported(self):
+        script = """
+import os, sys
+for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.pop(var, None)
+import cera.cli as cli
+
+def probe(argv=None):
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+    return 0
+
+cli.run_subcommand = probe
+cli.main()
+"""
+        assert run_child(script) == "1 False\n"
+
+
+FACTOR_OF = [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]  # v1..v10 -> construct, as in the packaged model
+
+
+def seeded_cards(seed: int, n: int) -> list[ScoreCard]:
+    """Cards with three correlated constructs and sector-shifted means."""
+    rng = random.Random(seed)
+    cards = []
+    for i in range(n):
+        shift = (-0.5, 0.0, 0.5)[i % 3]
+        factors = [rng.gauss(shift, 1.0) for _ in range(3)]
+        freqs = {
+            f"v{j + 1}": max(0, round(25 + 18 * (factors[k] + 0.7 * rng.gauss(0.0, 1.0))))
+            for j, k in enumerate(FACTOR_OF)
+        }
+        scores = {cid: rate_frequency(f) for cid, f in freqs.items()}
+        cards.append(ScoreCard(f"r{i:03d}", SECTOR_ORDER[i % 3], "en", freqs, scores))
+    return cards
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """mda and sem write the same bytes with BLAS's own default, one thread and two.
+
+    The children call run_subcommand, not main(), so an unset variable leaves
+    OpenBLAS at its default pool size.
+    """
+    cards = tmp_path / "cards.csv"
+    write_scorecards_csv(seeded_cards(11, 120), cards)
+    script = """
+import sys
+from cera.cli import run_subcommand
+sys.exit(run_subcommand(sys.argv[1:]))
+"""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    outputs = {}
+    for threads in (None, "1", "2"):
+        env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        for command in ("mda", "sem"):
+            run_child(script, command, "--scorecards", str(cards), "--out-dir", str(out), env=env)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(outputs[None]) == ["case_scores.csv", "mda.json", "sem_fit.json"]
+    assert outputs["1"] == outputs[None]
+    assert outputs["2"] == outputs[None]

@@ -89,6 +89,13 @@ class TestBuildScorecards:
         for cid, freq in card.frequencies.items():
             assert card.scores[cid] == rate_frequency(freq)
 
+    @pytest.mark.parametrize("n_criteria,named", [(9, "v10"), (11, "v11")])
+    def test_columns_must_match_criteria(self, n_criteria, named):
+        # A table cut short of v10 must not yield scorecards without v10.
+        table = freq_table({"r1": [1] * n_criteria}, n_criteria=n_criteria)
+        with pytest.raises(ValidationError, match=named):
+            build_scorecards(table, meta_for(["r1"]), default_criteria())
+
 
 def card(report_id, freqs, language="en", sector=Sector.PRIMARY):
     scores = {f"v{i + 1}": rate_frequency(f) for i, f in enumerate(freqs)}
@@ -257,6 +264,36 @@ class TestScorecardCsv:
         text = path.read_text(encoding="utf-8").replace("primary", "quaternary")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2"):
+            read_scorecards_csv(path)
+
+    def written_lines(self, tmp_path, cards):
+        path = tmp_path / "cards.csv"
+        write_scorecards_csv(cards, path)
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    def test_header_without_score_columns_rejected(self, tmp_path):
+        path = tmp_path / "cards.csv"
+        rows = [f"r{i},{s},{i},en" for i, s in enumerate(["primary", "secondary", "tertiary"] * 3)]
+        path.write_text("report_id,sector,v1_freq,language\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match="_score"):
+            read_scorecards_csv(path)
+
+    def test_duplicate_report_id_rejected(self, tmp_path):
+        path, lines = self.written_lines(tmp_path, [card("r1", [1] * 10), card("r2", [2] * 10)])
+        path.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 4: duplicate report_id 'r1'"):
+            read_scorecards_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda row: row + ",extra", lambda row: row.rsplit(",", 1)[0]],
+        ids=["extra-cell", "missing-cell"],
+    )
+    def test_ragged_row_rejected(self, tmp_path, edit):
+        path, lines = self.written_lines(tmp_path, [card("r1", [1] * 10), card("r2", [2] * 10)])
+        path.write_text("\n".join([lines[0], lines[1], edit(lines[2])]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 3 has 2[24] cells, header has 23"):
             read_scorecards_csv(path)
 
     def test_blank_trailing_line_tolerated(self, tmp_path):
