@@ -125,6 +125,8 @@ def data_matrix(cards: Sequence[ScoreCard]) -> tuple[np.ndarray, list, list[str]
     if not cards:
         raise ValidationError("no scorecards")
     cids = cards[0].criterion_ids
+    if not cids:
+        raise ValidationError("scorecards have no criteria")
     x = np.array([[card.scores[cid] for cid in cids] for card in cards], dtype=float)
     labels = [card.sector for card in cards]
     return x, labels, cids

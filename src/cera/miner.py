@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import re
 import unicodedata
+from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from itertools import groupby
+from itertools import compress, count, filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence, TYPE_CHECKING
 
@@ -56,17 +57,35 @@ Corpus = list[Document]
 
 @dataclass
 class KeywordFile:
-    """Sorted ``(keyword, report_id)`` tuples plus the preprocessing that built them.
+    """The sorted ``<keyword, file>`` record file, held as postings.
 
-    The stop list and stemming flag are carried along so that binary mining
-    can reconstruct token order for adjacency checks without re-specifying
-    the settings.
+    ``keywords`` is sorted. ``postings[k]`` pairs the ids of the reports that
+    contain ``keywords[k]``, in id order, with the keyword's count in each.
+    ``sequences`` maps each report id to its preprocessed token order, as
+    indices into ``keywords``. The stop list and stemming flag are the
+    preprocessing settings, which binary mining applies to criterion phrases.
     """
 
-    records: list[tuple[str, str]]
+    keywords: list[str]
+    postings: list[tuple[list[str], array]]
+    sequences: dict[str, array]
     sorted_flag: bool
     stoplist: frozenset[str] = frozenset()
     stemming: bool = False
+
+    @property
+    def records(self) -> list[tuple[str, str]]:
+        """One ``(keyword, report_id)`` tuple per token occurrence, sorted.
+
+        Mining and writing never expand the postings this way; tests and the
+        benchmark's record counter do. It can go once that counter counts
+        the lines of the written file (ROADMAP item 1).
+        """
+        records: list[tuple[str, str]] = []
+        for keyword, (report_ids, counts) in zip(self.keywords, self.postings):
+            for report_id, n in zip(report_ids, counts):
+                records += [(keyword, report_id)] * n
+        return records
 
 
 # Tokens are maximal runs of characters for which ``str.isalnum()`` holds;
@@ -103,10 +122,8 @@ def preprocess_text(
 ) -> list[str]:
     """Lowercase, tokenize, drop stop-list tokens, then optionally stem."""
     stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
-    tokens = [t for t in tokenize(text) if t not in stopset]
-    if stemming:
-        tokens = [stem_token(t) for t in tokens]
-    return tokens
+    kept = filterfalse(stopset.__contains__, tokenize(text))
+    return list(map(stem_token, kept) if stemming else kept)
 
 
 def default_stoplist() -> frozenset[str]:
@@ -209,37 +226,54 @@ class FrequencyTable:
 def build_sorted_keyword_file(
     corpus: Corpus, stoplist: Iterable[str] = frozenset(), stemming: bool = False
 ) -> KeywordFile:
-    """One record per surviving token occurrence, sorted by (keyword, file).
+    """Postings and token sequences from one preprocessing pass per report.
 
-    Built from per-report token counts without sorting the occurrences:
-    postings are filled in report-id order, keywords are walked in sorted
-    order, and each (keyword, report) record is one shared tuple repeated
-    once per occurrence. Plain tuples of strings leave the cyclic GC's
-    tracking at its first collection, so the records cost no later
-    collection anything.
+    Reports are visited in report-id order, so every posting lists its
+    report ids ascending. Keywords are numbered as first seen, then
+    renumbered in sorted order once the vocabulary is complete.
     """
     stopset = frozenset(stoplist)
-    postings: defaultdict[str, list] = defaultdict(list)  # keyword -> [id, count, id, count, ...]
+    first_seen: defaultdict[str, int] = defaultdict(count().__next__)
+    report_ids: list[list[str]] = []  # by first-seen number
+    counts: list[list[int]] = []
+    sequences: dict[str, array] = {}
     for doc in sorted(corpus, key=lambda d: d.report_id):
-        for token, count in Counter(preprocess_text(doc.text, stopset, stemming)).items():
-            postings[token] += (doc.report_id, count)
-    records: list[tuple[str, str]] = []
-    for keyword in sorted(postings):
-        posting = postings[keyword]
-        for report_id, count in zip(posting[::2], posting[1::2]):
-            records += [(keyword, report_id)] * count
-    return KeywordFile(records=records, sorted_flag=True, stoplist=stopset, stemming=stemming)
+        tokens = preprocess_text(doc.text, stopset, stemming)
+        sequence = array("I", map(first_seen.__getitem__, tokens))
+        while len(report_ids) < len(first_seen):
+            report_ids.append([])
+            counts.append([])
+        for k, n in Counter(sequence).items():
+            report_ids[k].append(doc.report_id)
+            counts[k].append(n)
+        sequences[doc.report_id] = sequence
+    keywords = sorted(first_seen)
+    order = [first_seen[keyword] for keyword in keywords]
+    rank = [0] * len(order)
+    for r, k in enumerate(order):
+        rank[k] = r
+    for report_id, sequence in sequences.items():
+        sequences[report_id] = array("I", map(rank.__getitem__, sequence))
+    return KeywordFile(
+        keywords=keywords,
+        postings=[(report_ids[k], array("I", counts[k])) for k in order],
+        sequences=sequences,
+        sorted_flag=True,
+        stoplist=stopset,
+        stemming=stemming,
+    )
 
 
 def write_keyword_file(kwfile: KeywordFile, path) -> None:
     """External format: one ``keyword<TAB>report_id`` line per record, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for (keyword, report_id), run in groupby(kwfile.records):
-            fh.write(f"{keyword}\t{report_id}\n" * len(list(run)))
+        for keyword, (report_ids, counts) in zip(kwfile.keywords, kwfile.postings):
+            for report_id, n in zip(report_ids, counts):
+                fh.write(f"{keyword}\t{report_id}\n" * n)
 
 
 # First token -> (criterion index, phrase) entries, longest phrase first
-# within each criterion.
+# within each criterion. Binary mining keys the same index by keyword number.
 CriteriaIndex = dict[str, list[tuple[int, tuple[str, ...]]]]
 
 
@@ -260,19 +294,17 @@ def _compile_criteria(
     return index
 
 
-def _count_hits(tokens: Sequence[str], index: CriteriaIndex, n_criteria: int) -> list[int]:
+def _count_hits(tokens: Sequence, index: dict, n_criteria: int) -> list[int]:
     """Greedy left-to-right counts of non-overlapping phrase occurrences, per criterion.
 
     One pass serves all criteria: each keeps its own next free position, so
     its matches never overlap each other but may overlap another criterion's.
+    Only positions holding some phrase's first token are visited.
     """
     counts = [0] * n_criteria
     free = [0] * n_criteria
-    for i, token in enumerate(tokens):
-        entries = index.get(token)
-        if entries is None:
-            continue
-        for ci, alt in entries:
+    for i in compress(range(len(tokens)), map(index.__contains__, tokens)):
+        for ci, alt in index[tokens[i]]:
             if free[ci] <= i:
                 k = len(alt)
                 if k == 1 or tuple(tokens[i : i + k]) == alt:
@@ -308,33 +340,39 @@ def mine_linear(
     return _frequency_table(corpus, criteria, rows)
 
 
+def _find(items: Sequence, item) -> int | None:
+    """Position of ``item`` in the sorted ``items`` by binary search, or None."""
+    i = bisect_left(items, item)
+    return i if i < len(items) and items[i] == item else None
+
+
 def mine_binary(
     kwfile: KeywordFile, corpus: Corpus, criteria: Sequence["Criterion"]
 ) -> FrequencyTable:
     """Keyword-file strategy; must agree exactly with :func:`mine_linear`.
 
-    Each report is first screened by binary search over the sorted records:
-    if no criterion phrase's first word occurs in it, every count is 0.
-    Otherwise its token sequence is rebuilt with the preprocessing settings
-    the keyword file carries and scanned once for all criteria.
+    Each criterion phrase's first word is found by binary search over the
+    sorted keywords. A report is then screened by binary search over those
+    keywords' report ids: if none lists it, every count is 0. Otherwise its
+    stored token sequence is scanned once for all criteria. No report text
+    is preprocessed again; only the criterion phrases are.
     """
     if not kwfile.sorted_flag:
         raise PreconditionError("keyword file is not sorted")
     if not criteria:
         raise ValidationError("criteria set is empty")
-    keys = kwfile.records
-    index = _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming)
-
-    def occurs(word: str, report_id: str) -> bool:
-        rec = (word, report_id)
-        i = bisect_left(keys, rec)
-        return i < len(keys) and keys[i] == rec
+    index: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for entries in _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming).values():
+        for ci, alt in entries:
+            numbers = tuple(_find(kwfile.keywords, word) for word in alt)
+            if None not in numbers:  # else some word occurs in no report
+                index.setdefault(numbers[0], []).append((ci, numbers))
+    screens = [kwfile.postings[k][0] for k in index]
 
     def row(doc: Document) -> list[int]:
-        if not any(occurs(first, doc.report_id) for first in index):
+        if all(_find(report_ids, doc.report_id) is None for report_ids in screens):
             return [0] * len(criteria)
-        tokens = preprocess_text(doc.text, kwfile.stoplist, kwfile.stemming)
-        return _count_hits(tokens, index, len(criteria))
+        return _count_hits(kwfile.sequences[doc.report_id], index, len(criteria))
 
     return _frequency_table(corpus, criteria, (row(doc) for doc in corpus))
 
@@ -354,6 +392,9 @@ def read_frequency_csv(path) -> FrequencyTable:
             header = next(reader)
         except StopIteration:
             raise ValidationError("frequency file has no header row") from None
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValidationError(f"frequency header repeats column {name!r}")
         criterion_ids = header[1:]
         report_ids: dict[str, None] = {}  # insertion-ordered, O(1) duplicate check
         counts = {}

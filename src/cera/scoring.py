@@ -235,9 +235,9 @@ def write_scorecards_csv(cards: Sequence[ScoreCard], path) -> None:
 def read_scorecards_csv(path) -> list[ScoreCard]:
     """Scorecards from a CSV laid out as :func:`write_scorecards_csv` writes it.
 
-    The header needs at least one ``<criterion>_score`` column. Every row
-    must have as many cells as the header and a report_id no earlier row
-    used; blank lines are skipped.
+    The header needs at least one ``<criterion>_score`` column and may not
+    name a column twice. Every row must have as many cells as the header
+    and a report_id no earlier row used; blank lines are skipped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -245,6 +245,9 @@ def read_scorecards_csv(path) -> list[ScoreCard]:
             header = next(reader)
         except StopIteration:
             raise ValidationError("scorecard file has no header row") from None
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValidationError(f"scorecard header repeats column {name!r}")
         freq_cols = [(i, h[: -len("_freq")]) for i, h in enumerate(header) if h.endswith("_freq")]
         score_cols = [(i, h[: -len("_score")]) for i, h in enumerate(header) if h.endswith("_score")]
         if not score_cols:

@@ -20,6 +20,7 @@ from cera.mda import (
     write_case_scores_csv,
 )
 from cera.miner import Sector
+from cera.scoring import ScoreCard
 
 from conftest import FIXTURE_SECTORS, FIXTURE_SCORES, make_cards
 
@@ -377,6 +378,14 @@ class TestRunMda:
         labels = [card.sector for card in cards]
         expected = classify_data(x, labels, result.model)
         assert np.array_equal(result.classification.counts, expected.counts)
+
+    def test_cards_without_criteria_rejected(self):
+        cards = [
+            ScoreCard(f"r{i}", sector, "en", {}, {})
+            for i, sector in enumerate([Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY] * 3)
+        ]
+        with pytest.raises(ValidationError, match="no criteria"):
+            run_mda(cards)
 
     def test_dict_serializable(self):
         payload = mda_result_to_dict(run_mda(self.build_cards()))

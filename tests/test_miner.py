@@ -1,7 +1,7 @@
 import csv
-import gc
 import re
 import unicodedata
+from array import array
 from functools import partial
 
 import pytest
@@ -159,12 +159,6 @@ class TestKeywordFile:
         kwfile = build_sorted_keyword_file([doc("id", "z z")])
         assert kwfile.records == [("z", "id"), ("z", "id")]
 
-    def test_records_leave_gc_tracking(self):
-        kwfile = build_sorted_keyword_file([doc("A", "carbon dioxide carbon"), doc("B", "dioxide")])
-        gc.collect()
-        assert kwfile.records
-        assert not any(gc.is_tracked(rec) for rec in kwfile.records)
-
     def test_sortedness_invariant(self):
         corpus = [doc(f"r{i}", " ".join(["beta", "alpha", "gamma"] * 3)) for i in range(4)]
         records = build_sorted_keyword_file(corpus).records
@@ -237,7 +231,10 @@ class TestMineBinary:
     def test_unsorted_precondition(self):
         corpus = [doc("A", "carbon dioxide")]
         kwfile = KeywordFile(
-            [("dioxide", "A"), ("carbon", "A")], False
+            ["dioxide", "carbon"],
+            [(["A"], array("I", [1])), (["A"], array("I", [1]))],
+            {"A": array("I", [1, 0])},
+            False,
         )
         with pytest.raises(PreconditionError):
             mine_binary(kwfile, corpus, [crit("v1", "carbon")])
@@ -272,7 +269,8 @@ class TestMineBinary:
         table = mine_binary(kwfile, corpus, TEST_CRITERIA)
         for d in screened:
             assert set(table.row(d.report_id).values()) == {0}
-            assert d.text not in seen
+        # The keyword file's sequences stand in for the reports' text.
+        assert seen and set(seen) <= {alt for c in TEST_CRITERIA for alt in c.alternatives}
         monkeypatch.undo()
         assert table.counts == mine_linear(corpus, TEST_CRITERIA).counts
 
@@ -447,6 +445,26 @@ def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_wo
     assert path.read_bytes() == "".join(f"{k}\t{r}\n" for k, r in occurrences).encode()
 
 
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "ab", "c", "the", "cases"]), max_size=30), max_size=12),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_keyword_file_postings_and_sequences(docs_words, stemming):
+    corpus = [doc(f"r{len(docs_words) - i}", " ".join(words)) for i, words in enumerate(docs_words)]
+    kwfile = build_sorted_keyword_file(corpus, {"the"}, stemming)
+    keywords = kwfile.keywords
+    assert all(a < b for a, b in zip(keywords, keywords[1:]))
+    assert len(kwfile.postings) == len(keywords)
+    for report_ids, counts in kwfile.postings:
+        assert report_ids and all(a < b for a, b in zip(report_ids, report_ids[1:]))
+        assert len(counts) == len(report_ids) and min(counts) >= 1
+    for d in corpus:
+        decoded = [keywords[k] for k in kwfile.sequences[d.report_id]]
+        assert decoded == preprocess_text(d.text, {"the"}, stemming)
+    assert sum(sum(counts) for _, counts in kwfile.postings) == len(kwfile.records)
+
+
 ACCENTED_VOCAB = ["énergie", "renouvelable", "forêt", "naïve", "café", "à", "accès", "the"]
 ACCENTED_CRITERIA = [
     crit("v1", "énergie renouvelable", "énergie"),
@@ -515,6 +533,12 @@ class TestFrequencyCsv:
         path = tmp_path / "freq.csv"
         path.write_text("report_id,v1,v2\nA,1,2\nA,3,4\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 3.*duplicate.*'A'"):
+            read_frequency_csv(path)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "freq.csv"
+        path.write_text("report_id,v1,v1\nA,3,999\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="repeats column 'v1'"):
             read_frequency_csv(path)
 
     def test_extra_cell_rejected(self, tmp_path):

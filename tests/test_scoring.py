@@ -285,6 +285,14 @@ class TestScorecardCsv:
         with pytest.raises(ValidationError, match="line 4: duplicate report_id 'r1'"):
             read_scorecards_csv(path)
 
+    def test_repeated_score_column_rejected(self, tmp_path):
+        path = tmp_path / "cards.csv"
+        rows = [f"r{i},{s},1,7,en" for i, s in enumerate(["primary", "secondary", "tertiary"] * 3)]
+        path.write_text("report_id,sector,v1_score,v1_score,language\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match="repeats column 'v1_score'"):
+            read_scorecards_csv(path)
+
     @pytest.mark.parametrize(
         "edit",
         [lambda row: row + ",extra", lambda row: row.rsplit(",", 1)[0]],
