@@ -19,11 +19,9 @@ _EXPORTS = {
     "errors": (
         "CeraError",
         "ConditioningError",
-        "DegenerateVarianceError",
         "IdentificationError",
         "IngestionError",
         "ParameterBoundsError",
-        "PreconditionError",
         "ValidationError",
     ),
     "miner": (

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
 from . import numcore
-from .errors import DegenerateVarianceError, ValidationError
+from .errors import ValidationError
 from .miner import Sector, SECTOR_ORDER
 from .scoring import ScoreCard
 
@@ -44,8 +44,9 @@ def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
 
     F = [SSB/(g-1)] / [SSW/(N-g)] with SSB the size-weighted squared
     deviations of group means from the grand mean and SSW the pooled
-    within-group squared deviations. Raises
-    :class:`DegenerateVarianceError` when SSW is zero.
+    within-group squared deviations. When SSW is zero (every group
+    constant) F is undefined: the row keeps its means, has NaN F and p,
+    and is marked degenerate.
     """
     groups: dict[Hashable, list[float]] = {}
     for value, label in zip(sample.values, sample.group_labels):
@@ -63,12 +64,12 @@ def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
     ssw = sum(
         (v - group_means[label]) ** 2 for label, vals in groups.items() for v in vals
     )
-    if ssw <= 0.0:
-        raise DegenerateVarianceError(
-            "zero within-group variance; F ratio is undefined"
-        )
-    f_stat = (ssb / (g - 1)) / (ssw / (n_total - g))
-    p = numcore.f_sf(f_stat, g - 1, n_total - g)
+    degenerate = ssw <= 0.0
+    if degenerate:
+        f_stat = p = math.nan
+    else:
+        f_stat = (ssb / (g - 1)) / (ssw / (n_total - g))
+        p = numcore.f_sf(f_stat, g - 1, n_total - g)
     return AnovaRow(
         variable_id=variable_id,
         group_means=group_means,
@@ -76,6 +77,7 @@ def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
         F=f_stat,
         p=p,
         significant_at_05=p < 0.05,
+        degenerate=degenerate,
     )
 
 
@@ -83,8 +85,8 @@ def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
     """One row per criterion, testing score means across the three sectors.
 
     Group means are listed in sector order. A criterion whose scores are
-    constant within every sector has no defined F ratio; its row is marked
-    degenerate (F and p are NaN) so the remaining criteria still report.
+    constant within every sector gets a degenerate row (see
+    :func:`one_way_anova`), so the remaining criteria still report.
     """
     if not cards:
         raise ValidationError("no scorecards")
@@ -98,24 +100,8 @@ def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
             values=tuple(card.scores[cid] for card in cards),
             group_labels=tuple(card.sector for card in cards),
         )
-        try:
-            row = one_way_anova(sample, variable_id=cid)
-            row = replace(row, group_means={s: row.group_means[s] for s in SECTOR_ORDER})
-        except DegenerateVarianceError:
-            group_means = {
-                sector: _mean([c.scores[cid] for c in cards if c.sector is sector])
-                for sector in SECTOR_ORDER
-            }
-            row = AnovaRow(
-                variable_id=cid,
-                group_means=group_means,
-                grand_mean=_mean([c.scores[cid] for c in cards]),
-                F=math.nan,
-                p=math.nan,
-                significant_at_05=False,
-                degenerate=True,
-            )
-        rows.append(row)
+        row = one_way_anova(sample, variable_id=cid)
+        rows.append(replace(row, group_means={s: row.group_means[s] for s in SECTOR_ORDER}))
     return rows
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import miner, scoring
-from .errors import CeraError
+from .errors import CeraError, ValidationError
 from .report import ResultsBundle, emit_report
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -151,7 +151,7 @@ def _sem_model(config: RunConfig) -> SemModelSpec:
 
 def _load_corpus(config: RunConfig) -> miner.Corpus:
     if config.manifest is None:
-        raise StageFailure("mine", ValueError("a corpus manifest is required (--manifest)"))
+        raise ValidationError("a corpus manifest is required (--manifest)")
     root = config.root if config.root is not None else Path(config.manifest).parent
     return miner.load_corpus(root, config.manifest)
 

@@ -13,16 +13,8 @@ class ValidationError(CeraError):
     """An input violates a documented contract (bad label, duplicate id, ...)."""
 
 
-class PreconditionError(CeraError):
-    """An operation was called in a state its contract forbids."""
-
-
 class ConditioningError(CeraError):
     """A matrix fails a definiteness or conditioning requirement."""
-
-
-class DegenerateVarianceError(CeraError):
-    """Within-group variance is zero, so the F ratio is undefined."""
 
 
 class ParameterBoundsError(CeraError):

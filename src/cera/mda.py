@@ -28,6 +28,7 @@ class ScatterPair:
     B: np.ndarray  # between-group scatter, p x p
     group_sizes: dict[Hashable, int]
     group_means: dict[Hashable, np.ndarray]
+    group_scatters: dict[Hashable, np.ndarray]  # each group's term of W, p x p
     grand_mean: np.ndarray
     group_order: tuple[Hashable, ...]
 
@@ -139,7 +140,8 @@ def scatter_from_data(
 
     W sums (x - group mean) outer products over all cases; B sums
     n_g * (group mean - grand mean) outer products over groups, so
-    W + B equals the total scatter about the grand mean.
+    W + B equals the total scatter about the grand mean. Every label must
+    be in ``group_order``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -152,6 +154,9 @@ def scatter_from_data(
     group_order = tuple(group_order)
     if len(group_order) < 2:
         raise ValidationError("need at least 2 groups")
+    unknown = set(labels) - set(group_order)
+    if unknown:
+        raise ValidationError(f"labels not in group order: {sorted(map(group_name, unknown))}")
     indices = {g: [i for i, lab in enumerate(labels) if lab == g] for g in group_order}
     for g, idx in indices.items():
         if len(idx) < p + 1:
@@ -164,18 +169,20 @@ def scatter_from_data(
     b = np.zeros((p, p))
     group_sizes = {}
     group_means = {}
+    group_scatters = {}
     for g in group_order:
         rows = x[indices[g]]
         mean_g = rows.mean(axis=0)
         centered = rows - mean_g
-        w += centered.T @ centered
+        group_scatters[g] = centered.T @ centered
+        w += group_scatters[g]
         diff = mean_g - grand_mean
         b += len(rows) * np.outer(diff, diff)
         group_sizes[g] = len(rows)
         group_means[g] = mean_g
     w = 0.5 * (w + w.T)
     b = 0.5 * (b + b.T)
-    return ScatterPair(w, b, group_sizes, group_means, grand_mean, group_order)
+    return ScatterPair(w, b, group_sizes, group_means, group_scatters, grand_mean, group_order)
 
 
 def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
@@ -281,43 +288,37 @@ def box_m_approximation(m_stat: float, group_sizes: Sequence[int], p: int) -> Bo
     return BoxMResult(float(m_stat), float(f_approx), int(df1), float(df2), p_value)
 
 
+def _box_m(sp: ScatterPair) -> BoxMResult:
+    """Box's M over the unbiased group covariances S_g / (n_g - 1) of a fitted scatter.
+
+    M = (N-g) * ln|S_pooled| - sum (n_g - 1) * ln|S_g|. Each S_g needs more
+    than p cases to be nonsingular; W alone needs only N - g >= p.
+    """
+    sizes, order = sp.group_sizes, sp.group_order
+    for grp in order:
+        if sizes[grp] <= sp.n_variables:
+            raise ValidationError(
+                f"group {group_name(grp)} has {sizes[grp]} cases; needs more than "
+                f"{sp.n_variables} for a nonsingular covariance"
+            )
+    covs = {grp: sp.group_scatters[grp] * np.true_divide(1, sizes[grp] - 1) for grp in order}
+    pooled = sum((sizes[grp] - 1) * covs[grp] for grp in order) / (sp.n_total - sp.n_groups)
+    m_stat = (sp.n_total - sp.n_groups) * _log_det_cov(pooled, "pooled")
+    for grp in order:
+        m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {group_name(grp)}")
+    m_stat = max(m_stat, 0.0)
+    return box_m_approximation(m_stat, [sizes[grp] for grp in order], sp.n_variables)
+
+
 def box_m_from_data(
     x: np.ndarray, labels: Sequence[Hashable], group_order: Sequence[Hashable] | None = None
 ) -> BoxMResult:
-    """Box's M over unbiased group covariances, with the F approximation.
+    """Box's M test of equal group covariances, with its F approximation.
 
-    M = (N-g) * ln|S_pooled| - sum (n_i - 1) * ln|S_i|.
+    The cases are grouped as for the discriminant fit (:func:`scatter_from_data`),
+    which raises the same errors; see :func:`_box_m` for the statistic.
     """
-    x = np.asarray(x, dtype=float)
-    n, p = x.shape
-    if group_order is None:
-        group_order = sorted(set(labels), key=str)
-    group_order = tuple(group_order)
-    if len(group_order) < 2:
-        raise ValidationError("need at least 2 groups")
-    labels = list(labels)
-    covs = {}
-    sizes = {}
-    for grp in group_order:
-        rows = x[[i for i, lab in enumerate(labels) if lab == grp]]
-        if len(rows) <= p:
-            raise ValidationError(
-                f"group {group_name(grp)} has {len(rows)} cases; needs more than {p} "
-                f"for a nonsingular covariance"
-            )
-        sizes[grp] = len(rows)
-        covs[grp] = np.cov(rows, rowvar=False, ddof=1)
-    pooled = sum((sizes[grp] - 1) * covs[grp] for grp in group_order) / (n - len(group_order))
-    m_stat = (n - len(group_order)) * _log_det_cov(pooled, "pooled")
-    for grp in group_order:
-        try:
-            m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {group_name(grp)}")
-        except ConditioningError:
-            raise ConditioningError(
-                f"group {group_name(grp)} covariance matrix is singular"
-            ) from None
-    m_stat = max(m_stat, 0.0)
-    return box_m_approximation(m_stat, [sizes[grp] for grp in group_order], p)
+    return _box_m(scatter_from_data(x, labels, group_order))
 
 
 def _project(x: np.ndarray, model: MdaModel) -> np.ndarray:
@@ -390,7 +391,7 @@ def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
     model = fit_mda_data(x, labels, order, criterion_ids=cids)
     sp = model.scatter
     wilks = wilks_tests(model.eigenvalues, sp.n_total, sp.n_variables, sp.n_groups)
-    box = box_m_from_data(x, labels, order)
+    box = _box_m(sp)
     scores = _project(x, model)  # labels come from the fit, so none is unknown
     classification = _classify_scores(scores, labels, model)
     projections = _case_projections(cards, scores, labels, model)

@@ -24,7 +24,7 @@ from itertools import compress, count, filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence, TYPE_CHECKING
 
-from .errors import IngestionError, PreconditionError, ValidationError
+from .errors import IngestionError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scoring import Criterion
@@ -69,7 +69,6 @@ class KeywordFile:
     keywords: list[str]
     postings: list[tuple[list[str], array]]
     sequences: dict[str, array]
-    sorted_flag: bool
     stoplist: frozenset[str] = frozenset()
     stemming: bool = False
 
@@ -208,7 +207,11 @@ class FrequencyTable:
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        seen: set[str] = set()
         for rid in self.report_ids:
+            if rid in seen:
+                raise ValidationError(f"report_id {rid!r} appears twice")
+            seen.add(rid)
             for cid in self.criterion_ids:
                 value = self.counts.get((rid, cid))
                 if value is None:
@@ -258,7 +261,6 @@ def build_sorted_keyword_file(
         keywords=keywords,
         postings=[(report_ids[k], array("I", counts[k])) for k in order],
         sequences=sequences,
-        sorted_flag=True,
         stoplist=stopset,
         stemming=stemming,
     )
@@ -357,8 +359,6 @@ def mine_binary(
     stored token sequence is scanned once for all criteria. No report text
     is preprocessed again; only the criterion phrases are.
     """
-    if not kwfile.sorted_flag:
-        raise PreconditionError("keyword file is not sorted")
     if not criteria:
         raise ValidationError("criteria set is empty")
     index: dict[int, list[tuple[int, tuple[int, ...]]]] = {}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cera.anova import AnovaRow, GroupedSample, anova_table, one_way_anova, write_anova_csv
-from cera.errors import DegenerateVarianceError, ValidationError
+from cera.errors import ValidationError
 from cera.miner import Sector
 
 from conftest import FIXTURE_SECTORS, FIXTURE_SCORES, make_cards
@@ -56,8 +56,14 @@ class TestOneWayAnova:
             assert row.significant_at_05 == (row.p < 0.05)
 
     def test_zero_within_variance(self):
-        with pytest.raises(DegenerateVarianceError):
-            one_way_anova(sample_from_groups([[2, 2, 2], [5, 5, 5]]))
+        # Every group is constant, so SSW = 0 and F is undefined: the row
+        # still carries the means, with NaN F and p, and is marked.
+        row = one_way_anova(sample_from_groups([[2, 2, 2], [5, 5, 5, 5]]), variable_id="v2")
+        assert math.isnan(row.F) and math.isnan(row.p)
+        assert row.degenerate and not row.significant_at_05
+        assert row.group_means == {"g0": 2.0, "g1": 5.0}
+        assert row.grand_mean == 26 / 7
+        assert row.variable_id == "v2"
 
     def test_too_few_groups(self):
         with pytest.raises(ValidationError):

@@ -138,6 +138,13 @@ class TestScore:
         assert capsys.readouterr().err == "score: frequency table lacks criterion column(s): v10\n"
         assert not (out / "scorecards.csv").exists()
 
+    def test_missing_manifest_flag_names_score(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out)])
+        code = run_subcommand(["score", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "score: a corpus manifest is required (--manifest)\n"
+
     def test_score_before_mine(self, tmp_path, capsys):
         code = run_subcommand(
             ["score", "--manifest", str(MANIFEST), "--out-dir", str(tmp_path / "out")]

@@ -80,6 +80,16 @@ class TestScatter:
         sp = scatter_from_data(x, ["b", "b", "a", "a"], ("b", "a"))
         assert sp.group_order == ("b", "a")
 
+    def test_label_outside_group_order_rejected(self):
+        # Rows of a group left out of the order would still count in the
+        # grand mean, and so in B, and in Box's M's N.
+        x = np.random.default_rng(8).normal(size=(12, 1))
+        labels = ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+        with pytest.raises(ValidationError, match=r"not in group order: \['c'\]"):
+            scatter_from_data(x, labels, ("a", "b"))
+        with pytest.raises(ValidationError, match=r"\['c'\]"):
+            box_m_from_data(x, labels, ("a", "b"))
+
 
 class TestCanonicalFunctions:
     def test_identical_group_means_give_zero(self):
@@ -239,6 +249,39 @@ class TestBoxM:
         x = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 3.0]])
         with pytest.raises(ValidationError):
             box_m_from_data(x, ["a", "a", "b", "b", "b"], ("a", "b"))
+
+    @staticmethod
+    def cov_oracle_m(x, labels, order):
+        # Box's M from np.cov per group, each group's rows taken afresh
+        # (np.cov gives a 0-d array at p = 1).
+        labels = np.asarray(labels)
+        covs = [np.atleast_2d(np.cov(x[labels == g], rowvar=False, ddof=1)) for g in order]
+        sizes = [int(np.sum(labels == g)) for g in order]
+        n, g = len(x), len(order)
+        pooled = sum((size - 1) * cov for size, cov in zip(sizes, covs)) / (n - g)
+        m_stat = (n - g) * float(np.linalg.slogdet(pooled)[1])
+        for size, cov in zip(sizes, covs):
+            m_stat -= (size - 1) * float(np.linalg.slogdet(cov)[1])
+        return max(m_stat, 0.0)
+
+    def test_equals_np_cov_oracle_exactly(self):
+        # The statistic is built from the discriminant fit's group scatters;
+        # it must match the per-group np.cov form bit for bit.
+        rng = np.random.default_rng(2024)
+        sectors = (Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY)
+        for _ in range(40):
+            p = int(rng.integers(1, 11))
+            g = int(rng.integers(2, 5))
+            sizes = rng.integers(p + 2, p + 30, size=g)
+            x = np.vstack([rng.normal(rng.normal(), rng.uniform(0.5, 3), (k, p)) for k in sizes])
+            labels = [grp for grp, k in enumerate(sizes) for _ in range(k)]
+            perm = rng.permutation(len(x))
+            x, labels = x[perm], [labels[i] for i in perm]
+            expected = self.cov_oracle_m(x, labels, range(g))
+            assert box_m_from_data(x, labels, range(g)).M == expected
+            if g == 3:
+                cards = make_cards(x, [sectors[i] for i in labels])
+                assert run_mda(cards).box.M == expected
 
 
 class TestClassification:

@@ -1,17 +1,15 @@
 import csv
 import re
 import unicodedata
-from array import array
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cera import miner
-from cera.errors import IngestionError, PreconditionError, ValidationError
+from cera.errors import IngestionError, ValidationError
 from cera.miner import (
     Document,
-    KeywordFile,
     Sector,
     build_sorted_keyword_file,
     load_corpus,
@@ -144,7 +142,6 @@ class TestKeywordFile:
     def test_hand_sorted_example(self):
         corpus = [doc("A", "b a"), doc("B", "a")]
         kwfile = build_sorted_keyword_file(corpus)
-        assert kwfile.sorted_flag
         assert kwfile.records == [
             ("a", "A"),
             ("a", "B"),
@@ -153,7 +150,7 @@ class TestKeywordFile:
 
     def test_empty_corpus(self):
         kwfile = build_sorted_keyword_file([])
-        assert kwfile.records == [] and kwfile.sorted_flag
+        assert kwfile.records == []
 
     def test_duplicates_retained(self):
         kwfile = build_sorted_keyword_file([doc("id", "z z")])
@@ -228,16 +225,14 @@ class TestMineBinary:
         binary = mine_binary(kwfile, fixture_corpus, criteria)
         assert linear.counts == binary.counts
 
-    def test_unsorted_precondition(self):
-        corpus = [doc("A", "carbon dioxide")]
-        kwfile = KeywordFile(
-            ["dioxide", "carbon"],
-            [(["A"], array("I", [1])), (["A"], array("I", [1]))],
-            {"A": array("I", [1, 0])},
-            False,
-        )
-        with pytest.raises(PreconditionError):
-            mine_binary(kwfile, corpus, [crit("v1", "carbon")])
+    def test_repeated_report_id_rejected_by_both_miners(self):
+        # A table listing A twice would keep only the later document's hits.
+        corpus = [doc("A", "carbon"), doc("A", "water")]
+        criteria = [crit("v1", "carbon")]
+        with pytest.raises(ValidationError, match="'A' appears twice"):
+            mine_linear(corpus, criteria)
+        with pytest.raises(ValidationError, match="'A' appears twice"):
+            mine_binary(build_sorted_keyword_file(corpus), corpus, criteria)
 
     def test_adjacency_verification(self):
         corpus = [doc("A", "carbon dioxide emissions")]
