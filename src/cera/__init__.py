@@ -6,8 +6,7 @@ industry sectors with one-way ANOVA, multivariate discriminant analysis,
 and latent-construct covariance models.
 
 Exported names are imported from their modules on first access (PEP 562),
-so importing the package, or a numpy-free module such as ``cera.miner``,
-does not load numpy.
+so importing the package loads only the modules a caller uses.
 """
 
 from importlib import import_module

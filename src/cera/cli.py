@@ -6,14 +6,14 @@ command line win. Exit codes: 0 success, 1 runtime or analysis error,
 2 usage error.
 
 The analysis modules are imported by the commands that run them, so
-``--help``, ``mine``, ``score`` and ``anova`` never load numpy.
+``--help``, ``mine`` and ``score`` load none of them. No command imports
+numpy: the analyses compute in plain Python.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -457,18 +457,7 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-# Environment variables that size the BLAS thread pool numpy starts.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def main() -> None:
-    # cera's largest BLAS operands are the n x 10 score matrix and a 23 x 23
-    # information matrix. At that size a BLAS thread pool only adds start-up
-    # time and a core spinning beside the work, so the command runs BLAS on
-    # one thread unless the user chose a pool size. numpy reads the variable
-    # when it is first imported, which is after this point.
-    if not any(var in os.environ for var in BLAS_THREAD_VARS):
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run_subcommand())
 
 

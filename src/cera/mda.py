@@ -4,7 +4,9 @@ Pipeline: pooled within-group and between-group scatter matrices, canonical
 discriminant functions from the generalized eigenproblem B v = lambda W v,
 Wilks' Lambda with Bartlett's chi-square approximation, Box's M test of
 equal group covariance matrices, nearest-centroid classification in
-canonical space, and per-case canonical scores.
+canonical space, and per-case canonical scores. Data and results are plain
+floats and lists (``numcore.Matrix`` for matrices); data may be any
+array-like of rows.
 """
 
 from __future__ import annotations
@@ -14,22 +16,21 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from . import numcore
 from .errors import ConditioningError, ValidationError
 from .miner import SECTOR_ORDER, group_name
-from .scoring import ScoreCard
+from .numcore import Matrix
+from .scoring import ScoreCard, score_rows
 
 
 @dataclass(frozen=True)
 class ScatterPair:
-    W: np.ndarray  # pooled within-group scatter, p x p
-    B: np.ndarray  # between-group scatter, p x p
+    W: Matrix  # pooled within-group scatter, p x p
+    B: Matrix  # between-group scatter, p x p
     group_sizes: dict[Hashable, int]
-    group_means: dict[Hashable, np.ndarray]
-    group_scatters: dict[Hashable, np.ndarray]  # each group's term of W, p x p
-    grand_mean: np.ndarray
+    group_means: dict[Hashable, list[float]]
+    group_scatters: dict[Hashable, Matrix]  # each group's term of W, p x p
+    grand_mean: list[float]
     group_order: tuple[Hashable, ...]
 
     @property
@@ -38,7 +39,7 @@ class ScatterPair:
 
     @property
     def n_variables(self) -> int:
-        return int(self.W.shape[0])
+        return len(self.W)
 
     @property
     def n_groups(self) -> int:
@@ -49,7 +50,7 @@ class ScatterPair:
 class CanonicalFunction:
     index: int  # 1-based
     eigenvalue: float
-    coefficients: np.ndarray
+    coefficients: list[float]
     group_centroids: dict[Hashable, float]
 
 
@@ -74,22 +75,26 @@ class BoxMResult:
 @dataclass(frozen=True)
 class ClassificationMatrix:
     group_order: tuple[Hashable, ...]
-    counts: np.ndarray  # g x g, rows = actual, columns = predicted
-    row_percentages: np.ndarray  # rounded to 1 decimal
+    counts: Matrix  # g x g, rows = actual, columns = predicted
+    row_percentages: Matrix  # rounded to 1 decimal
     hit_rate: float  # percent
 
     @classmethod
     def from_counts(cls, counts, group_order: Sequence[Hashable]) -> "ClassificationMatrix":
-        counts = np.asarray(counts, dtype=int)
+        counts = Matrix([int(c) for c in row] for row in counts)
         g = len(group_order)
-        if counts.shape != (g, g):
-            raise ValidationError(f"counts must be {g}x{g}, got {counts.shape}")
+        if len(counts) != g or any(len(row) != g for row in counts):
+            raise ValidationError(f"counts must be {g}x{g}")
         row_sums = counts.sum(axis=1)
-        if np.any(row_sums == 0):
+        if 0 in row_sums:
             raise ValidationError("classification matrix has an empty actual group")
-        percentages = np.round(100.0 * counts / row_sums[:, None], 1)
-        hit_rate = 100.0 * np.trace(counts) / counts.sum()
-        return cls(tuple(group_order), counts, percentages, float(hit_rate))
+        # Half-even rounding of the scaled value, as numpy's round(x, 1).
+        percentages = Matrix(
+            [round(100.0 * c / total * 10.0) / 10.0 for c in row]
+            for row, total in zip(counts, row_sums)
+        )
+        hit_rate = 100.0 * sum(counts[i][i] for i in range(g)) / counts.sum()
+        return cls(tuple(group_order), counts, percentages, hit_rate)
 
 
 @dataclass(frozen=True)
@@ -121,20 +126,20 @@ def _sector_order(labels: Sequence[Hashable]) -> tuple[Hashable, ...]:
     return tuple(s for s in SECTOR_ORDER if s in present)
 
 
-def data_matrix(cards: Sequence[ScoreCard]) -> tuple[np.ndarray, list, list[str]]:
-    """Stack scorecards into an (n, p) array plus sector labels."""
+def data_matrix(cards: Sequence[ScoreCard]) -> tuple[list[list[float]], list, list[str]]:
+    """Stack scorecards into n rows of p scores plus sector labels."""
     if not cards:
         raise ValidationError("no scorecards")
     cids = cards[0].criterion_ids
     if not cids:
         raise ValidationError("scorecards have no criteria")
-    x = np.array([[card.scores[cid] for cid in cids] for card in cards], dtype=float)
+    x = score_rows(cards, cids)
     labels = [card.sector for card in cards]
     return x, labels, cids
 
 
 def scatter_from_data(
-    x: np.ndarray, labels: Sequence[Hashable], group_order: Sequence[Hashable] | None = None
+    x, labels: Sequence[Hashable], group_order: Sequence[Hashable] | None = None
 ) -> ScatterPair:
     """Within/between scatter of raw (unnormalized) squared deviations.
 
@@ -143,10 +148,8 @@ def scatter_from_data(
     W + B equals the total scatter about the grand mean. Every label must
     be in ``group_order``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValidationError("data must be a 2-D array")
-    n, p = x.shape
+    x = numcore.as_rows(x, "data")
+    n, p = numcore.shape(x)
     if len(labels) != n:
         raise ValidationError("labels length does not match data rows")
     if group_order is None:
@@ -164,25 +167,27 @@ def scatter_from_data(
                 f"group {group_name(g)} has {len(idx)} cases; needs at least {p + 1} "
                 f"for a nonsingular within-group scatter"
             )
-    grand_mean = x.mean(axis=0)
-    w = np.zeros((p, p))
-    b = np.zeros((p, p))
+    grand_mean = [sum(col) / n for col in zip(*x)]
+    w = [[0.0] * p for _ in range(p)]
+    b = [[0.0] * p for _ in range(p)]
     group_sizes = {}
     group_means = {}
     group_scatters = {}
     for g in group_order:
-        rows = x[indices[g]]
-        mean_g = rows.mean(axis=0)
-        centered = rows - mean_g
-        group_scatters[g] = centered.T @ centered
-        w += group_scatters[g]
-        diff = mean_g - grand_mean
-        b += len(rows) * np.outer(diff, diff)
-        group_sizes[g] = len(rows)
+        size = len(indices[g])
+        mean_g, centered = numcore.centered_columns([x[i] for i in indices[g]])
+        scatter = numcore.gram(centered)
+        diff = [m - gm for m, gm in zip(mean_g, grand_mean)]
+        for j in range(p):
+            for k in range(p):
+                w[j][k] += scatter[j][k]
+                b[j][k] += size * (diff[j] * diff[k])
+        group_sizes[g] = size
         group_means[g] = mean_g
-    w = 0.5 * (w + w.T)
-    b = 0.5 * (b + b.T)
-    return ScatterPair(w, b, group_sizes, group_means, group_scatters, grand_mean, group_order)
+        group_scatters[g] = scatter
+    return ScatterPair(
+        Matrix(w), Matrix(b), group_sizes, group_means, group_scatters, grand_mean, group_order
+    )
 
 
 def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
@@ -202,9 +207,9 @@ def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
     functions = []
     for i, (value, vector) in enumerate(pairs[:n_funcs], start=1):
         # Rank deficiency of B shows up as tiny negative roundoff.
-        eigenvalue = 0.0 if -1e-10 < value < 0 else float(value)
+        eigenvalue = 0.0 if -1e-10 < value < 0 else value
         centroids = {
-            g: float(vector @ (sp.group_means[g] - sp.grand_mean))
+            g: numcore.dot(vector, [m - gm for m, gm in zip(sp.group_means[g], sp.grand_mean)])
             for g in sp.group_order
         }
         functions.append(CanonicalFunction(i, eigenvalue, vector, centroids))
@@ -212,7 +217,7 @@ def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
 
 
 def fit_mda_data(
-    x: np.ndarray,
+    x,
     labels: Sequence[Hashable],
     group_order: Sequence[Hashable] | None = None,
     criterion_ids: Sequence[str] | None = None,
@@ -248,11 +253,11 @@ def wilks_tests(eigenvalues: Sequence[float], n_total: int, p: int, g: int) -> l
     return tests
 
 
-def _log_det_cov(cov: np.ndarray, what: str) -> float:
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
+def _log_det_cov(cov: list[list[float]], what: str) -> float:
+    chol = numcore.cholesky(cov)
+    if chol is None:
         raise ConditioningError(f"{what} covariance matrix is singular")
-    return float(logdet)
+    return numcore.log_det(chol)
 
 
 def box_m_approximation(m_stat: float, group_sizes: Sequence[int], p: int) -> BoxMResult:
@@ -301,8 +306,15 @@ def _box_m(sp: ScatterPair) -> BoxMResult:
                 f"group {group_name(grp)} has {sizes[grp]} cases; needs more than "
                 f"{sp.n_variables} for a nonsingular covariance"
             )
-    covs = {grp: sp.group_scatters[grp] * np.true_divide(1, sizes[grp] - 1) for grp in order}
-    pooled = sum((sizes[grp] - 1) * covs[grp] for grp in order) / (sp.n_total - sp.n_groups)
+    covs = {
+        grp: [[v * (1 / (sizes[grp] - 1)) for v in row] for row in sp.group_scatters[grp]]
+        for grp in order
+    }
+    pooled = [
+        [sum((sizes[grp] - 1) * covs[grp][j][k] for grp in order) / (sp.n_total - sp.n_groups)
+         for k in range(sp.n_variables)]
+        for j in range(sp.n_variables)
+    ]
     m_stat = (sp.n_total - sp.n_groups) * _log_det_cov(pooled, "pooled")
     for grp in order:
         m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {group_name(grp)}")
@@ -311,7 +323,7 @@ def _box_m(sp: ScatterPair) -> BoxMResult:
 
 
 def box_m_from_data(
-    x: np.ndarray, labels: Sequence[Hashable], group_order: Sequence[Hashable] | None = None
+    x, labels: Sequence[Hashable], group_order: Sequence[Hashable] | None = None
 ) -> BoxMResult:
     """Box's M test of equal group covariances, with its F approximation.
 
@@ -321,19 +333,19 @@ def box_m_from_data(
     return _box_m(scatter_from_data(x, labels, group_order))
 
 
-def _project(x: np.ndarray, model: MdaModel) -> np.ndarray:
-    vectors = np.column_stack([f.coefficients for f in model.functions])
-    return (np.asarray(x, dtype=float) - model.scatter.grand_mean) @ vectors
-
-
-def _centroid_matrix(model: MdaModel) -> np.ndarray:
-    return np.array(
-        [[f.group_centroids[g] for f in model.functions] for g in model.scatter.group_order]
-    )
+def _project(x: list[list[float]], model: MdaModel) -> list[list[float]]:
+    """Each case's canonical scores: (x - grand mean) times each function's coefficients."""
+    grand_mean = model.scatter.grand_mean
+    vectors = [f.coefficients for f in model.functions]
+    scores = []
+    for row in x:
+        centered = [v - m for v, m in zip(row, grand_mean)]
+        scores.append([numcore.dot(centered, vector) for vector in vectors])
+    return scores
 
 
 def classify_data(
-    x: np.ndarray, labels: Sequence[Hashable], model: MdaModel
+    x, labels: Sequence[Hashable], model: MdaModel
 ) -> ClassificationMatrix:
     """Resubstitution-style confusion matrix: nearest centroid in canonical space."""
     unknown = set(labels) - set(model.scatter.group_order)
@@ -341,27 +353,33 @@ def classify_data(
         raise ValidationError(
             f"labels not in fitted model: {sorted(map(group_name, unknown))}"
         )
+    x = numcore.as_rows(x, "data")
+    if x and len(x[0]) != model.scatter.n_variables:
+        raise ValidationError(
+            f"data has {len(x[0])} columns; the model has {model.scatter.n_variables}"
+        )
     return _classify_scores(_project(x, model), labels, model)
 
 
 def _classify_scores(
-    scores: np.ndarray, labels: Sequence[Hashable], model: MdaModel
+    scores: list[list[float]], labels: Sequence[Hashable], model: MdaModel
 ) -> ClassificationMatrix:
     order = model.scatter.group_order
     index = {g: i for i, g in enumerate(order)}
-    centroids = _centroid_matrix(model)
-    counts = np.zeros((len(order), len(order)), dtype=int)
+    centroids = [[f.group_centroids[g] for f in model.functions] for g in order]
+    counts = [[0] * len(order) for _ in order]
     for row, actual in zip(scores, labels):
-        distances = np.linalg.norm(centroids - row, axis=1)
-        counts[index[actual], int(np.argmin(distances))] += 1
+        # The first nearest centroid wins a tie.
+        nearest = min(range(len(order)), key=lambda k: math.dist(centroids[k], row))
+        counts[index[actual]][nearest] += 1
     return ClassificationMatrix.from_counts(counts, order)
 
 
 def _case_projections(
-    cards: Sequence[ScoreCard], scores: np.ndarray, labels: Sequence[Hashable], model: MdaModel
+    cards: Sequence[ScoreCard], scores: list[list[float]], labels: Sequence[Hashable], model: MdaModel
 ) -> CaseProjections:
     cases = [
-        CaseProjection(card.report_id, label, tuple(float(s) for s in row))
+        CaseProjection(card.report_id, label, tuple(row))
         for card, label, row in zip(cards, labels, scores)
     ]
     return CaseProjections(cases, len(model.functions))
@@ -411,7 +429,7 @@ def mda_result_to_dict(result: MdaResult) -> dict:
             {
                 "index": f.index,
                 "eigenvalue": f.eigenvalue,
-                "coefficients": [float(c) for c in f.coefficients],
+                "coefficients": list(f.coefficients),
                 "centroids": {
                     group_name(g): f.group_centroids[g] for g in model.scatter.group_order
                 },
@@ -437,8 +455,8 @@ def mda_result_to_dict(result: MdaResult) -> dict:
             "equal_covariance_rejected_at_05": result.box.p < 0.05,
         },
         "classification": {
-            "counts": result.classification.counts.tolist(),
-            "row_percentages": result.classification.row_percentages.tolist(),
+            "counts": [list(row) for row in result.classification.counts],
+            "row_percentages": [list(row) for row in result.classification.row_percentages],
             "hit_rate_percent": result.classification.hit_rate,
         },
     }

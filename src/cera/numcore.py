@@ -1,22 +1,19 @@
 """Dense linear algebra and distribution tails for the analysis modules.
 
-Problem sizes here are tiny (at most 10x10: one row/column per scoring
-criterion), so everything is a direct dense method. Matrices are plain
-``numpy`` arrays; anything array-like is accepted and converted. numpy is
-imported by the matrix functions only, so the distribution tails (all that
-ANOVA needs) load without it.
+Problem sizes here are tiny (at most 23x23: one row/column per scoring
+criterion, or per free parameter of a covariance model), so everything is a
+direct dense method in plain Python. A matrix is a list of row lists of
+floats; anything array-like is accepted and converted. Nothing here imports
+numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
+from operator import mul
 
 from .errors import ConditioningError, ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 # Symmetry tolerance used by consumers of symmetric matrices.
 SYMMETRY_RTOL = 1e-10
@@ -28,21 +25,219 @@ _EPS = sys.float_info.epsilon
 _TINY = 1e-300
 _MAX_TERMS = 100_000
 
+# Cyclic Jacobi converges quadratically; this many sweeps only bounds the
+# loop on input it cannot diagonalize (non-finite entries).
+_JACOBI_SWEEPS = 50
 
-def check_symmetric(m, name: str = "matrix") -> np.ndarray:
+
+class Matrix(list):
+    """A dense matrix as a list of row lists, returned where results are matrices.
+
+    ``+`` adds two matrices entry by entry and ``sum`` totals every entry or,
+    with ``axis=1``, each row, as array callers expect; other list operations
+    are unchanged.
+    """
+
+    def __add__(self, other):
+        return Matrix([[a + b for a, b in zip(r, s, strict=True)]
+                       for r, s in zip(self, other, strict=True)])
+
+    def sum(self, axis: int | None = None):
+        if axis is None:
+            return sum(map(sum, self))
+        if axis == 1:
+            return [sum(row) for row in self]
+        raise ValueError(f"axis must be None or 1, got {axis!r}")
+
+
+def dot(a, b) -> float:
+    return sum(map(mul, a, b))
+
+
+def centered_columns(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """The column means of ``rows`` and each column minus its mean."""
+    cols = list(zip(*rows))
+    means = [sum(col) / len(rows) for col in cols]
+    return means, [[v - m for v in col] for col, m in zip(cols, means)]
+
+
+def gram(cols: list[list[float]]) -> Matrix:
+    """Inner products of every pair of ``cols``, exactly symmetric."""
+    p = len(cols)
+    out = Matrix([0.0] * p for _ in range(p))
+    for j in range(p):
+        for k in range(j, p):
+            out[j][k] = out[k][j] = dot(cols[j], cols[k])
+    return out
+
+
+def as_rows(m, name: str = "matrix") -> list[list[float]]:
+    """``m`` as a list of equal-length rows of floats; ValidationError unless 2-D."""
+    try:
+        rows = [[float(v) for v in row] for row in m]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a 2-D array") from None
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError(f"{name} must be a 2-D array, got rows of unequal length")
+    return rows
+
+
+def shape(rows: list[list[float]]) -> tuple[int, int]:
+    return (len(rows), len(rows[0]) if rows else 0)
+
+
+def check_symmetric(m, name: str = "matrix") -> list[list[float]]:
     """Validate |a_ij - a_ji| <= SYMMETRY_RTOL * max(1, |a_ij|) entrywise."""
-    import numpy as np
-
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {a.shape}")
-    tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
-    if not np.all(np.abs(a - a.T) <= tol):
-        raise ValidationError(f"{name} is not symmetric within tolerance")
+    a = as_rows(m, name)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValidationError(f"{name} must be square, got shape {shape(a)}")
+    for i in range(n):
+        for j in range(i, n):
+            x, y = a[i][j], a[j][i]
+            tol = SYMMETRY_RTOL * max(1.0, min(abs(x), abs(y)))
+            if not abs(x - y) <= tol:
+                raise ValidationError(f"{name} is not symmetric within tolerance")
     return a
 
 
-def generalized_eigen(b, w) -> list[tuple[float, np.ndarray]]:
+def cholesky(a) -> list[list[float]] | None:
+    """Lower factor L of a = L L' for symmetric ``a``, or None unless ``a`` is
+    positive definite (some pivot is not positive and finite).
+
+    Row i of L holds its i + 1 entries on and left of the diagonal.
+    """
+    chol: list[list[float]] = []
+    for i, row in enumerate(a):
+        li: list[float] = []
+        for j in range(i):
+            lj = chol[j]
+            li.append((row[j] - dot(li, lj)) / lj[j])
+        pivot = row[i] - dot(li, li)
+        if not 0.0 < pivot < math.inf:
+            return None
+        li.append(math.sqrt(pivot))
+        chol.append(li)
+    return chol
+
+
+def log_det(chol: list[list[float]]) -> float:
+    """ln |a| from the Cholesky factor of a."""
+    return 2.0 * sum(math.log(row[-1]) for row in chol)
+
+
+def solve_lower(chol: list[list[float]], b) -> list[float]:
+    """y with L y = b, by forward substitution."""
+    y: list[float] = []
+    for row, bi in zip(chol, b):
+        y.append((bi - dot(row, y)) / row[-1])
+    return y
+
+
+def solve_lower_t(chol: list[list[float]], y) -> list[float]:
+    """x with L' x = y, by back substitution."""
+    x = list(y)
+    for i in range(len(chol) - 1, -1, -1):
+        row = chol[i]
+        xi = x[i] = x[i] / row[i]
+        x[:i] = [xk - lik * xi for xk, lik in zip(x[:i], row)]
+    return x
+
+
+def _inverse_columns(chol: list[list[float]]) -> list[list[float]]:
+    """The columns of L^-1: column j is zero above row j and solves L y = e_j below."""
+    n = len(chol)
+    cols = []
+    for j in range(n):
+        tail = [1.0 / chol[j][j]]
+        for row in chol[j + 1 :]:
+            tail.append(-dot(row[j:], tail) / row[-1])
+        cols.append([0.0] * j + tail)
+    return cols
+
+
+def inverse_from_cholesky(chol: list[list[float]]) -> list[list[float]]:
+    """a^-1 = L^-T L^-1 from the Cholesky factor of a, exactly symmetric."""
+    n = len(chol)
+    cols = _inverse_columns(chol)
+    inv = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            inv[i][j] = inv[j][i] = dot(cols[i], cols[j])
+    return inv
+
+
+def eigh(a) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues, ascending, and unit eigenvectors of symmetric ``a``.
+
+    Cyclic Jacobi: each rotation zeroes one off-diagonal pair; an entry is
+    left alone once it is at most eps * sqrt(|a_pp a_qq|), too small to move
+    an eigenvalue beyond rounding, and the sweeps stop when one rotates
+    nothing. ``vectors[k]`` belongs to ``values[k]``.
+    """
+    n = len(a)
+    a = [list(row) for row in a]
+    vecs = [[float(i == j) for j in range(n)] for i in range(n)]  # rows are eigenvectors
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                app, aqq = a[p][p], a[q][q]
+                if not abs(apq) > _EPS * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
+                    continue
+                rotated = True
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p], a[q]
+                new_p = [c * x - s * y for x, y in zip(rp, rq)]
+                new_q = [s * x + c * y for x, y in zip(rp, rq)]
+                new_p[p] = app - t * apq
+                new_q[q] = aqq + t * apq
+                new_p[q] = new_q[p] = 0.0
+                a[p], a[q] = new_p, new_q
+                for row, xp, xq in zip(a, new_p, new_q):
+                    row[p] = xp
+                    row[q] = xq
+                vp, vq = vecs[p], vecs[q]
+                vecs[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                vecs[q] = [s * x + c * y for x, y in zip(vp, vq)]
+        if not rotated:
+            break
+    order = sorted(range(n), key=lambda k: a[k][k])
+    return [a[k][k] for k in order], [vecs[k] for k in order]
+
+
+def lstsq_symmetric(a, b) -> list[float]:
+    """Minimum-norm least-squares solution of a x = b for symmetric ``a``.
+
+    As ``np.linalg.lstsq(a, b, rcond=None)``: singular values (here the
+    eigenvalues' magnitudes) at or below eps * n times the largest count as
+    zero. When a Cholesky factor exists and bounds the smallest eigenvalue
+    above that cutoff (lambda_min >= 1 / ||L^-1||_F^2, lambda_max <= ||a||_F),
+    no value is cut and the factor solves the system; otherwise the solution
+    is built from the eigendecomposition.
+    """
+    n = len(a)
+    cutoff = _EPS * n
+    chol = cholesky(a)
+    if chol is not None:
+        inv_norm2 = sum(dot(col, col) for col in _inverse_columns(chol))
+        if 1.0 > cutoff * math.sqrt(sum(dot(row, row) for row in a)) * inv_norm2:
+            return solve_lower_t(chol, solve_lower(chol, b))
+    values, vectors = eigh(a)
+    largest = max((abs(v) for v in values), default=0.0)
+    x = [0.0] * n
+    for value, vec in zip(values, vectors):
+        if abs(value) > cutoff * largest:
+            coef = dot(vec, b) / value
+            x = [xi + coef * vi for xi, vi in zip(x, vec)]
+    return x
+
+
+def generalized_eigen(b, w) -> list[tuple[float, list[float]]]:
     """Solve B v = lambda W v for symmetric B and symmetric positive-definite W.
 
     W is reduced by its Cholesky factor to a standard symmetric eigenproblem.
@@ -50,29 +245,27 @@ def generalized_eigen(b, w) -> list[tuple[float, np.ndarray]]:
     each vector normalized so v' W v = 1 and its first nonzero component
     positive.
     """
-    import numpy as np
-
     b = check_symmetric(b, "b")
     w = check_symmetric(w, "w")
-    if b.shape != w.shape:
-        raise ValidationError(f"dimension mismatch: b is {b.shape}, w is {w.shape}")
-    try:
-        chol = np.linalg.cholesky(w)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("w is not positive definite") from exc
-    # C = L^-1 B L^-T shares eigenvalues with the pencil (B, W).
-    tmp = np.linalg.solve(chol, b)
-    c = np.linalg.solve(chol, tmp.T)
-    c = 0.5 * (c + c.T)
-    values, vectors = np.linalg.eigh(c)
-    out: list[tuple[float, np.ndarray]] = []
-    for idx in np.argsort(values)[::-1]:
-        u = vectors[:, idx]
-        v = np.linalg.solve(chol.T, u)
-        nonzero = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
-        if nonzero.size and v[nonzero[0]] < 0:
-            v = -v
-        out.append((float(values[idx]), v))
+    if len(b) != len(w):
+        raise ValidationError(f"dimension mismatch: b is {shape(b)}, w is {shape(w)}")
+    chol = cholesky(w)
+    if chol is None:
+        raise ConditioningError("w is not positive definite")
+    # C = L^-1 B L^-T shares eigenvalues with the pencil (B, W); B's rows are
+    # its columns, and the columns of L^-1 B are the rows of its transpose.
+    half = [solve_lower(chol, row) for row in b]
+    cols = [solve_lower(chol, list(col)) for col in zip(*half)]
+    c = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(cols, zip(*cols))]
+    values, vectors = eigh(c)
+    out: list[tuple[float, list[float]]] = []
+    for value, u in sorted(zip(values, vectors), key=lambda pair: -pair[0]):
+        v = solve_lower_t(chol, u)
+        floor = 1e-12 * max(1.0, max(map(abs, v)))
+        first = next((x for x in v if abs(x) > floor), 0.0)
+        if first < 0:
+            v = [-x for x in v]
+        out.append((value, v))
     return out
 
 

@@ -68,6 +68,23 @@ class ScoreCard:
         return all(v == 0 for v in self.frequencies.values())
 
 
+def score_rows(cards: Sequence[ScoreCard], criterion_ids: Sequence[str]) -> list[list[float]]:
+    """Each card's scores for ``criterion_ids``, in that order, as floats.
+
+    A card without one of the criteria is a ValidationError naming both.
+    """
+    rows = []
+    for card in cards:
+        scores = card.scores
+        try:
+            rows.append([float(scores[cid]) for cid in criterion_ids])
+        except KeyError as exc:
+            raise ValidationError(
+                f"report {card.report_id} has no score for criterion {exc.args[0]!r}"
+            ) from None
+    return rows
+
+
 class ReportMeta(NamedTuple):
     sector: Sector
     language_tag: str

@@ -5,17 +5,18 @@ constructs (Sigma = Lambda Phi Lambda' + Theta). Models are written in a
 small text config, compiled once per fit into matrix cells, fit to a
 sample covariance matrix by Fisher scoring on the ML discrepancy with
 analytic derivatives (Joreskog 1969; Lee & Jennrich 1979), and reported
-as chi-square / df / p plus standardized estimates.
+as chi-square / df / p plus standardized estimates. The arithmetic is plain
+Python on lists of rows (``numcore``); a covariance matrix passed in may be
+any array-like.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from . import numcore
 from .errors import (
@@ -24,7 +25,8 @@ from .errors import (
     ParameterBoundsError,
     ValidationError,
 )
-from .scoring import ScoreCard
+from .numcore import Matrix, dot
+from .scoring import ScoreCard, score_rows
 
 # Residual variances this far below the observed variance are flagged as
 # boundary (Heywood) solutions.
@@ -278,39 +280,41 @@ class _CompiledModel:
     entries: tuple[tuple[str, tuple[int, int, int]], ...]
     free: tuple[str, ...]
     cells: tuple[tuple[int, int, int], ...]
-    logged: np.ndarray
-    base: tuple[np.ndarray, np.ndarray, np.ndarray]
+    logged: tuple[bool, ...]
+    base: tuple[list[list[float]], list[list[float]], list[list[float]]]
 
-    def matrices(self, values) -> list[np.ndarray]:
+    def matrices(self, values) -> list[list[list[float]]]:
         """Lambda, Phi and Theta with the free cells set to ``values``."""
-        mats = [m.copy() for m in self.base]
+        mats = [[list(row) for row in m] for m in self.base]
         for cell, value in zip(self.cells, values):
             _put(mats, cell, value)
         return mats
 
-    def natural(self, x: np.ndarray) -> np.ndarray:
-        values = x.copy()
-        with np.errstate(over="ignore"):
-            values[self.logged] = np.exp(x[self.logged])
-        return values
+    def natural(self, x) -> list[float]:
+        return [_exp(v) if logged else v for v, logged in zip(x, self.logged)]
 
-    def start(self, s: np.ndarray) -> np.ndarray:
+    def start(self, s: list[list[float]]) -> list[float]:
         """Deterministic starts: loadings 0.5, residuals half the observed variance,
         latent covariances 0, free latent variances 1 (all in optimizer space)."""
-        return np.array(
-            [
-                0.5 if k == _LAMBDA else math.log(0.5 * s[i, i]) if k == _THETA else 0.0
-                for k, i, _ in self.cells
-            ],
-            dtype=float,
-        )
+        return [
+            0.5 if k == _LAMBDA else math.log(0.5 * s[i][i]) if k == _THETA else 0.0
+            for k, i, _ in self.cells
+        ]
 
 
-def _put(mats: Sequence[np.ndarray], cell: tuple[int, int, int], value: float) -> None:
+def _exp(x: float) -> float:
+    """exp(x), infinite where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _put(mats: Sequence[list[list[float]]], cell: tuple[int, int, int], value: float) -> None:
     k, i, j = cell
-    mats[k][i, j] = value
+    mats[k][i][j] = value
     if k != _LAMBDA:
-        mats[k][j, i] = value
+        mats[k][j][i] = value
 
 
 def _compile(model: SemModelSpec) -> _CompiledModel:
@@ -325,7 +329,8 @@ def _compile(model: SemModelSpec) -> _CompiledModel:
     params += [(f"residual {ov}", model.residual_variances[ov], (_THETA, obs[ov], obs[ov]))
                for ov in model.observed_vars]
     p, m = len(obs), len(lat)
-    base = (np.zeros((p, m)), np.zeros((m, m)), np.zeros((p, p)))
+    base = ([[0.0] * m for _ in range(p)], [[0.0] * m for _ in range(m)],
+            [[0.0] * p for _ in range(p)])
     for _, fixed, cell in params:
         if fixed is not None:
             _put(base, cell, fixed)
@@ -334,14 +339,20 @@ def _compile(model: SemModelSpec) -> _CompiledModel:
         entries=tuple((name, cell) for name, _, cell in params),
         free=tuple(name for name, _ in free),
         cells=tuple(cell for _, cell in free),
-        logged=np.array([k != _LAMBDA and i == j for _, (k, i, j) in free], dtype=bool),
+        logged=tuple(k != _LAMBDA and i == j for _, (k, i, j) in free),
         base=base,
     )
 
 
-def _sigma(lam: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    sigma = lam @ phi @ lam.T + theta
-    return 0.5 * (sigma + sigma.T)
+def _sigma(lam, phi, theta) -> tuple[list[list[float]], list[list[float]]]:
+    """Sigma = Lambda Phi Lambda' + Theta, exactly symmetric, and Lambda Phi."""
+    lam_phi = [[dot(row, col) for col in phi] for row in lam]  # Phi is symmetric
+    p = len(lam)
+    sigma = [[0.0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            sigma[i][j] = sigma[j][i] = dot(lam_phi[i], lam[j]) + theta[i][j]
+    return sigma, lam_phi
 
 
 def _require(params: Mapping[str, float], key: str) -> float:
@@ -350,7 +361,7 @@ def _require(params: Mapping[str, float], key: str) -> float:
     return float(params[key])
 
 
-def implied_covariance(model: SemModelSpec, params: Mapping[str, float]) -> np.ndarray:
+def implied_covariance(model: SemModelSpec, params: Mapping[str, float]) -> Matrix:
     """Sigma(theta) = Lambda Phi Lambda' + Theta for the given assignment.
 
     Free residual variances must be strictly positive; a residual may sit at
@@ -359,154 +370,170 @@ def implied_covariance(model: SemModelSpec, params: Mapping[str, float]) -> np.n
     compiled = _compile(model)
     lam, phi, theta = compiled.matrices([_require(params, name) for name in compiled.free])
     for i, ov in enumerate(model.observed_vars):
-        value = float(theta[i, i])
+        value = theta[i][i]
         if value < 0 or (model.residual_variances[ov] is None and value <= 0):
             raise ParameterBoundsError(f"residual variance of {ov!r} must be positive, got {value}")
-    return _sigma(lam, phi, theta)
+    return Matrix(_sigma(lam, phi, theta)[0])
 
 
-def _chol_logdet(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    chol = np.linalg.cholesky(matrix)
-    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _ml_value(
+    s: list[list[float]], sigma: list[list[float]], logdet_s: float
+) -> tuple[float, list[list[float]]] | None:
+    """ln|Sigma| + tr(S Sigma^-1) - ln|S| - p, and Sigma^-1; None when Sigma
+    is not PD."""
+    chol = numcore.cholesky(sigma)
+    if chol is None:
+        return None
+    sigma_inv = numcore.inverse_from_cholesky(chol)
+    trace = sum(map(dot, s, sigma_inv))  # both symmetric: sum of S_ij (Sigma^-1)_ij
+    return numcore.log_det(chol) + trace - logdet_s - len(s), sigma_inv
 
 
-def _ml_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float) -> tuple[float, np.ndarray]:
-    """ln|Sigma| + tr(S Sigma^-1) - ln|S| - p, and Sigma^-1; LinAlgError when
-    Sigma is not PD."""
-    chol, logdet_sigma = _chol_logdet(sigma)
-    inv_chol = np.linalg.inv(chol)
-    trace = float(np.sum((inv_chol @ s) * inv_chol))
-    return logdet_sigma + trace - logdet_s - s.shape[0], inv_chol.T @ inv_chol
+def _sample_log_det(s: list[list[float]]) -> float:
+    chol = numcore.cholesky(s)
+    if chol is None:
+        raise ConditioningError("sample covariance is not positive definite")
+    return numcore.log_det(chol)
 
 
 def ml_discrepancy(s, sigma) -> float:
     """F_ML = ln|Sigma| + tr(S Sigma^-1) - ln|S| - p; zero iff Sigma = S."""
     s = numcore.check_symmetric(s, "S")
     sigma = numcore.check_symmetric(sigma, "sigma")
-    if s.shape != sigma.shape:
-        raise ValidationError(f"shape mismatch: {s.shape} vs {sigma.shape}")
-    try:
-        _, logdet_s = _chol_logdet(s)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("sample covariance is not positive definite") from None
-    try:
-        value, _ = _ml_value(s, sigma, logdet_s)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("implied covariance is not positive definite") from None
+    if len(s) != len(sigma):
+        raise ValidationError(f"shape mismatch: {numcore.shape(s)} vs {numcore.shape(sigma)}")
+    result = _ml_value(s, sigma, _sample_log_det(s))
+    if result is None:
+        raise ConditioningError("implied covariance is not positive definite")
+    value = result[0]
     # Roundoff at Sigma = S can land a hair below zero.
     return 0.0 if -1e-10 < value < 0.0 else value
 
 
 def fd_gradient(
-    func: Callable[[np.ndarray], float], x: np.ndarray, eps: float | None = None
-) -> np.ndarray:
+    func: Callable[[list[float]], float], x, eps: float | None = None
+) -> list[float]:
     """Forward-difference gradient with per-coordinate steps scaled to |x_i|."""
-    x = np.asarray(x, dtype=float)
-    base = math.sqrt(np.finfo(float).eps) if eps is None else eps
+    x = [float(v) for v in x]
+    base = math.sqrt(sys.float_info.epsilon) if eps is None else eps
     f0 = func(x)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = base * max(1.0, abs(x[i]))
-        shifted = x.copy()
+    grad = []
+    for i, xi in enumerate(x):
+        step = base * max(1.0, abs(xi))
+        shifted = list(x)
         shifted[i] += step
-        grad[i] = (func(shifted) - f0) / step
+        grad.append((func(shifted) - f0) / step)
     return grad
 
 
-def _penalized_value(s: np.ndarray, sigma: np.ndarray, logdet_s: float) -> float:
+def _penalized_value(s: list[list[float]], sigma: list[list[float]], logdet_s: float) -> float:
     """F_ML, or outside the PD region a penalty by how far the spectrum dips."""
-    try:
-        return _ml_value(s, sigma, logdet_s)[0]
-    except np.linalg.LinAlgError:
-        return 1e6 * (1.0 - float(np.linalg.eigvalsh(sigma)[0]))
+    result = _ml_value(s, sigma, logdet_s)
+    if result is None:
+        return 1e6 * (1.0 - numcore.eigh(sigma)[0][0])
+    return result[0]
 
 
 @dataclass
 class _Point:
     """One optimizer point with what the next scoring step needs."""
 
-    x: np.ndarray
+    x: list[float]
     value: float
-    sigma_inv: np.ndarray
-    mats: list[np.ndarray]
-    natural: np.ndarray
+    sigma: list[list[float]]
+    sigma_inv: list[list[float]]
+    lam_phi: list[list[float]]
+    mats: list[list[list[float]]]
+    natural: list[float]
 
 
-def _evaluate(compiled: _CompiledModel, s: np.ndarray, logdet_s: float, x: np.ndarray) -> _Point:
-    """F_ML at ``x``; LinAlgError when Sigma(x) is not PD or not finite."""
+def _evaluate(compiled: _CompiledModel, s, logdet_s: float, x) -> _Point | None:
+    """F_ML at ``x``; None when Sigma(x) is not PD or a parameter is not finite."""
     natural = compiled.natural(x)
-    if not np.all(np.isfinite(natural)):
-        raise np.linalg.LinAlgError("non-finite parameter")
+    if not all(map(math.isfinite, natural)):
+        return None
     mats = compiled.matrices(natural)
-    value, sigma_inv = _ml_value(s, _sigma(*mats), logdet_s)
-    return _Point(x, value, sigma_inv, mats, natural)
+    sigma, lam_phi = _sigma(*mats)
+    result = _ml_value(s, sigma, logdet_s)
+    if result is None:
+        return None
+    value, sigma_inv = result
+    return _Point(list(x), value, sigma, sigma_inv, lam_phi, mats, natural)
 
 
-def _sigma_derivatives(compiled: _CompiledModel, point: _Point) -> np.ndarray:
-    """dSigma/dx_a for each free parameter a, stacked (q, p, p)."""
-    lam, phi, _ = point.mats
-    lam_phi = lam @ phi
-    p = lam.shape[0]
-    d = np.zeros((len(compiled.cells), p, p))
-    for a, (k, i, j) in enumerate(compiled.cells):
-        if k == _LAMBDA:  # e_i (Lambda Phi)_j' plus its transpose
-            d[a, i] += lam_phi[:, j]
-            d[a, :, i] += lam_phi[:, j]
-        elif k == _PHI:  # lambda_i lambda_j' plus its transpose off the diagonal
-            d[a] = np.outer(lam[:, i], lam[:, j])
-            if i != j:
-                d[a] += d[a].T
-        else:
-            d[a, i, i] = 1.0
-    # Chain rule for log-parametrized variances: d/dx = variance * d/dvariance.
-    d[compiled.logged] *= point.natural[compiled.logged, None, None]
-    return d
-
-
-def _score(compiled: _CompiledModel, s: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray]:
+def _score(compiled: _CompiledModel, s, point: _Point) -> tuple[list[float], list[list[float]]]:
     """Gradient of F_ML and the expected information at ``point``, in optimizer space.
 
-    g_a = sum G * dSigma_a with G = Sigma^-1 (Sigma - S) Sigma^-1, and
-    H_ab = tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b).
+    Each dSigma_a is c_a (x y' + y x') for two columns x, y of
+    V = [I, Lambda Phi, Lambda]: a loading's x is e_i and y (Lambda Phi)_j, a
+    latent (co)variance's x and y are lambda_i and lambda_j, a residual's both
+    e_i, with c_a 1/2 on a diagonal cell and times the variance where it is
+    log-parametrized (chain rule). With K = Sigma^-1 and G = V' K V,
+    g_a = tr(K (Sigma - S) K dSigma_a) = 2 c_a (K x)' (Sigma - S) (K y) and
+    H_ab = tr(K dSigma_a K dSigma_b) = 2 c_a c_b (G_yz G_xw + G_yw G_xz) for
+    dSigma_b = c_b (z w' + w z').
     """
-    d = _sigma_derivatives(compiled, point)
+    lam = point.mats[_LAMBDA]
+    p, m = len(lam), len(lam[0])
     sigma_inv = point.sigma_inv
-    grad = np.einsum("ij,aij->a", sigma_inv - sigma_inv @ s @ sigma_inv, d)
-    weighted = sigma_inv @ d
-    return grad, np.einsum("aij,bji->ab", weighted, weighted)
+    # K e_i is row i of the symmetric K, and e_i' K v is entry i of K v.
+    factor_cols = [list(col) for col in zip(*point.lam_phi)] + [list(col) for col in zip(*lam)]
+    k_v = [list(row) for row in sigma_inv]
+    k_v += [[dot(row, v) for row in sigma_inv] for v in factor_cols]
+    gram = [[u[i] for u in k_v] for i in range(p)]
+    gram += [[dot(v, u) for u in k_v] for v in factor_cols]
+
+    terms = []
+    for (k, i, j), logged, value in zip(compiled.cells, compiled.logged, point.natural):
+        scale = (0.5 if i == j and k != _LAMBDA else 1.0) * (value if logged else 1.0)
+        if k == _LAMBDA:
+            terms.append((i, p + j, scale))
+        elif k == _PHI:
+            terms.append((p + m + i, p + m + j, scale))
+        else:
+            terms.append((i, i, scale))
+    resid = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(point.sigma, s)]
+    resid_k_v = {y: [dot(row, k_v[y]) for row in resid] for y in {y for _, y, _ in terms}}
+    grad = [2.0 * c * dot(k_v[x], resid_k_v[y]) for x, y, c in terms]
+    q = len(terms)
+    info = [[0.0] * q for _ in range(q)]
+    for a, (x, y, c_a) in enumerate(terms):
+        gx, gy = gram[x], gram[y]
+        for b in range(a, q):
+            z, w, c_b = terms[b]
+            info[a][b] = info[b][a] = 2.0 * c_a * c_b * (gy[z] * gx[w] + gy[w] * gx[z])
+    return grad, info
 
 
 def _fisher_scoring(
-    compiled: _CompiledModel, s: np.ndarray, logdet_s: float, point: _Point
+    compiled: _CompiledModel, s: list[list[float]], logdet_s: float, point: _Point
 ) -> tuple[_Point, bool, int, str]:
     """Minimize F_ML from ``point`` by Fisher scoring with Armijo backtracking.
 
     The information can be singular (an unidentified direction at the
-    start), so the step is the least-squares solution of H step = -g; a
-    step that does not descend is replaced by -g. A trial point whose Sigma
-    is not positive definite counts as +inf. Returns the last point, whether
-    the gradient test was met, the number of steps taken, and why it stopped.
+    start), so the step is the minimum-norm least-squares solution of
+    H step = -g; a step that does not descend is replaced by -g. A trial
+    point whose Sigma is not positive definite counts as +inf. Returns the
+    last point, whether the gradient test was met, the number of steps
+    taken, and why it stopped.
     """
     iterations = 0
     while True:
         grad, info = _score(compiled, s, point)
-        if np.max(np.abs(grad)) < GRADIENT_TOL:
+        if all(abs(g) < GRADIENT_TOL for g in grad):
             return point, True, iterations, "gradient norm below tolerance"
         if iterations == MAX_ITERATIONS:
             return point, False, iterations, "iteration limit reached"
-        step = -np.linalg.lstsq(info, grad, rcond=None)[0]
-        slope = float(grad @ step)
+        step = [-v for v in numcore.lstsq_symmetric(info, grad)]
+        slope = dot(grad, step)
         if not slope < 0.0:
-            step, slope = -grad, -float(grad @ grad)
+            step, slope = [-g for g in grad], -dot(grad, grad)
         t = 1.0
         while True:
-            x = point.x + t * step
-            if np.array_equal(x, point.x):
+            x = [xi + t * si for xi, si in zip(point.x, step)]
+            if x == point.x:
                 return point, False, iterations, "line search found no decrease"
-            try:
-                trial = _evaluate(compiled, s, logdet_s, x)
-            except np.linalg.LinAlgError:
-                trial = None
+            trial = _evaluate(compiled, s, logdet_s, x)
             if trial is not None and trial.value <= point.value + ARMIJO_C * t * slope:
                 break
             t *= 0.5
@@ -525,37 +552,31 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     """
     s = numcore.check_symmetric(s, "S")
     p = model.n_observed
-    if s.shape != (p, p):
-        raise ValidationError(f"S must be {p}x{p} for this model, got {s.shape}")
+    if len(s) != p:
+        raise ValidationError(f"S must be {p}x{p} for this model, got {numcore.shape(s)}")
     if n_cases <= p:
         raise ValidationError(f"need more cases than variables: N={n_cases}, p={p}")
-    try:
-        _, logdet_s = _chol_logdet(s)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("sample covariance is not positive definite") from None
+    logdet_s = _sample_log_det(s)
     if model.degrees_of_freedom < 0:
         raise ValidationError("model has negative degrees of freedom")
 
     compiled = _compile(model)
     x0 = compiled.start(s)
-    try:
-        point = _evaluate(compiled, s, logdet_s, x0)
-    except np.linalg.LinAlgError:
-        point = None
-    if point is not None and x0.size:
+    point = _evaluate(compiled, s, logdet_s, x0)
+    if point is not None and x0:
         point, converged, iterations, message = _fisher_scoring(compiled, s, logdet_s, point)
         f_min, values, mats = point.value, point.natural, point.mats
     else:
         values = compiled.natural(x0)
         mats = compiled.matrices(values)
-        f_min = _penalized_value(s, _sigma(*mats), logdet_s)
-        converged, iterations = x0.size == 0, 0
+        f_min = _penalized_value(s, _sigma(*mats)[0], logdet_s)
+        converged, iterations = not x0, 0
         message = (
             "no free parameters" if converged
             else "implied covariance is not positive definite at the start values"
         )
 
-    estimates = {name: float(v) for name, v in zip(compiled.free, values)}
+    estimates = dict(zip(compiled.free, values))
     f_min = 0.0 if -1e-10 < f_min < 0.0 else f_min
     chi_square = (n_cases - 1) * f_min
     df = model.degrees_of_freedom
@@ -565,16 +586,16 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     heywood = tuple(
         ov
         for i, ov in enumerate(model.observed_vars)
-        if model.residual_variances[ov] is None and theta[i, i] < HEYWOOD_RTOL * s[i, i]
+        if model.residual_variances[ov] is None and theta[i][i] < HEYWOOD_RTOL * s[i][i]
     )
     standard_form = _standardize(compiled, mats, s) if converged else {}
     return SemFit(
         estimates=estimates,
         standard_form=standard_form,
-        F_ML=float(f_min),
-        chi_square=float(chi_square),
+        F_ML=f_min,
+        chi_square=chi_square,
         df=df,
-        p=float(p_value),
+        p=p_value,
         converged=converged,
         iterations=iterations,
         n_cases=n_cases,
@@ -584,37 +605,36 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
 
 
 def _standardize(
-    compiled: _CompiledModel, mats: list[np.ndarray], s: np.ndarray
+    compiled: _CompiledModel, mats: list[list[list[float]]], s: list[list[float]]
 ) -> dict[str, float]:
     """Loadings, latent correlations and residual shares on the unit-variance scale."""
     lam, phi, theta = mats
-    obs_sd = [math.sqrt(v) for v in np.diag(s)]
-    lat_sd = [math.sqrt(v) for v in np.diag(phi)]
+    obs_sd = [math.sqrt(s[i][i]) for i in range(len(s))]
+    lat_sd = [math.sqrt(phi[i][i]) for i in range(len(phi))]
     table: dict[str, float] = {}
     for name, (k, i, j) in compiled.entries:
         if k == _LAMBDA:
-            table[name] = float(lam[i, j]) * lat_sd[j] / obs_sd[i]
+            table[name] = lam[i][j] * lat_sd[j] / obs_sd[i]
         elif k == _THETA:
-            table[name] = float(theta[i, i]) / (obs_sd[i] ** 2)
+            table[name] = theta[i][i] / (obs_sd[i] ** 2)
         elif i != j:
             denominator = lat_sd[i] * lat_sd[j]
-            table[name] = float(phi[i, j]) / denominator if denominator > 0 else 0.0
+            table[name] = phi[i][j] / denominator if denominator > 0 else 0.0
     return table
 
 
 def covariance_from_cards(
     cards: Sequence[ScoreCard], observed_vars: Sequence[str]
-) -> tuple[np.ndarray, int]:
+) -> tuple[Matrix, int]:
     """Unbiased sample covariance of the score columns, in model order."""
     if len(cards) < 2:
         raise ValidationError("need at least 2 scorecards for a covariance matrix")
     for ov in observed_vars:
         if ov not in cards[0].scores:
             raise ValidationError(f"model variable {ov!r} not found in scorecards")
-    x = np.array(
-        [[card.scores[ov] for ov in observed_vars] for card in cards], dtype=float
-    )
-    return np.cov(x, rowvar=False, ddof=1), len(cards)
+    _, centered = numcore.centered_columns(score_rows(cards, observed_vars))
+    scale = 1 / (len(cards) - 1)
+    return Matrix([v * scale for v in row] for row in numcore.gram(centered)), len(cards)
 
 
 def fit_to_dict(fit: SemFit) -> dict:

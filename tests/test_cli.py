@@ -448,10 +448,10 @@ def test_every_export_exists():
     assert [name for name in cera.__all__ if not hasattr(cera, name)] == []
 
 
-def run_child(script: str, *args: str, env: dict | None = None) -> str:
+def run_child(script: str, *args: str) -> str:
     """Run ``script`` in a fresh interpreter that imports this checkout's cera."""
     src = str(Path(cera.__file__).resolve().parents[1])
-    env = dict(os.environ if env is None else env, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -475,72 +475,6 @@ assert not loaded, loaded
     run_child(script)
 
 
-def test_commands_without_matrix_work_load_no_numpy(tmp_path):
-    """--help, mine, score and anova run without importing numpy."""
-    script = """
-import contextlib, io, sys
-from cera.cli import run_subcommand
-manifest, out = sys.argv[1:]
-common = ["--out-dir", out]
-for argv in (["--help"], ["mine", "--manifest", manifest, *common],
-             ["score", "--manifest", manifest, *common], ["anova", *common]):
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = run_subcommand(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 0, argv
-    loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
-    assert not loaded, (argv[0], loaded[:5])
-"""
-    out = tmp_path / "out"
-    run_child(script, str(MANIFEST), str(out))
-    assert (out / "anova.csv").is_file()
-
-
-class TestBlasThreadDefault:
-    def main_env(self, monkeypatch, **preset):
-        """The BLAS variables as ``main()`` leaves them, given ``preset``."""
-        import cera.cli as cli
-
-        for var in cli.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in preset.items():
-            monkeypatch.setenv(var, value)
-        monkeypatch.setattr(cli, "run_subcommand", lambda argv=None: 0)
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
-        assert exc.value.code == 0
-        return {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS}
-
-    def test_one_thread_when_unset(self, monkeypatch):
-        assert self.main_env(monkeypatch) == {
-            "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None,
-        }
-
-    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
-    def test_user_setting_wins(self, monkeypatch, var):
-        expected = {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None,
-                    "OMP_NUM_THREADS": None, var: "3"}
-        assert self.main_env(monkeypatch, **{var: "3"}) == expected
-
-    def test_set_before_numpy_is_imported(self):
-        script = """
-import os, sys
-for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.pop(var, None)
-import cera.cli as cli
-
-def probe(argv=None):
-    print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
-    return 0
-
-cli.run_subcommand = probe
-cli.main()
-"""
-        assert run_child(script) == "1 False\n"
-
-
 FACTOR_OF = [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]  # v1..v10 -> construct, as in the packaged model
 
 
@@ -560,28 +494,37 @@ def seeded_cards(seed: int, n: int) -> list[ScoreCard]:
     return cards
 
 
-def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """mda and sem write the same bytes with BLAS's own default, one thread and two.
-
-    The children call run_subcommand, not main(), so an unset variable leaves
-    OpenBLAS at its default pool size.
-    """
+def test_no_command_loads_numpy(tmp_path):
+    """Every command runs without importing numpy, the analyses on cards they can fit."""
     cards = tmp_path / "cards.csv"
     write_scorecards_csv(seeded_cards(11, 120), cards)
     script = """
-import sys
+import contextlib, io, sys
 from cera.cli import run_subcommand
-sys.exit(run_subcommand(sys.argv[1:]))
+manifest, cards, out = sys.argv[1:]
+fixture = ["--out-dir", out]
+fitted = ["--scorecards", cards, "--out-dir", out + "-cards"]
+# Six fixture reports are too few for mda and sem, which exit 1 on them.
+runs = [(["--help"], 0), (["mine", "--manifest", manifest, *fixture], 0),
+        (["score", "--manifest", manifest, *fixture], 0), (["anova", *fixture], 0),
+        (["mda", *fixture], 1), (["sem", *fixture], 1),
+        (["pipeline", "--manifest", manifest, "--strategy", "linear", *fixture], 0),
+        (["pipeline", "--manifest", manifest, "--strategy", "binary", *fixture], 0),
+        (["report", *fixture], 0),
+        (["mda", *fitted], 0), (["sem", *fitted], 0), (["report", *fitted], 0)]
+for argv, expected in runs:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run_subcommand(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected, (argv, code)
+    loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+    assert not loaded, (argv[0], loaded[:5])
 """
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    outputs = {}
-    for threads in (None, "1", "2"):
-        env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
-        out = tmp_path / f"threads-{threads}"
-        for command in ("mda", "sem"):
-            run_child(script, command, "--scorecards", str(cards), "--out-dir", str(out), env=env)
-        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert sorted(outputs[None]) == ["case_scores.csv", "mda.json", "sem_fit.json"]
-    assert outputs["1"] == outputs[None]
-    assert outputs["2"] == outputs[None]
+    out = tmp_path / "out"
+    run_child(script, str(MANIFEST), str(cards), str(out))
+    assert (out / "keyword_file.tsv").is_file() and (out / "report.txt").is_file()
+    fit = json.loads((tmp_path / "out-cards" / "sem_fit.json").read_text())
+    assert fit["convergence"]["converged"]
+    assert (tmp_path / "out-cards" / "case_scores.csv").is_file()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cera import numcore
 from cera.errors import ConditioningError, ValidationError
 from cera.mda import (
     ClassificationMatrix,
@@ -32,8 +33,8 @@ class TestScatter:
         sp = scatter_from_data(
             np.array([[0.0], [2.0], [4.0], [6.0]]), ["a", "a", "b", "b"], ("a", "b")
         )
-        assert sp.W[0, 0] == pytest.approx(4.0, rel=1e-12)
-        assert sp.B[0, 0] == pytest.approx(16.0, rel=1e-12)
+        assert sp.W[0][0] == pytest.approx(4.0, rel=1e-12)
+        assert sp.B[0][0] == pytest.approx(16.0, rel=1e-12)
         assert sp.grand_mean[0] == 3.0
         assert sp.group_sizes == {"a": 2, "b": 2}
         assert sp.n_total == 4 and sp.n_variables == 1 and sp.n_groups == 2
@@ -42,8 +43,8 @@ class TestScatter:
         sp = scatter_from_data(
             np.array([[1.0], [1.0], [5.0], [5.0]]), ["a", "a", "b", "b"]
         )
-        assert sp.W[0, 0] == 0.0
-        assert sp.B[0, 0] == pytest.approx(16.0, rel=1e-12)
+        assert sp.W[0][0] == 0.0
+        assert sp.B[0][0] == pytest.approx(16.0, rel=1e-12)
 
     def test_within_plus_between_equals_total(self):
         rng = np.random.default_rng(31)
@@ -53,8 +54,8 @@ class TestScatter:
         centered = x - x.mean(axis=0)
         total = centered.T @ centered
         assert np.allclose(sp.W + sp.B, total, atol=1e-9)
-        assert np.allclose(sp.W, sp.W.T)
-        assert np.allclose(sp.B, sp.B.T)
+        assert np.allclose(sp.W, np.transpose(sp.W))
+        assert np.allclose(sp.B, np.transpose(sp.B))
 
     def test_small_group_rejected(self):
         # p = 2 demands at least 3 cases per group.
@@ -108,7 +109,7 @@ class TestCanonicalFunctions:
         # lambda = B/W = 16/4; v normalized so v' W v = 1.
         assert functions[0].eigenvalue == pytest.approx(4.0, rel=1e-12)
         v = functions[0].coefficients[0]
-        assert v * sp.W[0, 0] * v == pytest.approx(1.0, rel=1e-12)
+        assert v * sp.W[0][0] * v == pytest.approx(1.0, rel=1e-12)
         assert v > 0
 
     def test_function_count_capped_by_groups(self):
@@ -264,9 +265,32 @@ class TestBoxM:
             m_stat -= (size - 1) * float(np.linalg.slogdet(cov)[1])
         return max(m_stat, 0.0)
 
+    @staticmethod
+    def fresh_groups_m(x, labels, order):
+        # The same statistic with each group's rows taken afresh, through
+        # numcore's kernels in the module's order of arithmetic.
+        covs, sizes = [], []
+        for g in order:
+            rows = [[float(v) for v in row] for row, lab in zip(x, labels) if lab == g]
+            _, centered = numcore.centered_columns(rows)
+            scale = 1 / (len(rows) - 1)
+            covs.append([[v * scale for v in row] for row in numcore.gram(centered)])
+            sizes.append(len(rows))
+        n, g, p = len(x), len(order), len(covs[0])
+        pooled = [
+            [sum((size - 1) * cov[j][k] for size, cov in zip(sizes, covs)) / (n - g)
+             for k in range(p)]
+            for j in range(p)
+        ]
+        m_stat = (n - g) * numcore.log_det(numcore.cholesky(pooled))
+        for size, cov in zip(sizes, covs):
+            m_stat -= (size - 1) * numcore.log_det(numcore.cholesky(cov))
+        return max(m_stat, 0.0)
+
     def test_equals_np_cov_oracle_exactly(self):
         # The statistic is built from the discriminant fit's group scatters;
-        # it must match the per-group np.cov form bit for bit.
+        # it must match the per-group form bit for bit, and numpy's np.cov
+        # and LU log-determinants to within rounding.
         rng = np.random.default_rng(2024)
         sectors = (Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY)
         for _ in range(40):
@@ -277,7 +301,8 @@ class TestBoxM:
             labels = [grp for grp, k in enumerate(sizes) for _ in range(k)]
             perm = rng.permutation(len(x))
             x, labels = x[perm], [labels[i] for i in perm]
-            expected = self.cov_oracle_m(x, labels, range(g))
+            expected = self.fresh_groups_m(x, labels, range(g))
+            assert expected == pytest.approx(self.cov_oracle_m(x, labels, range(g)), rel=1e-12)
             assert box_m_from_data(x, labels, range(g)).M == expected
             if g == 3:
                 cards = make_cards(x, [sectors[i] for i in labels])
@@ -352,6 +377,14 @@ class TestClassification:
         model = fit_mda_data(x, labels, ("a", "b"))
         with pytest.raises(ValidationError, match="zzz"):
             classify_data(x, ["zzz"] * 12, model)
+
+    def test_column_count_must_match_model(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(12, 2))
+        labels = ["a"] * 6 + ["b"] * 6
+        model = fit_mda_data(x, labels, ("a", "b"))
+        with pytest.raises(ValidationError, match="3 columns; the model has 2"):
+            classify_data(np.hstack([x, x[:, :1]]), labels, model)
 
 
 class TestProjections:
@@ -428,6 +461,14 @@ class TestRunMda:
             for i, sector in enumerate([Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY] * 3)
         ]
         with pytest.raises(ValidationError, match="no criteria"):
+            run_mda(cards)
+
+    def test_card_missing_a_criterion_named(self):
+        sectors = [Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY]
+        cards = make_cards(np.random.default_rng(6).normal(size=(30, 2)),
+                           [sectors[i % 3] for i in range(30)])
+        cards.append(ScoreCard("late", Sector.PRIMARY, "en", {"c1": 1}, {"c1": 1.0}))
+        with pytest.raises(ValidationError, match="report late has no score for criterion 'c2'"):
             run_mda(cards)
 
     def test_dict_serializable(self):

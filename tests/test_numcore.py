@@ -28,6 +28,7 @@ class TestGeneralizedEigen:
         values = [value for value, _ in pairs]
         assert values == sorted(values, reverse=True)
         for value, vector in pairs:
+            vector = np.asarray(vector)
             assert vector @ w @ vector == pytest.approx(1.0, abs=1e-10)
             nonzero = vector[np.abs(vector) > 1e-12 * np.max(np.abs(vector))]
             assert nonzero[0] > 0
@@ -218,3 +219,60 @@ class TestSymmetryValidation:
 
     def test_tolerates_roundoff(self):
         numcore.check_symmetric([[1.0, 2.0 + 1e-12], [2.0, 5.0]])
+
+
+def _oracle_matrices():
+    """Seeded symmetric matrices of order 1-10 and 23, by kind.
+
+    ``pd`` is positive definite; ``rank`` has rank p // 2 (zero when p = 1);
+    ``indefinite`` has eigenvalues of both signs; ``zero_row`` is positive
+    semidefinite with an exactly zero last row and column.
+    """
+    rng = np.random.default_rng(2026)
+    for p in [*range(1, 11), 23]:
+        a = rng.normal(size=(p, p))
+        low = rng.normal(size=(p, p // 2))
+        zero_row = a @ a.T
+        zero_row[-1, :] = zero_row[:, -1] = 0.0
+        for kind, m in (("pd", a @ a.T + 0.1 * np.eye(p)), ("rank", low @ low.T),
+                        ("indefinite", a + a.T), ("zero_row", zero_row)):
+            yield p, kind, m, rng.normal(size=p)
+
+
+class TestDenseKernelsAgainstNumpy:
+    def test_log_det_matches_slogdet(self):
+        for p, kind, m, _ in _oracle_matrices():
+            chol = numcore.cholesky(m.tolist())
+            sign, logdet = np.linalg.slogdet(m)
+            if kind == "pd":
+                assert sign == 1.0
+                assert numcore.log_det(chol) == pytest.approx(logdet, rel=1e-12, abs=1e-12), p
+                product = np.tril(np.array([row + [0.0] * (p - len(row)) for row in chol]))
+                assert np.allclose(product @ product.T, m, rtol=1e-12, atol=1e-12 * np.abs(m).max())
+            elif kind in ("indefinite", "zero_row"):
+                assert chol is None, (p, kind)
+
+    def test_eigenpairs_match_eigh(self):
+        for p, kind, m, _ in _oracle_matrices():
+            values, vectors = numcore.eigh(m.tolist())
+            expected_values, expected_vectors = np.linalg.eigh(m)
+            scale = max(1.0, np.abs(expected_values).max())
+            assert np.allclose(values, expected_values, rtol=0, atol=1e-13 * scale), (p, kind)
+            v = np.array(vectors).T
+            assert np.allclose(v.T @ v, np.eye(p), rtol=0, atol=1e-13), (p, kind)
+            assert np.allclose(m @ v, v * values, rtol=0, atol=1e-13 * scale), (p, kind)
+            for k in range(p):
+                # A vector is fixed up to sign only when its eigenvalue is simple.
+                others = np.delete(expected_values, k)
+                if min(np.abs(expected_values[k] - others), default=scale) > 1e-6 * scale:
+                    cosine = abs(float(v[:, k] @ expected_vectors[:, k]))
+                    assert cosine == pytest.approx(1.0, abs=1e-10), (p, kind, k)
+
+    def test_least_squares_matches_lstsq(self):
+        for p, kind, m, b in _oracle_matrices():
+            expected, _, rank, _ = np.linalg.lstsq(m, b, rcond=None)
+            got = numcore.lstsq_symmetric(m.tolist(), b.tolist())
+            scale = max(1.0, np.abs(expected).max())
+            assert np.allclose(got, expected, rtol=0, atol=1e-9 * scale), (p, kind, rank)
+            if kind in ("rank", "zero_row"):
+                assert rank < p  # the minimum-norm branch, not a Cholesky solve

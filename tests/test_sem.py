@@ -15,6 +15,7 @@ from cera.errors import (
 from cera import sem
 from cera.miner import Sector
 from cera.report import ResultsBundle, emit_report
+from cera.scoring import ScoreCard
 from cera.sem import (
     _compile,
     _evaluate,
@@ -233,9 +234,9 @@ class TestImpliedCovariance:
             "residual y1": 0.36, "residual y2": 0.51, "residual y3": 0.64,
         }
         sigma = implied_covariance(model, params)
-        assert sigma[0, 1] == pytest.approx(0.8 * 0.7, rel=1e-12)
-        assert sigma[0, 0] == pytest.approx(0.8**2 + 0.36, rel=1e-12)
-        assert np.allclose(sigma, sigma.T)
+        assert sigma[0][1] == pytest.approx(0.8 * 0.7, rel=1e-12)
+        assert sigma[0][0] == pytest.approx(0.8**2 + 0.36, rel=1e-12)
+        assert np.allclose(sigma, np.transpose(sigma))
 
     def test_two_factor_hand_expansion(self):
         model = parse_model(
@@ -286,8 +287,8 @@ y4 =0.1
             parse_model(SATURATED),
             {"variance f1": 2.0, "variance f2": 1.0, "covariance f1~f2": 0.4},
         )
-        assert sigma[0, 1] == 0.4
-        assert sigma[0, 0] == 2.0
+        assert sigma[0][1] == 0.4
+        assert sigma[0][0] == 2.0
 
     def test_missing_parameter_named(self):
         model = parse_model(ONE_FACTOR)
@@ -584,7 +585,8 @@ def test_analytic_derivatives_match_central_differences(spec, seed):
         return ml_discrepancy(s, implied_covariance(model, _natural(model, v)))
 
     def score(cov, v):
-        return _score(compiled, cov, _evaluate(compiled, cov, np.linalg.slogdet(cov)[1], v))
+        grad, info = _score(compiled, cov, _evaluate(compiled, cov, np.linalg.slogdet(cov)[1], v))
+        return np.asarray(grad), np.asarray(info)
 
     h = 1e-6
     steps = h * np.eye(x.size)
@@ -701,13 +703,20 @@ class TestCovarianceFromCards:
         cards = make_cards(matrix, [Sector.PRIMARY] * 3, criterion_prefix="v")
         forward, _ = covariance_from_cards(cards, ["v1", "v2"])
         backward, _ = covariance_from_cards(cards, ["v2", "v1"])
-        assert forward[0, 0] == backward[1, 1]
-        assert forward[0, 1] == backward[1, 0]
+        assert forward[0][0] == backward[1][1]
+        assert forward[0][1] == backward[1][0]
 
     def test_too_few_cards(self):
         cards = make_cards([[1.0]], [Sector.PRIMARY], criterion_prefix="v")
         with pytest.raises(ValidationError):
             covariance_from_cards(cards, ["v1"])
+
+    def test_card_missing_a_variable_named(self):
+        cards = make_cards(np.random.default_rng(6).normal(size=(30, 2)), [Sector.PRIMARY] * 30,
+                           criterion_prefix="v")
+        cards.append(ScoreCard("late", Sector.PRIMARY, "en", {"v1": 1}, {"v1": 1.0}))
+        with pytest.raises(ValidationError, match="report late has no score for criterion 'v2'"):
+            covariance_from_cards(cards, ["v1", "v2"])
 
     def test_unknown_variable(self):
         cards = make_cards([[1.0], [2.0]], [Sector.PRIMARY] * 2, criterion_prefix="v")
