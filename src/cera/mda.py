@@ -5,8 +5,8 @@ discriminant functions from the generalized eigenproblem B v = lambda W v,
 Wilks' Lambda with Bartlett's chi-square approximation, Box's M test of
 equal group covariance matrices, nearest-centroid classification in
 canonical space, and per-case canonical scores. Data and results are plain
-floats and lists (``numcore.Matrix`` for matrices); data may be any
-array-like of rows.
+floats and lists (``numcore.Matrix`` for the scatter matrices and
+classification counts); data may be any array-like of rows.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class ScatterPair:
     B: Matrix  # between-group scatter, p x p
     group_sizes: dict[Hashable, int]
     group_means: dict[Hashable, list[float]]
-    group_scatters: dict[Hashable, Matrix]  # each group's term of W, p x p
+    group_scatters: dict[Hashable, list[list[float]]]  # each group's term of W, p x p
     grand_mean: list[float]
     group_order: tuple[Hashable, ...]
 
@@ -76,7 +76,7 @@ class BoxMResult:
 class ClassificationMatrix:
     group_order: tuple[Hashable, ...]
     counts: Matrix  # g x g, rows = actual, columns = predicted
-    row_percentages: Matrix  # rounded to 1 decimal
+    row_percentages: list[list[float]]  # rounded to 1 decimal
     hit_rate: float  # percent
 
     @classmethod
@@ -89,10 +89,10 @@ class ClassificationMatrix:
         if 0 in row_sums:
             raise ValidationError("classification matrix has an empty actual group")
         # Half-even rounding of the scaled value, as numpy's round(x, 1).
-        percentages = Matrix(
+        percentages = [
             [round(100.0 * c / total * 10.0) / 10.0 for c in row]
             for row, total in zip(counts, row_sums)
-        )
+        ]
         hit_rate = 100.0 * sum(counts[i][i] for i in range(g)) / counts.sum()
         return cls(tuple(group_order), counts, percentages, hit_rate)
 

@@ -18,10 +18,10 @@ from .errors import ConditioningError, ValidationError
 # Symmetry tolerance used by consumers of symmetric matrices.
 SYMMETRY_RTOL = 1e-10
 
-# Series and continued fractions stop when a term changes the sum by less
-# than this relative amount; _TINY keeps modified-Lentz denominators off
+# Machine epsilon. Series and continued fractions stop when a term changes
+# the sum by less than this relative amount; _TINY keeps modified-Lentz denominators off
 # zero, and _MAX_TERMS ends the loop on a NaN argument.
-_EPS = sys.float_info.epsilon
+EPS = sys.float_info.epsilon
 _TINY = 1e-300
 _MAX_TERMS = 100_000
 
@@ -31,16 +31,23 @@ _JACOBI_SWEEPS = 50
 
 
 class Matrix(list):
-    """A dense matrix as a list of row lists, returned where results are matrices.
+    """A dense matrix as a list of row lists, for results that callers combine
+    like arrays (scatter matrices, classification counts).
 
-    ``+`` adds two matrices entry by entry and ``sum`` totals every entry or,
-    with ``axis=1``, each row, as array callers expect; other list operations
-    are unchanged.
+    ``+`` and ``+=`` add two matrices entry by entry and ``sum`` totals every
+    entry or, with ``axis=1``, each row. ``*`` raises rather than repeat rows.
     """
 
     def __add__(self, other):
         return Matrix([[a + b for a, b in zip(r, s, strict=True)]
                        for r, s in zip(self, other, strict=True)])
+
+    __iadd__ = __add__
+
+    def __mul__(self, other):
+        raise TypeError("Matrix supports only + and sum; convert it to an array first")
+
+    __rmul__ = __imul__ = __mul__
 
     def sum(self, axis: int | None = None):
         if axis is None:
@@ -61,10 +68,10 @@ def centered_columns(rows: list[list[float]]) -> tuple[list[float], list[list[fl
     return means, [[v - m for v in col] for col, m in zip(cols, means)]
 
 
-def gram(cols: list[list[float]]) -> Matrix:
+def gram(cols: list[list[float]]) -> list[list[float]]:
     """Inner products of every pair of ``cols``, exactly symmetric."""
     p = len(cols)
-    out = Matrix([0.0] * p for _ in range(p))
+    out = [[0.0] * p for _ in range(p)]
     for j in range(p):
         for k in range(j, p):
             out[j][k] = out[k][j] = dot(cols[j], cols[k])
@@ -184,7 +191,7 @@ def eigh(a) -> tuple[list[float], list[list[float]]]:
             for q in range(p + 1, n):
                 apq = a[p][q]
                 app, aqq = a[p][p], a[q][q]
-                if not abs(apq) > _EPS * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
+                if not abs(apq) > EPS * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
                     continue
                 rotated = True
                 theta = (aqq - app) / (2.0 * apq)
@@ -221,7 +228,7 @@ def lstsq_symmetric(a, b) -> list[float]:
     is built from the eigendecomposition.
     """
     n = len(a)
-    cutoff = _EPS * n
+    cutoff = EPS * n
     chol = cholesky(a)
     if chol is not None:
         inv_norm2 = sum(dot(col, col) for col in _inverse_columns(chol))
@@ -289,7 +296,7 @@ def _upper_gamma(a: float, x: float) -> float:
         for n in range(1, _MAX_TERMS):
             term *= x / (a + n)
             total += term
-            if abs(term) < abs(total) * _EPS:
+            if abs(term) < abs(total) * EPS:
                 break
         return 1.0 - total * front
     b = x + 1.0 - a
@@ -302,7 +309,7 @@ def _upper_gamma(a: float, x: float) -> float:
         d = 1.0 / _lentz_fix(an * d + b)
         c = _lentz_fix(b + an / c)
         h *= d * c
-        if abs(d * c - 1.0) <= _EPS:
+        if abs(d * c - 1.0) <= EPS:
             break
     return front * h
 
@@ -320,7 +327,7 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
             d = 1.0 / _lentz_fix(1.0 + numerator * d)
             c = _lentz_fix(1.0 + numerator / c)
             h *= d * c
-        if abs(d * c - 1.0) <= _EPS:
+        if abs(d * c - 1.0) <= EPS:
             break
     return h
 

@@ -13,7 +13,6 @@ any array-like.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Mapping, Sequence
@@ -25,7 +24,7 @@ from .errors import (
     ParameterBoundsError,
     ValidationError,
 )
-from .numcore import Matrix, dot
+from .numcore import dot
 from .scoring import ScoreCard, score_rows
 
 # Residual variances this far below the observed variance are flagged as
@@ -361,7 +360,9 @@ def _require(params: Mapping[str, float], key: str) -> float:
     return float(params[key])
 
 
-def implied_covariance(model: SemModelSpec, params: Mapping[str, float]) -> Matrix:
+def implied_covariance(
+    model: SemModelSpec, params: Mapping[str, float]
+) -> list[list[float]]:
     """Sigma(theta) = Lambda Phi Lambda' + Theta for the given assignment.
 
     Free residual variances must be strictly positive; a residual may sit at
@@ -373,7 +374,7 @@ def implied_covariance(model: SemModelSpec, params: Mapping[str, float]) -> Matr
         value = theta[i][i]
         if value < 0 or (model.residual_variances[ov] is None and value <= 0):
             raise ParameterBoundsError(f"residual variance of {ov!r} must be positive, got {value}")
-    return Matrix(_sigma(lam, phi, theta)[0])
+    return _sigma(lam, phi, theta)[0]
 
 
 def _ml_value(
@@ -415,7 +416,7 @@ def fd_gradient(
 ) -> list[float]:
     """Forward-difference gradient with per-coordinate steps scaled to |x_i|."""
     x = [float(v) for v in x]
-    base = math.sqrt(sys.float_info.epsilon) if eps is None else eps
+    base = math.sqrt(numcore.EPS) if eps is None else eps
     f0 = func(x)
     grad = []
     for i, xi in enumerate(x):
@@ -625,7 +626,7 @@ def _standardize(
 
 def covariance_from_cards(
     cards: Sequence[ScoreCard], observed_vars: Sequence[str]
-) -> tuple[Matrix, int]:
+) -> tuple[list[list[float]], int]:
     """Unbiased sample covariance of the score columns, in model order."""
     if len(cards) < 2:
         raise ValidationError("need at least 2 scorecards for a covariance matrix")
@@ -634,7 +635,7 @@ def covariance_from_cards(
             raise ValidationError(f"model variable {ov!r} not found in scorecards")
     _, centered = numcore.centered_columns(score_rows(cards, observed_vars))
     scale = 1 / (len(cards) - 1)
-    return Matrix([v * scale for v in row] for row in numcore.gram(centered)), len(cards)
+    return [[v * scale for v in row] for row in numcore.gram(centered)], len(cards)
 
 
 def fit_to_dict(fit: SemFit) -> dict:

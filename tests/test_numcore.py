@@ -221,6 +221,22 @@ class TestSymmetryValidation:
         numcore.check_symmetric([[1.0, 2.0 + 1e-12], [2.0, 5.0]])
 
 
+class TestMatrix:
+    def test_plus_and_plus_equals_add_entrywise(self):
+        w, b = numcore.Matrix([[1.0, 2.0], [3.0, 4.0]]), numcore.Matrix([[1.0] * 2] * 2)
+        assert w + b == [[2.0, 3.0], [4.0, 5.0]]
+        total = w
+        total += b
+        assert total == w + b and w == [[1.0, 2.0], [3.0, 4.0]]
+        assert total.sum() == 14.0 and total.sum(axis=1) == [5.0, 9.0]
+
+    def test_multiplication_raises(self):
+        w = numcore.Matrix([[1.0, 2.0], [3.0, 4.0]])
+        for product in (lambda: w * 2, lambda: 2 * w, lambda: w * 0.5):
+            with pytest.raises(TypeError):
+                product()
+
+
 def _oracle_matrices():
     """Seeded symmetric matrices of order 1-10 and 23, by kind.
 
