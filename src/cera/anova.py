@@ -10,7 +10,7 @@ from typing import Hashable, Sequence
 from . import numcore
 from .errors import ValidationError
 from .miner import Sector, SECTOR_ORDER
-from .scoring import ScoreCard
+from .scoring import ScoreCard, score_rows
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,11 @@ def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
     missing = [s.value for s in SECTOR_ORDER if s not in present]
     if missing:
         raise ValidationError(f"sector(s) missing from sample: {', '.join(missing)}")
+    cids = cards[0].criterion_ids
+    labels = tuple(card.sector for card in cards)
     rows = []
-    for cid in cards[0].criterion_ids:
-        sample = GroupedSample(
-            values=tuple(card.scores[cid] for card in cards),
-            group_labels=tuple(card.sector for card in cards),
-        )
-        row = one_way_anova(sample, variable_id=cid)
+    for cid, values in zip(cids, zip(*score_rows(cards, cids))):
+        row = one_way_anova(GroupedSample(values, labels), variable_id=cid)
         rows.append(replace(row, group_means={s: row.group_means[s] for s in SECTOR_ORDER}))
     return rows
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -76,12 +77,7 @@ class RunConfig:
 
 
 class StageFailure(Exception):
-    """A pipeline stage raised; carries the stage name for the diagnostic line."""
-
-    def __init__(self, stage: str, error: Exception):
-        super().__init__(f"{stage}: {error}")
-        self.stage = stage
-        self.error = error
+    """A stage failed; the message is its diagnostic line, stage name first."""
 
 
 def _load_config_file(path: str) -> dict:
@@ -156,43 +152,35 @@ def _load_corpus(config: RunConfig) -> miner.Corpus:
     return miner.load_corpus(root, config.manifest)
 
 
-def _stage(name: str, func, *args, **kwargs):
+@contextmanager
+def _stage(name: str):
+    """Run a block as stage ``name``: an input or I/O error in it fails the stage."""
     try:
-        return func(*args, **kwargs)
-    except CeraError as exc:
-        raise StageFailure(name, exc) from exc
+        yield
+    except (CeraError, OSError) as exc:
+        raise StageFailure(f"{name}: {exc}") from exc
 
 
-def _mine(
-    config: RunConfig, out_dir: Path, criteria: scoring.CriteriaSet
-) -> miner.FrequencyTable:
-    corpus = _stage("mine", _load_corpus, config)
-    stoplist = _stage("mine", _stoplist, config)
+def _mine(config: RunConfig, criteria: scoring.CriteriaSet) -> miner.FrequencyTable:
+    corpus = _load_corpus(config)
+    stoplist = _stoplist(config)
     if config.strategy == "binary":
-        kwfile = _stage(
-            "mine", miner.build_sorted_keyword_file, corpus, stoplist, config.stemming
-        )
-        miner.write_keyword_file(kwfile, out_dir / KEYWORD_FILE_NAME)
-        table = _stage("mine", miner.mine_binary, kwfile, corpus, criteria)
+        kwfile = miner.build_sorted_keyword_file(corpus, stoplist, config.stemming)
+        miner.write_keyword_file(kwfile, config.out_dir / KEYWORD_FILE_NAME)
+        table = miner.mine_binary(kwfile, corpus, criteria)
     else:
-        table = _stage("mine", miner.mine_linear, corpus, criteria, stoplist, config.stemming)
-    miner.write_frequency_csv(table, out_dir / FREQUENCIES_NAME)
+        table = miner.mine_linear(corpus, criteria, stoplist, config.stemming)
+    miner.write_frequency_csv(table, config.out_dir / FREQUENCIES_NAME)
     return table
 
 
 def _score(
-    config: RunConfig,
-    table: miner.FrequencyTable,
-    out_dir: Path,
-    criteria: scoring.CriteriaSet,
+    config: RunConfig, table: miner.FrequencyTable, criteria: scoring.CriteriaSet
 ) -> list[scoring.ScoreCard]:
-    corpus = _stage("score", _load_corpus, config)
-    meta = scoring.report_metadata(corpus)
-    cards = _stage("score", scoring.build_scorecards, table, meta, criteria)
-    sample = _stage(
-        "score", scoring.filter_sample, cards, config.language, config.elimination
-    )
-    scoring.write_scorecards_csv(sample, out_dir / SCORECARDS_NAME)
+    meta = scoring.report_metadata(_load_corpus(config))
+    cards = scoring.build_scorecards(table, meta, criteria)
+    sample = scoring.filter_sample(cards, config.language, config.elimination)
+    scoring.write_scorecards_csv(sample, config.out_dir / SCORECARDS_NAME)
     return sample
 
 
@@ -203,21 +191,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _cmd_mine(config: RunConfig) -> int:
-    out_dir = _ensure_out_dir(config)
-    _mine(config, out_dir, _stage("mine", _criteria, config))
+    _mine(config, _criteria(config))
     return 0
 
 
 def _cmd_score(config: RunConfig, frequencies: str | None) -> int:
-    out_dir = _ensure_out_dir(config)
-    freq_path = Path(frequencies) if frequencies else out_dir / FREQUENCIES_NAME
-    table = _stage("score", miner.read_frequency_csv, freq_path)
-    _score(config, table, out_dir, _stage("score", _criteria, config))
+    freq_path = Path(frequencies) if frequencies else config.out_dir / FREQUENCIES_NAME
+    _score(config, miner.read_frequency_csv(freq_path), _criteria(config))
     return 0
-
-
-def _read_cards(path: Path, stage: str) -> list[scoring.ScoreCard]:
-    return _stage(stage, scoring.read_scorecards_csv, path)
 
 
 # One computation and one artifact writer per analysis, shared by the single
@@ -308,43 +289,37 @@ def _run_analyses(
 
 
 def _cmd_analysis(name: str, config: RunConfig, scorecards: str | None) -> int:
-    out_dir = _ensure_out_dir(config)
-    cards = _read_cards(_cards_path(scorecards, out_dir), name)
+    cards = scoring.read_scorecards_csv(_cards_path(scorecards, config))
     analyze, write = ANALYSES[name]
-    write(out_dir, _stage(name, analyze, config, cards))
+    write(config.out_dir, analyze(config, cards))
     return 0
 
 
 def _cmd_pipeline(config: RunConfig) -> int:
     """Chain every stage; analysis failures leave diagnostic artifacts."""
-    out_dir = _ensure_out_dir(config)
-    criteria = _stage("mine", _criteria, config)
-    table = _mine(config, out_dir, criteria)
-    sample = _score(config, table, out_dir, criteria)
-    _run_analyses(config, sample, out_dir)
+    with _stage("mine"):
+        criteria = _criteria(config)
+        table = _mine(config, criteria)
+    with _stage("score"):
+        sample = _score(config, table, criteria)
+    _run_analyses(config, sample, config.out_dir)
     return 0
 
 
 def _cmd_report(config: RunConfig, scorecards: str | None, out: str | None) -> int:
-    out_dir = _ensure_out_dir(config)
-    cards = _read_cards(_cards_path(scorecards, out_dir), "report")
-    composition = _stage("report", scoring.sector_composition, cards)
+    cards = scoring.read_scorecards_csv(_cards_path(scorecards, config))
+    composition = scoring.sector_composition(cards)
     results = _run_analyses(config, cards)
     bundle = ResultsBundle(composition, results["anova"], results["mda"], results["sem"])
-    text = _stage("report", emit_report, bundle)
-    target = Path(out) if out else out_dir / REPORT_NAME
+    text = emit_report(bundle)
+    target = Path(out) if out else config.out_dir / REPORT_NAME
     with open(target, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return 0
 
 
-def _cards_path(scorecards: str | None, out_dir: Path) -> Path:
-    return Path(scorecards) if scorecards else out_dir / SCORECARDS_NAME
-
-
-def _ensure_out_dir(config: RunConfig) -> Path:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    return config.out_dir
+def _cards_path(scorecards: str | None, config: RunConfig) -> Path:
+    return Path(scorecards) if scorecards else config.out_dir / SCORECARDS_NAME
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -438,21 +413,20 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     try:
-        if args.command == "mine":
-            return _cmd_mine(config)
-        if args.command == "score":
-            return _cmd_score(config, args.frequencies)
-        if args.command in ANALYSES:
-            return _cmd_analysis(args.command, config, args.scorecards)
-        if args.command == "pipeline":
-            return _cmd_pipeline(config)
-        if args.command == "report":
-            return _cmd_report(config, args.scorecards, args.out)
+        with _stage(args.command):
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+            if args.command == "mine":
+                return _cmd_mine(config)
+            if args.command == "score":
+                return _cmd_score(config, args.frequencies)
+            if args.command in ANALYSES:
+                return _cmd_analysis(args.command, config, args.scorecards)
+            if args.command == "pipeline":
+                return _cmd_pipeline(config)
+            if args.command == "report":
+                return _cmd_report(config, args.scorecards, args.out)
     except StageFailure as exc:
         print(exc, file=sys.stderr)
-        return 1
-    except (CeraError, OSError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 

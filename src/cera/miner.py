@@ -133,7 +133,7 @@ def default_stoplist() -> frozenset[str]:
 
 def load_stoplist(path) -> frozenset[str]:
     try:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_text("utf-8-sig")
     except OSError as exc:
         raise IngestionError(f"cannot read stop list {path}: {exc}") from exc
     return _parse_stoplist(text)
@@ -154,12 +154,12 @@ def load_corpus(root_path, manifest) -> Corpus:
     """Read a corpus from ``manifest`` (CSV: report_id,sector,language,path).
 
     Relative paths resolve against ``root_path``. Text is read as UTF-8 with
-    invalid byte sequences replaced.
+    invalid byte sequences replaced; the manifest may start with a byte-order mark.
     """
     root = Path(root_path)
     manifest = Path(manifest)
     try:
-        with open(manifest, newline="", encoding="utf-8") as fh:
+        with open(manifest, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise IngestionError(f"cannot read manifest {manifest}: {exc}") from exc
@@ -353,11 +353,10 @@ def mine_binary(
 ) -> FrequencyTable:
     """Keyword-file strategy; must agree exactly with :func:`mine_linear`.
 
-    Each criterion phrase's first word is found by binary search over the
-    sorted keywords. A report is then screened by binary search over those
-    keywords' report ids: if none lists it, every count is 0. Otherwise its
-    stored token sequence is scanned once for all criteria. No report text
-    is preprocessed again; only the criterion phrases are.
+    Each criterion phrase's words are found by binary search over the sorted
+    keywords. Each report's stored token sequence is then scanned once for
+    all criteria. No report text is preprocessed again; only the criterion
+    phrases are. A report missing from the keyword file is a ValidationError.
     """
     if not criteria:
         raise ValidationError("criteria set is empty")
@@ -367,14 +366,11 @@ def mine_binary(
             numbers = tuple(_find(kwfile.keywords, word) for word in alt)
             if None not in numbers:  # else some word occurs in no report
                 index.setdefault(numbers[0], []).append((ci, numbers))
-    screens = [kwfile.postings[k][0] for k in index]
-
-    def row(doc: Document) -> list[int]:
-        if all(_find(report_ids, doc.report_id) is None for report_ids in screens):
-            return [0] * len(criteria)
-        return _count_hits(kwfile.sequences[doc.report_id], index, len(criteria))
-
-    return _frequency_table(corpus, criteria, (row(doc) for doc in corpus))
+    missing = [doc.report_id for doc in corpus if doc.report_id not in kwfile.sequences]
+    if missing:
+        raise ValidationError(f"report(s) not in the keyword file: {', '.join(missing)}")
+    rows = (_count_hits(kwfile.sequences[doc.report_id], index, len(criteria)) for doc in corpus)
+    return _frequency_table(corpus, criteria, rows)
 
 
 def write_frequency_csv(table: FrequencyTable, path) -> None:

@@ -173,7 +173,7 @@ def default_criteria() -> CriteriaSet:
 
 def load_criteria(path) -> CriteriaSet:
     try:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_text("utf-8-sig")
     except OSError as exc:
         raise IngestionError(f"cannot read criteria config {path}: {exc}") from exc
     return parse_criteria(text)

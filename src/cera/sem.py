@@ -251,7 +251,7 @@ def parse_model(spec_text: str) -> SemModelSpec:
 
 
 def load_model(path) -> SemModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_model(fh.read())
 
 

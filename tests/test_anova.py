@@ -6,6 +6,7 @@ import pytest
 from cera.anova import AnovaRow, GroupedSample, anova_table, one_way_anova, write_anova_csv
 from cera.errors import ValidationError
 from cera.miner import Sector
+from cera.scoring import ScoreCard
 
 from conftest import FIXTURE_SECTORS, FIXTURE_SCORES, make_cards
 
@@ -182,6 +183,13 @@ class TestAnovaTable:
         )
         rows = anova_table(cards)
         assert [r.variable_id for r in rows] == [f"v{i + 1}" for i in range(10)]
+
+    def test_card_missing_a_criterion_named(self):
+        cards = make_cards([[1, 2], [2, 3], [3, 1], [4, 2], [5, 3], [6, 1]],
+                           [s for s in Sector for _ in range(2)])
+        cards.append(ScoreCard("late", Sector.PRIMARY, "en", {"c1": 1}, {"c1": 1.0}))
+        with pytest.raises(ValidationError, match="report late has no score for criterion 'c2'"):
+            anova_table(cards)
 
 
 class TestAnovaCsv:

@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import cera
+from cera import miner, scoring, sem
 
 from cera.cli import _PATH_KEYS, RunConfig, _build_config, build_parser, run_subcommand
 from cera.miner import SECTOR_ORDER
@@ -63,6 +65,27 @@ class TestPipeline:
         run_pipeline(second)
         for name in OUTPUT_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--manifest", str(MANIFEST), "--language", "fr", "--elimination", "disjunction"],
+         "score: no scorecards to write\n"),
+        ([], "mine: a corpus manifest is required (--manifest)\n"),
+        (["--manifest", str(MANIFEST), "--criteria", "@"],
+         "score: criterion v1 max_score 5 is below the scale's top score 10\n"),
+    ], ids=["empty-sample", "no-manifest", "max-score"])
+    def test_diagnostic_names_the_stage(self, tmp_path, capsys, argv, line):
+        criteria = tmp_path / "criteria.txt"
+        criteria.write_text("[v1]\nlabel: policy\nmax_score: 5\npolicy\n", encoding="utf-8")
+        argv = [str(criteria) if a == "@" else a for a in argv]
+        assert run_subcommand(["pipeline", "--out-dir", str(tmp_path / "out"), *argv]) == 1
+        assert capsys.readouterr().err == line
+
+    def test_write_error_names_the_stage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "scorecards.csv").mkdir(parents=True)
+        assert run_pipeline(out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("score: [Errno") and "scorecards.csv" in err
 
     def test_lf_only(self, tmp_path):
         out = tmp_path / "out"
@@ -442,6 +465,29 @@ class TestConfigFields:
         config = self.build(["pipeline", "--config", path])
         assert config.language == "fr"
         assert not hasattr(config, "no_such_option")
+
+
+def _packaged(name: str) -> str:
+    return resources.files("cera.data").joinpath(name).read_text("utf-8")
+
+
+BOM_INPUTS = {
+    "manifest": (MANIFEST.read_text(encoding="utf-8"),
+                 lambda path: miner.load_corpus(FIXTURE_DIR, path)),
+    "stoplist": ("the\nand\n", miner.load_stoplist),
+    "criteria": (_packaged("criteria.txt"), scoring.load_criteria),
+    "sem_model": (_packaged("sem_model.txt"), sem.load_model),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOM_INPUTS))
+def test_byte_order_mark_ignored(tmp_path, name):
+    text, load = BOM_INPUTS[name]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load(marked) == load(plain)
 
 
 def test_every_export_exists():

@@ -234,6 +234,12 @@ class TestMineBinary:
         with pytest.raises(ValidationError, match="'A' appears twice"):
             mine_binary(build_sorted_keyword_file(corpus), corpus, criteria)
 
+    def test_report_missing_from_keyword_file_named(self):
+        kwfile = build_sorted_keyword_file([doc("A", "carbon dioxide")])
+        corpus = [doc("A", "carbon dioxide"), doc("B", "carbon dioxide")]
+        with pytest.raises(ValidationError, match="not in the keyword file: B"):
+            mine_binary(kwfile, corpus, [crit("v1", "carbon")])
+
     def test_adjacency_verification(self):
         corpus = [doc("A", "carbon dioxide emissions")]
         kwfile = build_sorted_keyword_file(corpus)
