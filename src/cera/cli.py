@@ -87,7 +87,7 @@ def _load_config_file(path: str) -> dict:
     Relative paths resolve against the file's directory.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc

@@ -154,7 +154,8 @@ def load_corpus(root_path, manifest) -> Corpus:
     """Read a corpus from ``manifest`` (CSV: report_id,sector,language,path).
 
     Relative paths resolve against ``root_path``. Text is read as UTF-8 with
-    invalid byte sequences replaced; the manifest may start with a byte-order mark.
+    invalid byte sequences replaced; the manifest and each report may start with
+    a byte-order mark, which is dropped.
     """
     root = Path(root_path)
     manifest = Path(manifest)
@@ -193,7 +194,7 @@ def load_corpus(root_path, manifest) -> Corpus:
             path = root / path
         if not path.is_file():
             raise IngestionError(f"report file not found: {path}")
-        text = path.read_text(encoding="utf-8", errors="replace")
+        text = path.read_text(encoding="utf-8-sig", errors="replace")
         corpus.append(Document(report_id, sector, language, text))
     return corpus
 

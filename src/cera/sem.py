@@ -2,7 +2,7 @@
 
 A model is a measurement structure: observed variables load on latent
 constructs (Sigma = Lambda Phi Lambda' + Theta). Models are written in a
-small text config, compiled once per fit into matrix cells, fit to a
+small text config, parsed straight into matrix cells, fit to a
 sample covariance matrix by Fisher scoring on the ML discrepancy with
 analytic derivatives (Joreskog 1969; Lee & Jennrich 1979), and reported
 as chi-square / df / p plus standardized estimates. The arithmetic is plain
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
@@ -36,37 +37,27 @@ MAX_ITERATIONS = 500
 # Sufficient-decrease constant of the Armijo backtracking rule.
 ARMIJO_C = 1e-4
 
+# Matrix of a parameter's cell: Lambda (observed x latent), Phi, or Theta.
+_LAMBDA, _PHI, _THETA = range(3)
 
-@dataclass(frozen=True)
-class Loading:
-    latent: str
-    observed: str
-    fixed: float | None  # None = free
-
-    @property
-    def name(self) -> str:
-        return f"loading {self.latent}->{self.observed}"
-
-
-@dataclass(frozen=True)
-class LatentCovariance:
-    latent_a: str
-    latent_b: str
-    fixed: float | None
-
-    @property
-    def name(self) -> str:
-        return f"covariance {self.latent_a}~{self.latent_b}"
+Cell = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class SemModelSpec:
+    """A model as matrix cells.
+
+    ``parameters`` holds (name, fixed value or None when free, cell) for every
+    parameter in model order: loadings, latent variances, latent covariances,
+    residual variances. A cell is (matrix, row, column), indexing
+    ``observed_vars`` and ``latent_vars``. Variances (diagonal cells of Phi
+    and Theta) enter the optimizer as logarithms, so they stay positive
+    without bounds.
+    """
+
     observed_vars: tuple[str, ...]
     latent_vars: tuple[str, ...]
-    loadings: tuple[Loading, ...]
-    latent_variances: dict[str, float | None]  # None = free
-    latent_covariances: tuple[LatentCovariance, ...]
-    residual_variances: dict[str, float | None]  # keyed by observed, None = free
+    parameters: tuple[tuple[str, float | None, Cell], ...]
 
     @property
     def n_observed(self) -> int:
@@ -75,16 +66,62 @@ class SemModelSpec:
     def free_parameter_names(self) -> list[str]:
         """Free parameters in optimizer order: loadings, latent variances,
         latent covariances, residual variances."""
-        return list(_compile(self).free)
+        return [name for name, fixed, _ in self.parameters if fixed is None]
+
+    @cached_property
+    def free_cells(self) -> tuple[Cell, ...]:
+        return tuple(cell for _, fixed, cell in self.parameters if fixed is None)
+
+    @cached_property
+    def logged(self) -> tuple[bool, ...]:
+        """Per free cell: whether the optimizer holds its logarithm."""
+        return tuple(k != _LAMBDA and i == j for k, i, j in self.free_cells)
 
     @property
     def free_parameter_count(self) -> int:
-        return len(self.free_parameter_names())
+        return len(self.free_cells)
 
     @property
     def degrees_of_freedom(self) -> int:
         p = self.n_observed
         return p * (p + 1) // 2 - self.free_parameter_count
+
+    def matrices(self, values) -> list[list[list[float]]]:
+        """Lambda, Phi and Theta with the fixed values in place and the free
+        cells set to ``values``."""
+        p, m = self.n_observed, len(self.latent_vars)
+        mats = [[[0.0] * m for _ in range(p)], [[0.0] * m for _ in range(m)],
+                [[0.0] * p for _ in range(p)]]
+        values = iter(values)
+        for _, fixed, cell in self.parameters:
+            _put(mats, cell, next(values) if fixed is None else fixed)
+        return mats
+
+    def natural(self, x) -> list[float]:
+        return [_exp(v) if logged else v for v, logged in zip(x, self.logged)]
+
+    def start(self, s: list[list[float]]) -> list[float]:
+        """Deterministic starts: loadings 0.5, residuals half the observed variance,
+        latent covariances 0, free latent variances 1 (all in optimizer space)."""
+        return [
+            0.5 if k == _LAMBDA else math.log(0.5 * s[i][i]) if k == _THETA else 0.0
+            for k, i, _ in self.free_cells
+        ]
+
+
+def _exp(x: float) -> float:
+    """exp(x), infinite where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _put(mats: Sequence[list[list[float]]], cell: Cell, value: float) -> None:
+    k, i, j = cell
+    mats[k][i][j] = value
+    if k != _LAMBDA:
+        mats[k][j][i] = value
 
 
 @dataclass(frozen=True)
@@ -108,7 +145,7 @@ class SemFit:
 
 
 def _parse_status(tokens: list[str], context: str) -> float | None:
-    """`free` -> None; `=value` -> fixed value."""
+    """`free` -> None; `=value` -> fixed value, which must be a finite number."""
     if len(tokens) != 1:
         raise ValidationError(f"expected one status token in {context}")
     tok = tokens[0]
@@ -116,9 +153,12 @@ def _parse_status(tokens: list[str], context: str) -> float | None:
         return None
     if tok.startswith("="):
         try:
-            return float(tok[1:])
+            value = float(tok[1:])
         except ValueError:
-            raise ValidationError(f"bad fixed value {tok!r} in {context}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(f"bad fixed value {tok!r} in {context}")
+        return value
     raise ValidationError(f"expected 'free' or '=value' in {context}, got {tok!r}")
 
 
@@ -138,8 +178,8 @@ def parse_model(spec_text: str) -> SemModelSpec:
     at 1 unless marked `free`; loadings are `latent -> observed free|=value`;
     covariances are `a ~ b free|=value` (unlisted pairs are fixed at 0);
     residuals are `observed free|=value` and their order defines the
-    observed-variable order. A fixed variance may not be negative, and a
-    fixed latent variance may not be zero.
+    observed-variable order. A fixed value must be finite, a fixed variance
+    may not be negative, and a fixed latent variance may not be zero.
     """
     sections: dict[str, list[str]] = {}
     current: str | None = None
@@ -162,85 +202,79 @@ def parse_model(spec_text: str) -> SemModelSpec:
         if required not in sections:
             raise ValidationError(f"missing section [{required}]")
 
-    latent_vars: list[str] = []
-    latent_variances: dict[str, float | None] = {}
+    # [residuals] fixes the observed order, so it is read first.
+    observed: dict[str, int] = {}
+    residuals = []
+    for line in sections["residuals"]:
+        tokens = line.split()
+        name = tokens[0]
+        if name in observed:
+            raise ValidationError(f"duplicate residual entry for {name!r}")
+        observed[name] = i = len(observed)
+        fixed = _parse_variance(tokens[1:] or ["free"], line)
+        residuals.append((f"residual {name}", fixed, (_THETA, i, i)))
+
+    latent: dict[str, int] = {}
+    variances = []
     for line in sections["latents"]:
         tokens = line.split()
         name = tokens[0]
-        if name in latent_variances:
+        if name in latent:
             raise ValidationError(f"duplicate latent {name!r}")
-        latent_vars.append(name)
+        latent[name] = k = len(latent)
         # Default scaling: variance fixed at 1.
-        latent_variances[name] = 1.0 if len(tokens) == 1 else _parse_variance(tokens[1:], line)
-        if latent_variances[name] == 0:
+        fixed = 1.0 if len(tokens) == 1 else _parse_variance(tokens[1:], line)
+        if fixed == 0:
             raise ValidationError(f"latent variance fixed at zero in {line}")
+        variances.append((f"variance {name}", fixed, (_PHI, k, k)))
 
-    loadings: list[Loading] = []
-    seen_loadings: set[tuple[str, str]] = set()
+    seen: set[Cell] = set()
+    loadings = []
     for line in sections["loadings"]:
         tokens = line.split()
         if len(tokens) < 3 or tokens[1] != "->":
             raise ValidationError(f"loading must be 'latent -> observed status': {line!r}")
-        latent, observed = tokens[0], tokens[2]
-        if latent not in latent_variances:
-            raise ValidationError(f"loading references undeclared latent {latent!r}")
-        if (latent, observed) in seen_loadings:
-            raise ValidationError(f"duplicate loading {latent}->{observed}")
-        seen_loadings.add((latent, observed))
-        loadings.append(Loading(latent, observed, _parse_status(tokens[3:] or ["free"], line)))
+        lv, ov = tokens[0], tokens[2]
+        if lv not in latent:
+            raise ValidationError(f"loading references undeclared latent {lv!r}")
+        if ov not in observed:
+            raise ValidationError(f"loading targets {ov!r}, which has no residual entry")
+        cell = (_LAMBDA, observed[ov], latent[lv])
+        if cell in seen:
+            raise ValidationError(f"duplicate loading {lv}->{ov}")
+        seen.add(cell)
+        fixed = _parse_status(tokens[3:] or ["free"], line)
+        loadings.append((f"loading {lv}->{ov}", fixed, cell))
 
-    covariances: list[LatentCovariance] = []
-    seen_pairs: set[frozenset[str]] = set()
+    covariances = []
     for line in sections.get("covariances", []):
         tokens = line.split()
         if len(tokens) < 3 or tokens[1] != "~":
             raise ValidationError(f"covariance must be 'a ~ b status': {line!r}")
         a, b = tokens[0], tokens[2]
         for name in (a, b):
-            if name not in latent_variances:
+            if name not in latent:
                 raise ValidationError(f"covariance references undeclared latent {name!r}")
         if a == b:
             raise ValidationError(f"use the [latents] section for the variance of {a!r}")
-        pair = frozenset((a, b))
-        if pair in seen_pairs:
+        cell = (_PHI, latent[a], latent[b])
+        if cell in seen or (_PHI, latent[b], latent[a]) in seen:
             raise ValidationError(f"duplicate covariance {a}~{b}")
-        seen_pairs.add(pair)
-        covariances.append(LatentCovariance(a, b, _parse_status(tokens[3:] or ["free"], line)))
+        seen.add(cell)
+        fixed = _parse_status(tokens[3:] or ["free"], line)
+        covariances.append((f"covariance {a}~{b}", fixed, cell))
 
-    observed_vars: list[str] = []
-    residuals: dict[str, float | None] = {}
-    for line in sections["residuals"]:
-        tokens = line.split()
-        name = tokens[0]
-        if name in residuals:
-            raise ValidationError(f"duplicate residual entry for {name!r}")
-        observed_vars.append(name)
-        residuals[name] = _parse_variance(tokens[1:] or ["free"], line)
-
-    for ld in loadings:
-        if ld.observed not in residuals:
-            raise ValidationError(
-                f"loading targets {ld.observed!r}, which has no residual entry"
-            )
-    loaded = {ld.latent for ld in loadings}
-    for lv in latent_vars:
-        if lv not in loaded:
+    for lv, k in latent.items():
+        anchors = [fixed is not None for _, fixed, cell in loadings if cell[2] == k]
+        if not anchors:
             raise ValidationError(f"latent {lv!r} has no loadings")
-        identified = latent_variances[lv] is not None or any(
-            ld.fixed is not None for ld in loadings if ld.latent == lv
-        )
-        if not identified:
+        if variances[k][1] is None and not any(anchors):
             raise IdentificationError(
                 f"latent {lv!r} has no scale constraint: fix its variance or one loading"
             )
 
     model = SemModelSpec(
-        tuple(observed_vars),
-        tuple(latent_vars),
-        tuple(loadings),
-        latent_variances,
-        tuple(covariances),
-        residuals,
+        tuple(observed), tuple(latent), tuple(loadings + variances + covariances + residuals)
     )
     if model.degrees_of_freedom < 0:
         raise ValidationError(
@@ -259,88 +293,6 @@ def default_model() -> SemModelSpec:
     """Shipped example: three constructs over the ten criteria, 16 free parameters."""
     text = resources.files("cera.data").joinpath("sem_model.txt").read_text(encoding="utf-8")
     return parse_model(text)
-
-
-# Matrix of a parameter's cell: Lambda (observed x latent), Phi, or Theta.
-_LAMBDA, _PHI, _THETA = range(3)
-
-
-@dataclass(frozen=True)
-class _CompiledModel:
-    """A model's parameters as matrix cells, built once per fit.
-
-    ``entries`` holds (name, cell) for every parameter in model order, a cell
-    being (matrix, row, column); ``free`` and ``cells`` are the free ones in
-    optimizer order. ``base`` is Lambda, Phi and Theta with the fixed values
-    in place. Variances (diagonal cells of Phi and Theta) enter the
-    optimizer as logarithms, so they stay positive without bounds.
-    """
-
-    entries: tuple[tuple[str, tuple[int, int, int]], ...]
-    free: tuple[str, ...]
-    cells: tuple[tuple[int, int, int], ...]
-    logged: tuple[bool, ...]
-    base: tuple[list[list[float]], list[list[float]], list[list[float]]]
-
-    def matrices(self, values) -> list[list[list[float]]]:
-        """Lambda, Phi and Theta with the free cells set to ``values``."""
-        mats = [[list(row) for row in m] for m in self.base]
-        for cell, value in zip(self.cells, values):
-            _put(mats, cell, value)
-        return mats
-
-    def natural(self, x) -> list[float]:
-        return [_exp(v) if logged else v for v, logged in zip(x, self.logged)]
-
-    def start(self, s: list[list[float]]) -> list[float]:
-        """Deterministic starts: loadings 0.5, residuals half the observed variance,
-        latent covariances 0, free latent variances 1 (all in optimizer space)."""
-        return [
-            0.5 if k == _LAMBDA else math.log(0.5 * s[i][i]) if k == _THETA else 0.0
-            for k, i, _ in self.cells
-        ]
-
-
-def _exp(x: float) -> float:
-    """exp(x), infinite where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _put(mats: Sequence[list[list[float]]], cell: tuple[int, int, int], value: float) -> None:
-    k, i, j = cell
-    mats[k][i][j] = value
-    if k != _LAMBDA:
-        mats[k][j][i] = value
-
-
-def _compile(model: SemModelSpec) -> _CompiledModel:
-    obs = {name: i for i, name in enumerate(model.observed_vars)}
-    lat = {name: i for i, name in enumerate(model.latent_vars)}
-    params = [(ld.name, ld.fixed, (_LAMBDA, obs[ld.observed], lat[ld.latent]))
-              for ld in model.loadings]
-    params += [(f"variance {lv}", model.latent_variances[lv], (_PHI, lat[lv], lat[lv]))
-               for lv in model.latent_vars]
-    params += [(cv.name, cv.fixed, (_PHI, lat[cv.latent_a], lat[cv.latent_b]))
-               for cv in model.latent_covariances]
-    params += [(f"residual {ov}", model.residual_variances[ov], (_THETA, obs[ov], obs[ov]))
-               for ov in model.observed_vars]
-    p, m = len(obs), len(lat)
-    base = ([[0.0] * m for _ in range(p)], [[0.0] * m for _ in range(m)],
-            [[0.0] * p for _ in range(p)])
-    for _, fixed, cell in params:
-        if fixed is not None:
-            _put(base, cell, fixed)
-    free = [(name, cell) for name, fixed, cell in params if fixed is None]
-    return _CompiledModel(
-        entries=tuple((name, cell) for name, _, cell in params),
-        free=tuple(name for name, _ in free),
-        cells=tuple(cell for _, cell in free),
-        logged=tuple(k != _LAMBDA and i == j for _, (k, i, j) in free),
-        base=base,
-    )
 
 
 def _sigma(lam, phi, theta) -> tuple[list[list[float]], list[list[float]]]:
@@ -368,11 +320,11 @@ def implied_covariance(
     Free residual variances must be strictly positive; a residual may sit at
     exactly 0 only when the model fixes it there.
     """
-    compiled = _compile(model)
-    lam, phi, theta = compiled.matrices([_require(params, name) for name in compiled.free])
+    free = model.free_parameter_names()
+    lam, phi, theta = model.matrices([_require(params, name) for name in free])
     for i, ov in enumerate(model.observed_vars):
         value = theta[i][i]
-        if value < 0 or (model.residual_variances[ov] is None and value <= 0):
+        if value < 0 or (f"residual {ov}" in free and value <= 0):
             raise ParameterBoundsError(f"residual variance of {ov!r} must be positive, got {value}")
     return _sigma(lam, phi, theta)[0]
 
@@ -448,12 +400,12 @@ class _Point:
     natural: list[float]
 
 
-def _evaluate(compiled: _CompiledModel, s, logdet_s: float, x) -> _Point | None:
+def _evaluate(model: SemModelSpec, s, logdet_s: float, x) -> _Point | None:
     """F_ML at ``x``; None when Sigma(x) is not PD or a parameter is not finite."""
-    natural = compiled.natural(x)
+    natural = model.natural(x)
     if not all(map(math.isfinite, natural)):
         return None
-    mats = compiled.matrices(natural)
+    mats = model.matrices(natural)
     sigma, lam_phi = _sigma(*mats)
     result = _ml_value(s, sigma, logdet_s)
     if result is None:
@@ -462,7 +414,7 @@ def _evaluate(compiled: _CompiledModel, s, logdet_s: float, x) -> _Point | None:
     return _Point(list(x), value, sigma, sigma_inv, lam_phi, mats, natural)
 
 
-def _score(compiled: _CompiledModel, s, point: _Point) -> tuple[list[float], list[list[float]]]:
+def _score(model: SemModelSpec, s, point: _Point) -> tuple[list[float], list[list[float]]]:
     """Gradient of F_ML and the expected information at ``point``, in optimizer space.
 
     Each dSigma_a is c_a (x y' + y x') for two columns x, y of
@@ -485,7 +437,7 @@ def _score(compiled: _CompiledModel, s, point: _Point) -> tuple[list[float], lis
     gram += [[dot(v, u) for u in k_v] for v in factor_cols]
 
     terms = []
-    for (k, i, j), logged, value in zip(compiled.cells, compiled.logged, point.natural):
+    for (k, i, j), logged, value in zip(model.free_cells, model.logged, point.natural):
         scale = (0.5 if i == j and k != _LAMBDA else 1.0) * (value if logged else 1.0)
         if k == _LAMBDA:
             terms.append((i, p + j, scale))
@@ -507,7 +459,7 @@ def _score(compiled: _CompiledModel, s, point: _Point) -> tuple[list[float], lis
 
 
 def _fisher_scoring(
-    compiled: _CompiledModel, s: list[list[float]], logdet_s: float, point: _Point
+    model: SemModelSpec, s: list[list[float]], logdet_s: float, point: _Point
 ) -> tuple[_Point, bool, int, str]:
     """Minimize F_ML from ``point`` by Fisher scoring with Armijo backtracking.
 
@@ -520,7 +472,7 @@ def _fisher_scoring(
     """
     iterations = 0
     while True:
-        grad, info = _score(compiled, s, point)
+        grad, info = _score(model, s, point)
         if all(abs(g) < GRADIENT_TOL for g in grad):
             return point, True, iterations, "gradient norm below tolerance"
         if iterations == MAX_ITERATIONS:
@@ -534,7 +486,7 @@ def _fisher_scoring(
             x = [xi + t * si for xi, si in zip(point.x, step)]
             if x == point.x:
                 return point, False, iterations, "line search found no decrease"
-            trial = _evaluate(compiled, s, logdet_s, x)
+            trial = _evaluate(model, s, logdet_s, x)
             if trial is not None and trial.value <= point.value + ARMIJO_C * t * slope:
                 break
             t *= 0.5
@@ -561,15 +513,14 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     if model.degrees_of_freedom < 0:
         raise ValidationError("model has negative degrees of freedom")
 
-    compiled = _compile(model)
-    x0 = compiled.start(s)
-    point = _evaluate(compiled, s, logdet_s, x0)
+    x0 = model.start(s)
+    point = _evaluate(model, s, logdet_s, x0)
     if point is not None and x0:
-        point, converged, iterations, message = _fisher_scoring(compiled, s, logdet_s, point)
+        point, converged, iterations, message = _fisher_scoring(model, s, logdet_s, point)
         f_min, values, mats = point.value, point.natural, point.mats
     else:
-        values = compiled.natural(x0)
-        mats = compiled.matrices(values)
+        values = model.natural(x0)
+        mats = model.matrices(values)
         f_min = _penalized_value(s, _sigma(*mats)[0], logdet_s)
         converged, iterations = not x0, 0
         message = (
@@ -577,7 +528,7 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
             else "implied covariance is not positive definite at the start values"
         )
 
-    estimates = dict(zip(compiled.free, values))
+    estimates = dict(zip(model.free_parameter_names(), values))
     f_min = 0.0 if -1e-10 < f_min < 0.0 else f_min
     chi_square = (n_cases - 1) * f_min
     df = model.degrees_of_freedom
@@ -587,9 +538,9 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     heywood = tuple(
         ov
         for i, ov in enumerate(model.observed_vars)
-        if model.residual_variances[ov] is None and theta[i][i] < HEYWOOD_RTOL * s[i][i]
+        if f"residual {ov}" in estimates and theta[i][i] < HEYWOOD_RTOL * s[i][i]
     )
-    standard_form = _standardize(compiled, mats, s) if converged else {}
+    standard_form = _standardize(model, mats, s) if converged else {}
     return SemFit(
         estimates=estimates,
         standard_form=standard_form,
@@ -606,14 +557,14 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
 
 
 def _standardize(
-    compiled: _CompiledModel, mats: list[list[list[float]]], s: list[list[float]]
+    model: SemModelSpec, mats: list[list[list[float]]], s: list[list[float]]
 ) -> dict[str, float]:
     """Loadings, latent correlations and residual shares on the unit-variance scale."""
     lam, phi, theta = mats
     obs_sd = [math.sqrt(s[i][i]) for i in range(len(s))]
     lat_sd = [math.sqrt(phi[i][i]) for i in range(len(phi))]
     table: dict[str, float] = {}
-    for name, (k, i, j) in compiled.entries:
+    for name, _, (k, i, j) in model.parameters:
         if k == _LAMBDA:
             table[name] = lam[i][j] * lat_sd[j] / obs_sd[i]
         elif k == _THETA:

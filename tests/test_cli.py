@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cera
-from cera import miner, scoring, sem
+from cera import cli, miner, scoring, sem
 
 from cera.cli import _PATH_KEYS, RunConfig, _build_config, build_parser, run_subcommand
 from cera.miner import SECTOR_ORDER
@@ -477,6 +477,7 @@ BOM_INPUTS = {
     "stoplist": ("the\nand\n", miner.load_stoplist),
     "criteria": (_packaged("criteria.txt"), scoring.load_criteria),
     "sem_model": (_packaged("sem_model.txt"), sem.load_model),
+    "config": (json.dumps({"language": "fr", "sem_model": "model.txt"}), cli._load_config_file),
 }
 
 

@@ -22,7 +22,7 @@ from cera.miner import (
     write_frequency_csv,
     write_keyword_file,
 )
-from cera.scoring import Criterion
+from cera.scoring import Criterion, default_criteria
 
 from conftest import FIXTURE_DIR, FIXTURE_FREQUENCIES, MANIFEST
 
@@ -136,6 +136,17 @@ class TestLoadCorpus:
         )
         with pytest.raises(ValidationError):
             load_corpus(tmp_path, manifest)
+
+    def test_report_byte_order_mark_dropped(self, tmp_path, fixture_corpus):
+        (tmp_path / "manifest.csv").write_bytes(MANIFEST.read_bytes())
+        for document in fixture_corpus:
+            report = f"{document.report_id}.txt"
+            (tmp_path / report).write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / report).read_bytes())
+        marked = load_corpus(tmp_path, tmp_path / "manifest.csv")
+        assert marked == fixture_corpus
+        stop = miner.default_stoplist()
+        assert (mine_linear(marked, default_criteria(), stop).counts
+                == mine_linear(fixture_corpus, default_criteria(), stop).counts)
 
 
 class TestKeywordFile:

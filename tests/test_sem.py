@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from cera.miner import Sector
 from cera.report import ResultsBundle, emit_report
 from cera.scoring import ScoreCard
 from cera.sem import (
-    _compile,
     _evaluate,
     _score,
     covariance_from_cards,
@@ -26,6 +27,7 @@ from cera.sem import (
     fit_model,
     fit_to_dict,
     implied_covariance,
+    load_model,
     ml_discrepancy,
     parse_model,
 )
@@ -101,6 +103,11 @@ def one_factor_sigma():
     return np.outer(TRUE_LOADINGS, TRUE_LOADINGS) + np.diag(TRUE_RESIDUALS)
 
 
+def fixed_values(model):
+    """Parameter name -> fixed value (None when free), in model order."""
+    return {name: fixed for name, fixed, _ in model.parameters}
+
+
 class TestParseModel:
     def test_shipped_default(self):
         model = default_model()
@@ -113,7 +120,7 @@ class TestParseModel:
         model = parse_model(SATURATED)
         assert model.free_parameter_count == 3
         assert model.degrees_of_freedom == 0
-        assert model.residual_variances["y1"] == 0.0
+        assert fixed_values(model)["residual y1"] == 0.0
 
     @pytest.mark.parametrize("entry, negative", [("f =1", "f =-0.1"), ("y2 free", "y2 =-0.5")])
     def test_negative_fixed_variance_rejected(self, entry, negative):
@@ -124,7 +131,25 @@ class TestParseModel:
         # Its loadings would have no effect on Sigma; a residual may still be fixed at 0.
         with pytest.raises(ValidationError, match="latent variance fixed at zero in f =0"):
             parse_model(ONE_FACTOR.replace("f =1", "f =0"))
-        assert parse_model(ONE_FACTOR.replace("y2 free", "y2 =0")).residual_variances["y2"] == 0.0
+        assert fixed_values(parse_model(ONE_FACTOR.replace("y2 free", "y2 =0")))["residual y2"] == 0.0
+
+    @pytest.mark.parametrize("entry, fixed", [
+        ("f -> y1 free", "f -> y1 =nan"),
+        ("f -> y1 free", "f -> y1 =inf"),
+        ("f =1", "f =nan"),
+        ("f =1", "f =inf"),
+        ("y2 free", "y2 =-inf"),
+    ])
+    def test_non_finite_fixed_value_rejected(self, entry, fixed):
+        token = fixed.split()[-1]
+        with pytest.raises(ValidationError, match=re.escape(f"bad fixed value {token!r} in {fixed}")):
+            parse_model(ONE_FACTOR.replace(entry, fixed))
+
+    def test_parses_of_the_same_text_are_equal(self):
+        # The bench labels each SEM fit by comparing its model with this file's.
+        path = Path(__file__).parents[1] / "bench" / "free_loadings_model.txt"
+        assert load_model(path) == load_model(path)
+        assert load_model(path) != default_model()
 
     def test_defaults_and_comments(self):
         model = parse_model(
@@ -140,10 +165,13 @@ a            # defaults to free
 b free
 """
         )
-        assert model.latent_variances["f"] == 1.0
-        assert model.loadings[0].fixed is None
-        assert model.loadings[1].fixed == 0.5
-        assert model.residual_variances == {"a": None, "b": None}
+        assert model.parameters == (
+            ("loading f->a", None, (0, 0, 0)),
+            ("loading f->b", 0.5, (0, 1, 0)),
+            ("variance f", 1.0, (1, 0, 0)),
+            ("residual a", None, (2, 0, 0)),
+            ("residual b", None, (2, 1, 1)),
+        )
         assert model.observed_vars == ("a", "b")
 
     def test_unidentified_latent(self):
@@ -154,7 +182,7 @@ b free
     def test_fixed_loading_identifies_free_variance(self):
         text = ONE_FACTOR.replace("f =1", "f free").replace("f -> y1 free", "f -> y1 =1")
         model = parse_model(text)
-        assert model.latent_variances["f"] is None
+        assert fixed_values(model)["variance f"] is None
 
     def test_negative_df_rejected(self):
         with pytest.raises(ValidationError, match="moments"):
@@ -577,7 +605,6 @@ def test_analytic_derivatives_match_central_differences(spec, seed):
     p = model.n_observed
     a = rng.normal(size=(p, p))
     s = a @ a.T / p + 0.5 * np.eye(p)
-    compiled = _compile(model)
     sigma = implied_covariance(model, _natural(model, x))
     assume(np.linalg.eigvalsh(sigma)[0] > 0.05)
 
@@ -585,7 +612,7 @@ def test_analytic_derivatives_match_central_differences(spec, seed):
         return ml_discrepancy(s, implied_covariance(model, _natural(model, v)))
 
     def score(cov, v):
-        grad, info = _score(compiled, cov, _evaluate(compiled, cov, np.linalg.slogdet(cov)[1], v))
+        grad, info = _score(model, cov, _evaluate(model, cov, np.linalg.slogdet(cov)[1], v))
         return np.asarray(grad), np.asarray(info)
 
     h = 1e-6
