@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
 from . import numcore
 from .errors import ValidationError
-from .miner import Sector, SECTOR_ORDER
+from .miner import Sector, SECTOR_ORDER, write_table
 from .scoring import ScoreCard, score_rows
 
 
@@ -104,24 +103,22 @@ def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
 
 
 def write_anova_csv(rows: Sequence[AnovaRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["variable", "mean_primary", "mean_secondary", "mean_tertiary",
-             "grand_mean", "F", "p", "sig"]
+    header = ["variable", "mean_primary", "mean_secondary", "mean_tertiary",
+              "grand_mean", "F", "p", "sig"]
+    lines = []
+    for row in rows:
+        f_text = "NA" if row.degenerate else repr(row.F)
+        p_text = "NA" if row.degenerate else repr(row.p)
+        lines.append(
+            [
+                row.variable_id,
+                repr(row.group_means[Sector.PRIMARY]),
+                repr(row.group_means[Sector.SECONDARY]),
+                repr(row.group_means[Sector.TERTIARY]),
+                repr(row.grand_mean),
+                f_text,
+                p_text,
+                "*" if row.significant_at_05 else "",
+            ]
         )
-        for row in rows:
-            f_text = "NA" if row.degenerate else repr(row.F)
-            p_text = "NA" if row.degenerate else repr(row.p)
-            writer.writerow(
-                [
-                    row.variable_id,
-                    repr(row.group_means[Sector.PRIMARY]),
-                    repr(row.group_means[Sector.SECONDARY]),
-                    repr(row.group_means[Sector.TERTIARY]),
-                    repr(row.grand_mean),
-                    f_text,
-                    p_text,
-                    "*" if row.significant_at_05 else "",
-                ]
-            )
+    write_table(path, header, lines)

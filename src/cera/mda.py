@@ -11,14 +11,13 @@ classification counts); data may be any array-like of rows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from . import numcore
 from .errors import ConditioningError, ValidationError
-from .miner import SECTOR_ORDER, group_name
+from .miner import SECTOR_ORDER, group_name, write_table
 from .numcore import Matrix
 from .scoring import ScoreCard, score_rows
 
@@ -387,11 +386,11 @@ def _case_projections(
 
 def write_case_scores_csv(projections: CaseProjections, path) -> None:
     header = ["report_id", "group"] + [f"score_f{i+1}" for i in range(projections.n_functions)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for case in projections.cases:
-            writer.writerow([case.report_id, group_name(case.group), *map(repr, case.scores)])
+    rows = (
+        [case.report_id, group_name(case.group), *map(repr, case.scores)]
+        for case in projections.cases
+    )
+    write_table(path, header, rows)
 
 
 @dataclass(frozen=True)

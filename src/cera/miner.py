@@ -150,38 +150,69 @@ def _parse_stoplist(text: str) -> frozenset[str]:
     return frozenset(words)
 
 
+def read_table(path, kind: str, columns: Sequence[str] = ("report_id",)):
+    """The header and ``(line number, cells)`` rows of a manifest, frequency or scorecard table.
+
+    A leading byte-order mark and blank lines are skipped; data cells are
+    stripped, header names are not. The header must name each of ``columns``
+    and no column twice; each row must have the header's cell count and a new,
+    nonempty ``report_id``. Errors name ``kind`` and a row's line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{kind} file has no header row")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValidationError(f"{kind} header repeats column {name!r}")
+        if not set(columns) <= set(header):
+            raise ValidationError(f"{kind} needs columns {','.join(columns)}")
+        id_col = header.index("report_id")
+        rows = []
+        seen: set[str] = set()
+        for cells in reader:
+            if not cells:
+                continue
+            line = reader.line_num
+            if len(cells) != len(header):
+                raise ValidationError(
+                    f"{kind} row at line {line} has {len(cells)} cells, header has {len(header)}"
+                )
+            cells = list(map(str.strip, cells))
+            rid = cells[id_col]
+            if not rid or rid in seen:
+                problem = "duplicate" if rid else "empty"
+                raise ValidationError(f"{kind} row at line {line}: {problem} report_id {rid!r}")
+            seen.add(rid)
+            rows.append((line, cells))
+    return header, rows
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: UTF-8, LF line endings, the csv module's minimal quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_corpus(root_path, manifest) -> Corpus:
-    """Read a corpus from ``manifest`` (CSV: report_id,sector,language,path).
+    """Read a corpus from the ``manifest`` table: report_id,sector,language,path.
 
     Relative paths resolve against ``root_path``. Text is read as UTF-8 with
-    invalid byte sequences replaced; the manifest and each report may start with
-    a byte-order mark, which is dropped.
+    invalid byte sequences replaced and a leading byte-order mark dropped.
     """
     root = Path(root_path)
-    manifest = Path(manifest)
+    columns = ("report_id", "sector", "language", "path")
     try:
-        with open(manifest, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.DictReader(fh))
+        header, rows = read_table(manifest, "manifest", columns)
     except OSError as exc:
-        raise IngestionError(f"cannot read manifest {manifest}: {exc}") from exc
+        raise IngestionError(f"cannot read manifest {Path(manifest)}: {exc}") from exc
 
     corpus: Corpus = []
-    seen: set[str] = set()
-    for row in rows:
-        try:
-            report_id = row["report_id"].strip()
-            sector_label = row["sector"].strip()
-            language = row["language"].strip()
-            rel_path = row["path"].strip()
-        except (KeyError, AttributeError):
-            raise ValidationError(
-                "manifest needs columns report_id,sector,language,path"
-            ) from None
-        if not report_id:
-            raise ValidationError("manifest row has an empty report_id")
-        if report_id in seen:
-            raise ValidationError(f"duplicate report_id {report_id!r} in manifest")
-        seen.add(report_id)
+    for _, cells in rows:
+        report_id, sector_label, language, rel_path = (cells[header.index(c)] for c in columns)
         try:
             sector = Sector(sector_label.lower())
         except ValueError:
@@ -375,42 +406,24 @@ def mine_binary(
 
 
 def write_frequency_csv(table: FrequencyTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["report_id", *table.criterion_ids])
-        for rid in table.report_ids:
-            writer.writerow([rid, *(table.counts[(rid, cid)] for cid in table.criterion_ids)])
+    rows = (
+        [rid, *(table.counts[(rid, cid)] for cid in table.criterion_ids)]
+        for rid in table.report_ids
+    )
+    write_table(path, ["report_id", *table.criterion_ids], rows)
 
 
 def read_frequency_csv(path) -> FrequencyTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("frequency file has no header row") from None
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise ValidationError(f"frequency header repeats column {name!r}")
-        criterion_ids = header[1:]
-        report_ids: dict[str, None] = {}  # insertion-ordered, O(1) duplicate check
-        counts = {}
-        for row in reader:
-            if not row:
-                continue
-            rid = row[0]
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"row {reader.line_num} ({rid}) has {len(row)} cells, header has {len(header)}"
-                )
-            if rid in report_ids:
-                raise ValidationError(f"row {reader.line_num}: duplicate report_id {rid!r}")
-            report_ids[rid] = None
-            for cid, value in zip(criterion_ids, row[1:]):
-                try:
-                    counts[(rid, cid)] = int(value)
-                except ValueError:
-                    raise ValidationError(
-                        f"non-integer count {value!r} for ({rid}, {cid})"
-                    ) from None
-    return FrequencyTable(list(report_ids), criterion_ids, counts)
+    """A frequency table: a ``report_id`` column, the others criteria in header order."""
+    header, rows = read_table(path, "frequency")
+    id_col = header.index("report_id")
+    criteria = [(i, cid) for i, cid in enumerate(header) if i != id_col]
+    report_ids = [cells[id_col] for _, cells in rows]
+    counts = {}
+    for rid, (_, cells) in zip(report_ids, rows):
+        for i, cid in criteria:
+            try:
+                counts[(rid, cid)] = int(cells[i])
+            except ValueError:
+                raise ValidationError(f"non-integer count {cells[i]!r} for ({rid}, {cid})") from None
+    return FrequencyTable(report_ids, [cid for _, cid in criteria], counts)

@@ -8,14 +8,13 @@ Ten shipped criteria (v1..v10) each carry a set of phrase alternatives and a
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import IngestionError, ValidationError
-from .miner import Corpus, FrequencyTable, Sector, SECTOR_ORDER
+from .miner import Corpus, FrequencyTable, Sector, SECTOR_ORDER, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -237,60 +236,36 @@ def write_scorecards_csv(cards: Sequence[ScoreCard], path) -> None:
         + [f"{cid}_score" for cid in cids]
         + ["language"]
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for card in cards:
-            writer.writerow(
-                [card.report_id, card.sector.value]
-                + [card.frequencies[cid] for cid in cids]
-                + [card.scores[cid] for cid in cids]
-                + [card.language_tag]
-            )
+    rows = (
+        [card.report_id, card.sector.value]
+        + [card.frequencies[cid] for cid in cids]
+        + [card.scores[cid] for cid in cids]
+        + [card.language_tag]
+        for card in cards
+    )
+    write_table(path, header, rows)
 
 
 def read_scorecards_csv(path) -> list[ScoreCard]:
-    """Scorecards from a CSV laid out as :func:`write_scorecards_csv` writes it.
+    """Scorecards from a table as :func:`write_scorecards_csv` writes it, columns in any order.
 
-    The header needs at least one ``<criterion>_score`` column and may not
-    name a column twice. Every row must have as many cells as the header
-    and a report_id no earlier row used; blank lines are skipped.
+    The header needs report_id, sector and at least one ``<criterion>_score`` column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, rows = read_table(path, "scorecard", ("report_id", "sector"))
+    freq_cols = [(i, h[: -len("_freq")]) for i, h in enumerate(header) if h.endswith("_freq")]
+    score_cols = [(i, h[: -len("_score")]) for i, h in enumerate(header) if h.endswith("_score")]
+    if not score_cols:
+        raise ValidationError("scorecard header has no <criterion>_score column")
+    id_idx, sector_idx = header.index("report_id"), header.index("sector")
+    lang_idx = header.index("language") if "language" in header else None
+    cards = []
+    for line, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("scorecard file has no header row") from None
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise ValidationError(f"scorecard header repeats column {name!r}")
-        freq_cols = [(i, h[: -len("_freq")]) for i, h in enumerate(header) if h.endswith("_freq")]
-        score_cols = [(i, h[: -len("_score")]) for i, h in enumerate(header) if h.endswith("_score")]
-        if not score_cols:
-            raise ValidationError("scorecard header has no <criterion>_score column")
-        lang_idx = header.index("language") if "language" in header else None
-        cards = []
-        seen: set[str] = set()
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"scorecard row at line {line} has {len(row)} cells, header has {len(header)}"
-                )
-            if row[0] in seen:
-                raise ValidationError(
-                    f"scorecard row at line {line}: duplicate report_id {row[0]!r}"
-                )
-            seen.add(row[0])
-            try:
-                frequencies = {cid: int(row[i]) for i, cid in freq_cols}
-                scores = {cid: int(row[i]) for i, cid in score_cols}
-                language = row[lang_idx] if lang_idx is not None else ""
-                card = ScoreCard(row[0], Sector(row[1]), language, frequencies, scores)
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"scorecard row at line {line}: {exc}") from None
-            cards.append(card)
+            frequencies = {cid: int(row[i]) for i, cid in freq_cols}
+            scores = {cid: int(row[i]) for i, cid in score_cols}
+            language = row[lang_idx] if lang_idx is not None else ""
+            card = ScoreCard(row[id_idx], Sector(row[sector_idx]), language, frequencies, scores)
+        except ValueError as exc:
+            raise ValidationError(f"scorecard row at line {line}: {exc}") from None
+        cards.append(card)
     return cards

@@ -213,6 +213,8 @@ def parse_model(spec_text: str) -> SemModelSpec:
         observed[name] = i = len(observed)
         fixed = _parse_variance(tokens[1:] or ["free"], line)
         residuals.append((f"residual {name}", fixed, (_THETA, i, i)))
+    if not observed:
+        raise ValidationError("model has no observed variable")
 
     latent: dict[str, int] = {}
     variances = []

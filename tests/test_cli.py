@@ -198,6 +198,15 @@ class TestAnalysisCommands:
         assert run_subcommand(["sem", "--out-dir", str(scored)]) == 1
         assert capsys.readouterr().err.startswith("sem:")
 
+    def test_sem_rejects_empty_model(self, tmp_path, capsys):
+        cards, model, out = tmp_path / "cards.csv", tmp_path / "empty.txt", tmp_path / "out"
+        write_scorecards_csv(seeded_cards(11, 120), cards)
+        model.write_text("[latents]\n[loadings]\n[residuals]\n", encoding="utf-8")
+        argv = ["sem", "--scorecards", str(cards), "--sem-model", str(model), "--out-dir", str(out)]
+        assert run_subcommand(argv) == 1
+        assert capsys.readouterr().err == "sem: model has no observed variable\n"
+        assert not (out / "sem_fit.json").exists()
+
     def test_missing_scorecards(self, tmp_path, capsys):
         code = run_subcommand(["anova", "--out-dir", str(tmp_path / "nothing")])
         assert code == 1
@@ -478,6 +487,9 @@ BOM_INPUTS = {
     "criteria": (_packaged("criteria.txt"), scoring.load_criteria),
     "sem_model": (_packaged("sem_model.txt"), sem.load_model),
     "config": (json.dumps({"language": "fr", "sem_model": "model.txt"}), cli._load_config_file),
+    "frequencies": ("report_id,v1,v2\nA,1,2\nB,3,4\n", miner.read_frequency_csv),
+    "scorecards": ("report_id,sector,v1_freq,v1_score,language\nr1,primary,3,1,en\n",
+                   scoring.read_scorecards_csv),
 }
 
 

@@ -128,6 +128,28 @@ class TestLoadCorpus:
         with pytest.raises(ValidationError):
             load_corpus(tmp_path, manifest)
 
+    @pytest.mark.parametrize(
+        "text, pattern",
+        [
+            ("report_id,sector,language,path\na,primary,en,a.txt,extra\n",
+             "manifest row at line 2 has 5 cells, header has 4"),
+            ("report_id,sector,language,path\na,primary,en\n",
+             "manifest row at line 2 has 3 cells, header has 4"),
+            ("report_id,sector,language,path,report_id\na,primary,en,a.txt,b\n",
+             "manifest header repeats column 'report_id'"),
+            ("report_id,sector,language,path\na,primary,en,a.txt\n,primary,en,a.txt\n",
+             "manifest row at line 3: empty report_id"),
+            ("", "manifest file has no header row"),
+        ],
+        ids=["extra-cell", "short-row", "repeated-id-column", "empty-id", "zero-byte"],
+    )
+    def test_malformed_manifest_named(self, tmp_path, text, pattern):
+        (tmp_path / "a.txt").write_text("x", encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{pattern}"):
+            load_corpus(tmp_path, manifest)
+
     def test_unknown_sector(self, tmp_path):
         (tmp_path / "a.txt").write_text("x", encoding="utf-8")
         manifest = tmp_path / "manifest.csv"
@@ -544,7 +566,7 @@ class TestFrequencyCsv:
     def test_duplicate_report_id_rejected(self, tmp_path):
         path = tmp_path / "freq.csv"
         path.write_text("report_id,v1,v2\nA,1,2\nA,3,4\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="row 3.*duplicate.*'A'"):
+        with pytest.raises(ValidationError, match="frequency row at line 3: duplicate report_id 'A'"):
             read_frequency_csv(path)
 
     def test_repeated_column_rejected(self, tmp_path):
@@ -556,5 +578,5 @@ class TestFrequencyCsv:
     def test_extra_cell_rejected(self, tmp_path):
         path = tmp_path / "freq.csv"
         path.write_text("report_id,v1,v2\nA,1,2\nB,5,6,99\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="row 3 \\(B\\) has 4 cells"):
+        with pytest.raises(ValidationError, match="frequency row at line 3 has 4 cells, header has 3"):
             read_frequency_csv(path)

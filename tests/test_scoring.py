@@ -304,6 +304,14 @@ class TestScorecardCsv:
         with pytest.raises(ValidationError, match="line 3 has 2[24] cells, header has 23"):
             read_scorecards_csv(path)
 
+    def test_columns_found_by_name(self, tmp_path):
+        cards = [card("r1", [1] * 10), card("r2", [2] * 10)]
+        path, lines = self.written_lines(tmp_path, cards)
+        swapped = [",".join([b, a, *rest]) for a, b, *rest in (ln.split(",") for ln in lines)]
+        assert swapped[0].startswith("sector,report_id,")
+        path.write_text("\n".join(swapped) + "\n", encoding="utf-8")
+        assert read_scorecards_csv(path) == cards
+
     def test_blank_trailing_line_tolerated(self, tmp_path):
         cards = [card("r1", [1] * 10)]
         path = tmp_path / "cards.csv"

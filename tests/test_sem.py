@@ -220,6 +220,8 @@ y2 free
     def test_missing_section(self):
         with pytest.raises(ValidationError, match="residuals"):
             parse_model("[latents]\nf =1\n[loadings]\nf -> y1 free\n")
+        with pytest.raises(ValidationError, match="^model has no observed variable$"):
+            parse_model("[latents]\n[loadings]\n[residuals]\n")
 
     def test_content_before_section(self):
         with pytest.raises(ValidationError, match="before any section"):
