@@ -21,13 +21,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import miner, scoring
-from .errors import CeraError, ValidationError
+from .errors import CeraError, IngestionError, ValidationError
 from .report import ResultsBundle, emit_report
 
 if TYPE_CHECKING:  # pragma: no cover
     from .anova import AnovaRow
     from .mda import MdaResult
-    from .sem import SemFit, SemModelSpec
+    from .sem import SemFit
 
 STRATEGIES = ("linear", "binary")
 ELIMINATION_RULES = ("conjunction", "disjunction")
@@ -86,10 +86,10 @@ def _load_config_file(path: str) -> dict:
     Booleans must be JSON booleans and every other value a JSON string.
     Relative paths resolve against the file's directory.
     """
+    text = miner.read_text(path, "config")
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
@@ -135,14 +135,6 @@ def _criteria(config: RunConfig) -> scoring.CriteriaSet:
     if config.criteria is not None:
         return scoring.load_criteria(config.criteria)
     return scoring.default_criteria()
-
-
-def _sem_model(config: RunConfig) -> SemModelSpec:
-    from . import sem as sem_mod
-
-    if config.sem_model is not None:
-        return sem_mod.load_model(config.sem_model)
-    return sem_mod.default_model()
 
 
 def _load_corpus(config: RunConfig) -> miner.Corpus:
@@ -233,7 +225,8 @@ def _write_mda(out_dir: Path, result: MdaResult) -> None:
 def _sem(config: RunConfig, cards: list[scoring.ScoreCard]) -> SemFit:
     from . import sem as sem_mod
 
-    model = _sem_model(config)
+    path = config.sem_model
+    model = sem_mod.load_model(path) if path is not None else sem_mod.default_model()
     s, n = sem_mod.covariance_from_cards(cards, model.observed_vars)
     return sem_mod.fit_model(model, s, n)
 
@@ -410,7 +403,7 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
-    except ValueError as exc:
+    except (ValueError, IngestionError) as exc:
         parser.error(str(exc))  # exits 2
     try:
         with _stage(args.command):

@@ -12,6 +12,7 @@ Both must produce identical frequency tables on identical inputs.
 from __future__ import annotations
 
 import csv
+import io
 import re
 import unicodedata
 from array import array
@@ -125,67 +126,108 @@ def preprocess_text(
     return list(map(stem_token, kept) if stemming else kept)
 
 
+def read_text(path, kind: str) -> str:
+    """The text of a strict UTF-8 ``kind`` file; a leading byte-order mark is dropped,
+    line endings are kept, and an unreadable file is an IngestionError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {kind} {path}: {exc}") from exc
+
+
+def packaged_text(name: str) -> str:
+    """The text of the data file ``name`` shipped in ``cera.data``."""
+    return resources.files("cera.data").joinpath(name).read_text("utf-8")
+
+
+def load_config(path, kind: str, parse):
+    """``parse`` applied to the ``kind`` file at ``path``; a ValidationError it
+    raises is raised again, of the same class, with the kind and path in front."""
+    text = read_text(path, kind)
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise type(exc)(f"{kind} {path}: {exc}") from exc
+
+
+def config_lines(text: str) -> list[str]:
+    """The nonblank lines of a config text, ``#`` comments and surrounding whitespace removed."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
+def config_sections(text: str) -> list[tuple[str, list[str]]]:
+    """``(name, lines)`` per ``[name]`` header, in file order, lines as :func:`config_lines`
+    gives them; a line before the first header is a ValidationError."""
+    sections: list[tuple[str, list[str]]] = []
+    for line in config_lines(text):
+        if line.startswith("[") and line.endswith("]"):
+            sections.append((line[1:-1].strip(), []))
+        elif not sections:
+            raise ValidationError(f"content before any section: {line!r}")
+        else:
+            sections[-1][1].append(line)
+    return sections
+
+
 def default_stoplist() -> frozenset[str]:
     """Shipped stop list: articles, prepositions, conjunctions, pronouns, common verbs."""
-    text = resources.files("cera.data").joinpath("stopwords.txt").read_text("utf-8")
-    return _parse_stoplist(text)
+    return _parse_stoplist(packaged_text("stopwords.txt"))
 
 
 def load_stoplist(path) -> frozenset[str]:
-    try:
-        text = Path(path).read_text("utf-8-sig")
-    except OSError as exc:
-        raise IngestionError(f"cannot read stop list {path}: {exc}") from exc
-    return _parse_stoplist(text)
+    return load_config(path, "stop list", _parse_stoplist)
 
 
 def _parse_stoplist(text: str) -> frozenset[str]:
     words = set()
-    for line in text.splitlines():
-        word = unicodedata.normalize("NFC", line.split("#", 1)[0].strip().lower())
-        if word:
-            if any(ch.isspace() for ch in word):
-                raise ValidationError(f"stop-list entries must be single words: {word!r}")
-            words.add(word)
+    for line in config_lines(text):
+        word = unicodedata.normalize("NFC", line.lower())
+        if any(ch.isspace() for ch in word):
+            raise ValidationError(f"stop-list entries must be single words: {word!r}")
+        words.add(word)
     return frozenset(words)
 
 
 def read_table(path, kind: str, columns: Sequence[str] = ("report_id",)):
     """The header and ``(line number, cells)`` rows of a manifest, frequency or scorecard table.
 
-    A leading byte-order mark and blank lines are skipped; data cells are
-    stripped, header names are not. The header must name each of ``columns``
-    and no column twice; each row must have the header's cell count and a new,
-    nonempty ``report_id``. Errors name ``kind`` and a row's line.
+    Blank lines are skipped; data cells are stripped, header names are not.
+    The header must name each of ``columns`` and no column twice; each row
+    must have the header's cell count and a new, nonempty ``report_id``.
+    Errors, the csv module's too (a cell over its size limit), name ``kind`` and a row's line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{kind} file has no header row")
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise ValidationError(f"{kind} header repeats column {name!r}")
-        if not set(columns) <= set(header):
-            raise ValidationError(f"{kind} needs columns {','.join(columns)}")
-        id_col = header.index("report_id")
-        rows = []
-        seen: set[str] = set()
-        for cells in reader:
-            if not cells:
-                continue
-            line = reader.line_num
-            if len(cells) != len(header):
-                raise ValidationError(
-                    f"{kind} row at line {line} has {len(cells)} cells, header has {len(header)}"
-                )
-            cells = list(map(str.strip, cells))
-            rid = cells[id_col]
-            if not rid or rid in seen:
-                problem = "duplicate" if rid else "empty"
-                raise ValidationError(f"{kind} row at line {line}: {problem} report_id {rid!r}")
-            seen.add(rid)
-            rows.append((line, cells))
+    reader = csv.reader(io.StringIO(read_text(path, kind), newline=""))
+    try:
+        lines = [(reader.line_num, cells) for cells in reader]
+    except csv.Error as exc:
+        raise ValidationError(f"{kind} row at line {reader.line_num}: {exc}") from None
+    if not lines:
+        raise ValidationError(f"{kind} file has no header row")
+    header = lines[0][1]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValidationError(f"{kind} header repeats column {name!r}")
+    if not set(columns) <= set(header):
+        raise ValidationError(f"{kind} needs columns {','.join(columns)}")
+    id_col = header.index("report_id")
+    rows = []
+    seen: set[str] = set()
+    for line, cells in lines[1:]:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{kind} row at line {line} has {len(cells)} cells, header has {len(header)}"
+            )
+        cells = list(map(str.strip, cells))
+        rid = cells[id_col]
+        if not rid or rid in seen:
+            problem = "duplicate" if rid else "empty"
+            raise ValidationError(f"{kind} row at line {line}: {problem} report_id {rid!r}")
+        seen.add(rid)
+        rows.append((line, cells))
     return header, rows
 
 
@@ -205,10 +247,7 @@ def load_corpus(root_path, manifest) -> Corpus:
     """
     root = Path(root_path)
     columns = ("report_id", "sector", "language", "path")
-    try:
-        header, rows = read_table(manifest, "manifest", columns)
-    except OSError as exc:
-        raise IngestionError(f"cannot read manifest {Path(manifest)}: {exc}") from exc
+    header, rows = read_table(manifest, "manifest", columns)
 
     corpus: Corpus = []
     for _, cells in rows:
@@ -220,9 +259,7 @@ def load_corpus(root_path, manifest) -> Corpus:
                 f"unknown sector {sector_label!r} for report {report_id!r}; "
                 f"expected one of {[s.value for s in SECTOR_ORDER]}"
             ) from None
-        path = Path(rel_path)
-        if not path.is_absolute():
-            path = root / path
+        path = root / rel_path  # an absolute rel_path replaces root
         if not path.is_file():
             raise IngestionError(f"report file not found: {path}")
         text = path.read_text(encoding="utf-8-sig", errors="replace")

@@ -9,12 +9,11 @@ Ten shipped criteria (v1..v10) each carry a set of phrase alternatives and a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import IngestionError, ValidationError
+from .errors import ValidationError
 from .miner import Corpus, FrequencyTable, Sector, SECTOR_ORDER, read_table, write_table
+from .miner import config_sections, load_config, packaged_text
 
 
 @dataclass(frozen=True)
@@ -166,16 +165,11 @@ def sector_composition(cards: Sequence[ScoreCard]) -> dict[Sector, tuple[int, fl
 
 def default_criteria() -> CriteriaSet:
     """Shipped transcription of the ten search criteria."""
-    text = resources.files("cera.data").joinpath("criteria.txt").read_text("utf-8")
-    return parse_criteria(text)
+    return parse_criteria(packaged_text("criteria.txt"))
 
 
 def load_criteria(path) -> CriteriaSet:
-    try:
-        text = Path(path).read_text("utf-8-sig")
-    except OSError as exc:
-        raise IngestionError(f"cannot read criteria config {path}: {exc}") from exc
-    return parse_criteria(text)
+    return load_config(path, "criteria config", parse_criteria)
 
 
 def parse_criteria(text: str) -> CriteriaSet:
@@ -186,37 +180,19 @@ def parse_criteria(text: str) -> CriteriaSet:
     per line. ``#`` starts a comment.
     """
     criteria: CriteriaSet = []
-    current_id = None
-    label = ""
-    max_score = 10
-    alternatives: list[str] = []
-
-    def flush():
-        if current_id is not None:
-            criteria.append(Criterion(current_id, label, tuple(alternatives), max_score))
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            current_id = line[1:-1].strip()
-            if not current_id:
-                raise ValidationError("empty criterion id in config")
-            label, max_score, alternatives = "", 10, []
-        elif current_id is None:
-            raise ValidationError(f"content before first criterion header: {line!r}")
-        elif line.lower().startswith("label:"):
-            label = line.split(":", 1)[1].strip()
-        elif line.lower().startswith("max_score:"):
-            try:
-                max_score = int(line.split(":", 1)[1].strip())
-            except ValueError:
-                raise ValidationError(f"bad max_score line: {line!r}") from None
-        else:
-            alternatives.append(line)
-    flush()
+    for criterion_id, lines in config_sections(text):
+        label, max_score, alternatives = "", 10, []
+        for line in lines:
+            if line.lower().startswith("label:"):
+                label = line.split(":", 1)[1].strip()
+            elif line.lower().startswith("max_score:"):
+                try:
+                    max_score = int(line.split(":", 1)[1].strip())
+                except ValueError:
+                    raise ValidationError(f"bad max_score line: {line!r}") from None
+            else:
+                alternatives.append(line)
+        criteria.append(Criterion(criterion_id, label, tuple(alternatives), max_score))
     if not criteria:
         raise ValidationError("criteria config defines no criteria")
     ids = [c.criterion_id for c in criteria]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from typing import Callable, Mapping, Sequence
 
 from . import numcore
@@ -25,6 +24,7 @@ from .errors import (
     ParameterBoundsError,
     ValidationError,
 )
+from .miner import config_sections, load_config, packaged_text
 from .numcore import dot
 from .scoring import ScoreCard, score_rows
 
@@ -182,22 +182,13 @@ def parse_model(spec_text: str) -> SemModelSpec:
     may not be negative, and a fixed latent variance may not be zero.
     """
     sections: dict[str, list[str]] = {}
-    current: str | None = None
-    for raw in spec_text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current not in {"latents", "loadings", "covariances", "residuals"}:
-                raise ValidationError(f"unknown section [{current}]")
-            if current in sections:
-                raise ValidationError(f"duplicate section [{current}]")
-            sections[current] = []
-            continue
-        if current is None:
-            raise ValidationError(f"content before any section: {line!r}")
-        sections[current].append(line)
+    for name, lines in config_sections(spec_text):
+        name = name.lower()
+        if name not in {"latents", "loadings", "covariances", "residuals"}:
+            raise ValidationError(f"unknown section [{name}]")
+        if name in sections:
+            raise ValidationError(f"duplicate section [{name}]")
+        sections[name] = lines
     for required in ("latents", "loadings", "residuals"):
         if required not in sections:
             raise ValidationError(f"missing section [{required}]")
@@ -287,14 +278,12 @@ def parse_model(spec_text: str) -> SemModelSpec:
 
 
 def load_model(path) -> SemModelSpec:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_model(fh.read())
+    return load_config(path, "SEM model", parse_model)
 
 
 def default_model() -> SemModelSpec:
     """Shipped example: three constructs over the ten criteria, 16 free parameters."""
-    text = resources.files("cera.data").joinpath("sem_model.txt").read_text(encoding="utf-8")
-    return parse_model(text)
+    return parse_model(packaged_text("sem_model.txt"))
 
 
 def _sigma(lam, phi, theta) -> tuple[list[list[float]], list[list[float]]]:

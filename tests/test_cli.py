@@ -13,6 +13,7 @@ import cera
 from cera import cli, miner, scoring, sem
 
 from cera.cli import _PATH_KEYS, RunConfig, _build_config, build_parser, run_subcommand
+from cera.errors import IdentificationError, ValidationError
 from cera.miner import SECTOR_ORDER
 from cera.scoring import ScoreCard, rate_frequency, read_scorecards_csv, write_scorecards_csv
 
@@ -204,7 +205,7 @@ class TestAnalysisCommands:
         model.write_text("[latents]\n[loadings]\n[residuals]\n", encoding="utf-8")
         argv = ["sem", "--scorecards", str(cards), "--sem-model", str(model), "--out-dir", str(out)]
         assert run_subcommand(argv) == 1
-        assert capsys.readouterr().err == "sem: model has no observed variable\n"
+        assert capsys.readouterr().err == f"sem: SEM model {model}: model has no observed variable\n"
         assert not (out / "sem_fit.json").exists()
 
     def test_missing_scorecards(self, tmp_path, capsys):
@@ -501,6 +502,75 @@ def test_byte_order_mark_ignored(tmp_path, name):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert load(marked) == load(plain)
+
+
+def _undecodable(name: str) -> bytes:
+    """The BOM_INPUTS text for ``name``, ending in a byte that is not UTF-8."""
+    return BOM_INPUTS[name][0].encode("utf-8") + b"\xff"
+
+
+BAD_BYTE = "'utf-8' codec can't decode byte 0xff"
+# One bad input per run: the file's bytes, the command that reads it (@ is
+# the file's path), its exit code and the start of its one diagnostic line.
+BAD_INPUT_RUNS = {
+    "manifest": (_undecodable("manifest"), ["mine", "--manifest", "@"], 1,
+                 f"mine: cannot read manifest @: {BAD_BYTE}"),
+    "stoplist": (_undecodable("stoplist"), ["mine", "--manifest", str(MANIFEST), "--stoplist", "@"],
+                 1, f"mine: cannot read stop list @: {BAD_BYTE}"),
+    "criteria": (_undecodable("criteria"), ["mine", "--manifest", str(MANIFEST), "--criteria", "@"],
+                 1, f"mine: cannot read criteria config @: {BAD_BYTE}"),
+    # The pipeline goes on: the sem stage fails alone, into its error artifact.
+    "sem_model": (_undecodable("sem_model"),
+                  ["pipeline", "--manifest", str(MANIFEST), "--sem-model", "@"], 0,
+                  f"sem: cannot read SEM model @: {BAD_BYTE}"),
+    "config": (_undecodable("config"), ["anova", "--config", "@"], 2,
+               f"cera: error: cannot read config @: {BAD_BYTE}"),
+    "frequencies": (_undecodable("frequencies"),
+                    ["score", "--manifest", str(MANIFEST), "--frequencies", "@"], 1,
+                    f"score: cannot read frequency @: {BAD_BYTE}"),
+    "scorecards": (_undecodable("scorecards"), ["anova", "--scorecards", "@"], 1,
+                   f"anova: cannot read scorecard @: {BAD_BYTE}"),
+    "oversized-cell": (b"report_id,sector,v1_score\nr1,primary," + b"1" * 131_073 + b"\n",
+                       ["anova", "--scorecards", "@"], 1,
+                       "anova: scorecard row at line 2: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUT_RUNS))
+def test_bad_input_is_one_named_diagnostic(tmp_path, capsys, name):
+    content, argv, expected, line = BAD_INPUT_RUNS[name]
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(content)
+    argv = [str(bad) if a == "@" else a for a in argv]
+    try:
+        code = run_subcommand([*argv, "--out-dir", str(out)])
+    except SystemExit as exc:  # usage errors exit through argparse
+        code = exc.code
+    assert code == expected
+    err = capsys.readouterr().err.splitlines()
+    named = [e for e in err if e.startswith(line.replace("@", str(bad)))]
+    assert len(named) == 1, err
+    if expected == 1:
+        assert err == named
+    if name == "sem_model":
+        assert (out / "anova.csv").is_file() and (out / "mda.json").is_file()
+        fit = json.loads((out / "sem_fit.json").read_text(encoding="utf-8"))
+        assert fit["status"] == "error"
+        assert fit["message"].startswith(f"cannot read SEM model {bad}: {BAD_BYTE}")
+
+
+@pytest.mark.parametrize("load, text, error", [
+    (miner.load_stoplist, "two words\n", ValidationError),
+    (scoring.load_criteria, "[v1]\nlabel: no phrases\n", ValidationError),
+    (sem.load_model, "[latents]\nf free\n[loadings]\nf -> y free\n[residuals]\ny free\n",
+     IdentificationError),
+], ids=["stoplist", "criteria", "sem_model"])
+def test_parse_error_names_the_file(tmp_path, load, text, error):
+    path = tmp_path / "config.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as excinfo:
+        load(path)
+    assert type(excinfo.value) is error and f" {path}: " in str(excinfo.value)
 
 
 def test_every_export_exists():
