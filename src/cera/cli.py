@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import miner, scoring
 from .errors import CeraError, IngestionError, ValidationError
-from .report import ResultsBundle, emit_report
+from .report import emit_report
 
 if TYPE_CHECKING:  # pragma: no cover
     from .anova import AnovaRow
@@ -169,8 +169,7 @@ def _mine(config: RunConfig, criteria: scoring.CriteriaSet) -> miner.FrequencyTa
 def _score(
     config: RunConfig, table: miner.FrequencyTable, criteria: scoring.CriteriaSet
 ) -> list[scoring.ScoreCard]:
-    meta = scoring.report_metadata(_load_corpus(config))
-    cards = scoring.build_scorecards(table, meta, criteria)
+    cards = scoring.build_scorecards(table, _load_corpus(config), criteria)
     sample = scoring.filter_sample(cards, config.language, config.elimination)
     scoring.write_scorecards_csv(sample, config.out_dir / SCORECARDS_NAME)
     return sample
@@ -302,9 +301,7 @@ def _cmd_pipeline(config: RunConfig) -> int:
 def _cmd_report(config: RunConfig, scorecards: str | None, out: str | None) -> int:
     cards = scoring.read_scorecards_csv(_cards_path(scorecards, config))
     composition = scoring.sector_composition(cards)
-    results = _run_analyses(config, cards)
-    bundle = ResultsBundle(composition, results["anova"], results["mda"], results["sem"])
-    text = emit_report(bundle)
+    text = emit_report(composition, **_run_analyses(config, cards))
     target = Path(out) if out else config.out_dir / REPORT_NAME
     with open(target, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

@@ -58,28 +58,41 @@ Corpus = list[Document]
 
 @dataclass
 class KeywordFile:
-    """The sorted ``<keyword, file>`` record file, held as postings.
+    """The sorted ``<keyword, file>`` record file, held as token sequences.
 
-    ``keywords`` is sorted. ``postings[k]`` pairs the ids of the reports that
-    contain ``keywords[k]``, in id order, with the keyword's count in each.
-    ``sequences`` maps each report id to its preprocessed token order, as
-    indices into ``keywords``. The stop list and stemming flag are the
+    ``keywords`` is sorted. ``sequences`` maps each report id to its
+    preprocessed token order, as indices into ``keywords``; each position in
+    a sequence is one record. The stop list and stemming flag are the
     preprocessing settings, which binary mining applies to criterion phrases.
     """
 
     keywords: list[str]
-    postings: list[tuple[list[str], array]]
     sequences: dict[str, array]
     stoplist: frozenset[str] = frozenset()
     stemming: bool = False
 
     @property
+    def postings(self) -> list[tuple[list[str], array]]:
+        """Per keyword, the ids of the reports that contain it, ascending, and its count in each.
+
+        Tallied from ``sequences`` on every access.
+        """
+        report_ids: list[list[str]] = [[] for _ in self.keywords]
+        counts = [array("I") for _ in self.keywords]
+        for report_id in sorted(self.sequences):
+            for k, n in Counter(self.sequences[report_id]).items():
+                report_ids[k].append(report_id)
+                counts[k].append(n)
+        return list(zip(report_ids, counts))
+
+    @property
     def records(self) -> list[tuple[str, str]]:
         """One ``(keyword, report_id)`` tuple per token occurrence, sorted.
 
-        Mining and writing never expand the postings this way; tests and the
-        benchmark's record counter do. It can go once that counter counts
-        the lines of the written file (ROADMAP item 1).
+        Mining and writing never build these tuples; tests and the
+        benchmark's record counter do, and each access tallies the postings
+        again. It can go once that counter counts the lines of the written
+        file (ROADMAP item 1).
         """
         records: list[tuple[str, str]] = []
         for keyword, (report_ids, counts) in zip(self.keywords, self.postings):
@@ -298,41 +311,26 @@ class FrequencyTable:
 def build_sorted_keyword_file(
     corpus: Corpus, stoplist: Iterable[str] = frozenset(), stemming: bool = False
 ) -> KeywordFile:
-    """Postings and token sequences from one preprocessing pass per report.
+    """Token sequences from one preprocessing pass per report.
 
-    Reports are visited in report-id order, so every posting lists its
-    report ids ascending. Keywords are numbered as first seen, then
-    renumbered in sorted order once the vocabulary is complete.
+    Keywords are numbered as first seen, then renumbered in sorted order once
+    the vocabulary is complete. A report id listed twice is a ValidationError.
     """
     stopset = frozenset(stoplist)
     first_seen: defaultdict[str, int] = defaultdict(count().__next__)
-    report_ids: list[list[str]] = []  # by first-seen number
-    counts: list[list[int]] = []
     sequences: dict[str, array] = {}
-    for doc in sorted(corpus, key=lambda d: d.report_id):
+    for doc in corpus:
+        if doc.report_id in sequences:
+            raise ValidationError(f"report_id {doc.report_id!r} appears twice")
         tokens = preprocess_text(doc.text, stopset, stemming)
-        sequence = array("I", map(first_seen.__getitem__, tokens))
-        while len(report_ids) < len(first_seen):
-            report_ids.append([])
-            counts.append([])
-        for k, n in Counter(sequence).items():
-            report_ids[k].append(doc.report_id)
-            counts[k].append(n)
-        sequences[doc.report_id] = sequence
+        sequences[doc.report_id] = array("I", map(first_seen.__getitem__, tokens))
     keywords = sorted(first_seen)
-    order = [first_seen[keyword] for keyword in keywords]
-    rank = [0] * len(order)
-    for r, k in enumerate(order):
-        rank[k] = r
+    rank = [0] * len(keywords)
+    for r, keyword in enumerate(keywords):
+        rank[first_seen[keyword]] = r
     for report_id, sequence in sequences.items():
         sequences[report_id] = array("I", map(rank.__getitem__, sequence))
-    return KeywordFile(
-        keywords=keywords,
-        postings=[(report_ids[k], array("I", counts[k])) for k in order],
-        sequences=sequences,
-        stoplist=stopset,
-        stemming=stemming,
-    )
+    return KeywordFile(keywords, sequences, stopset, stemming)
 
 
 def write_keyword_file(kwfile: KeywordFile, path) -> None:

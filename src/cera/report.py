@@ -9,7 +9,6 @@ means 2 dp, test statistics 3 dp, percentages and the hit rate 1 dp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
 from .errors import ValidationError
@@ -19,14 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .anova import AnovaRow
     from .mda import MdaResult
     from .sem import SemFit
-
-
-@dataclass(frozen=True)
-class ResultsBundle:
-    composition: dict[Hashable, tuple[int, float]] | None = None
-    anova_rows: list[AnovaRow] | None = None
-    mda: MdaResult | None = None
-    sem: SemFit | None = None
 
 
 def _f3(x: float) -> str:
@@ -111,23 +102,24 @@ def _sem_section(sem: SemFit) -> list[str]:
     return lines
 
 
-def emit_report(bundle: ResultsBundle) -> str:
-    if (
-        bundle.composition is None
-        and bundle.anova_rows is None
-        and bundle.mda is None
-        and bundle.sem is None
-    ):
-        raise ValidationError("nothing to report: the results bundle is empty")
+def emit_report(
+    composition: dict[Hashable, tuple[int, float]] | None = None,
+    anova: list[AnovaRow] | None = None,
+    mda: MdaResult | None = None,
+    sem: SemFit | None = None,
+) -> str:
+    """The report text: one section per result given, in the module's fixed order."""
     sections: list[list[str]] = []
-    if bundle.composition is not None:
-        sections.append(_compose_section(bundle.composition))
-    if bundle.anova_rows is not None:
-        sections.append(_anova_section(bundle.anova_rows))
-    if bundle.mda is not None:
-        sections.append(_mda_section(bundle.mda))
-    if bundle.sem is not None:
-        sections.append(_sem_section(bundle.sem))
+    if composition is not None:
+        sections.append(_compose_section(composition))
+    if anova is not None:
+        sections.append(_anova_section(anova))
+    if mda is not None:
+        sections.append(_mda_section(mda))
+    if sem is not None:
+        sections.append(_sem_section(sem))
+    if not sections:
+        raise ValidationError("nothing to report: every section is empty")
     lines: list[str] = []
     for i, section in enumerate(sections):
         if i:

@@ -9,7 +9,7 @@ Ten shipped criteria (v1..v10) each carry a set of phrase alternatives and a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .miner import Corpus, FrequencyTable, Sector, SECTOR_ORDER, read_table, write_table
@@ -83,23 +83,13 @@ def score_rows(cards: Sequence[ScoreCard], criterion_ids: Sequence[str]) -> list
     return rows
 
 
-class ReportMeta(NamedTuple):
-    sector: Sector
-    language_tag: str
-
-
-def report_metadata(corpus: Corpus) -> dict[str, ReportMeta]:
-    return {doc.report_id: ReportMeta(doc.sector, doc.language_tag) for doc in corpus}
-
-
 def build_scorecards(
-    freq: FrequencyTable,
-    corpus_meta: Mapping[str, ReportMeta],
-    criteria: CriteriaSet,
+    freq: FrequencyTable, corpus: Corpus, criteria: CriteriaSet
 ) -> list[ScoreCard]:
     """One scorecard per report in the frequency table, rating every criterion.
 
     The table's columns must be exactly the configured criteria, in any order.
+    Each card takes its sector and language from the corpus document with its id.
     """
     by_id = {c.criterion_id: c for c in criteria}
     missing = [cid for cid in by_id if cid not in freq.criterion_ids]
@@ -116,14 +106,15 @@ def build_scorecards(
                 f"criterion {cid} max_score {crit.max_score} is below the "
                 f"scale's top score {BANDS[0][1]}"
             )
+    docs = {doc.report_id: doc for doc in corpus}
     cards = []
     for rid in freq.report_ids:
-        meta = corpus_meta.get(rid)
-        if meta is None:
+        doc = docs.get(rid)
+        if doc is None:
             raise ValidationError(f"report {rid!r} missing from corpus metadata")
         frequencies = freq.row(rid)
         scores = {cid: rate_frequency(n) for cid, n in frequencies.items()}
-        cards.append(ScoreCard(rid, meta.sector, meta.language_tag, frequencies, scores))
+        cards.append(ScoreCard(rid, doc.sector, doc.language_tag, frequencies, scores))
     return cards
 
 

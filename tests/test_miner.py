@@ -194,6 +194,12 @@ class TestKeywordFile:
         records = build_sorted_keyword_file(corpus).records
         assert all(records[i] <= records[i + 1] for i in range(len(records) - 1))
 
+    def test_repeated_report_id_rejected(self):
+        # Each report id holds one token sequence, so a second document with
+        # the same id would replace the first one's records.
+        with pytest.raises(ValidationError, match="report_id 'A' appears twice"):
+            build_sorted_keyword_file([doc("A", "carbon"), doc("A", "water")])
+
     def test_round_trip(self, tmp_path):
         kwfile = build_sorted_keyword_file([doc("A", "b a"), doc("B", "a")])
         path = tmp_path / "kw.tsv"
@@ -464,14 +470,17 @@ def test_merged_scan_matches_per_criterion_oracle(words, stemming, use_stop):
         assert binary.get("r", c.criterion_id) == expected, c.criterion_id
 
 
-@given(st.lists(st.lists(st.sampled_from(["a", "b", "ab", "c", "the"]), max_size=30), max_size=12))
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "ab", "c", "the", "cases"]), max_size=30), max_size=12),
+    st.booleans(),
+)
 @settings(max_examples=60, deadline=None)
-def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_words):
+def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_words, stemming):
     # Descending ids, some of which sort differently as strings than as numbers.
     corpus = [doc(f"r{len(docs_words) - i}", " ".join(words)) for i, words in enumerate(docs_words)]
-    kwfile = build_sorted_keyword_file(corpus, {"the"})
+    kwfile = build_sorted_keyword_file(corpus, {"the"}, stemming)
     occurrences = sorted(
-        (token, d.report_id) for d in corpus for token in preprocess_text(d.text, {"the"})
+        (token, d.report_id) for d in corpus for token in preprocess_text(d.text, {"the"}, stemming)
     )
     assert kwfile.records == occurrences
     path = tmp_path_factory.mktemp("kw") / "kw.tsv"

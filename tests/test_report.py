@@ -9,7 +9,7 @@ from cera.cli import run_subcommand
 from cera.errors import ValidationError
 from cera.mda import ClassificationMatrix, run_mda
 from cera.miner import Sector
-from cera.report import ResultsBundle, emit_report
+from cera.report import emit_report
 from cera.scoring import read_scorecards_csv, sector_composition
 from cera.sem import SemFit
 
@@ -52,10 +52,9 @@ def sample_sem_fit(**overrides):
 
 class TestSections:
     def test_fixed_section_order(self):
-        bundle = ResultsBundle(
+        text = emit_report(
             sample_composition(), sample_anova_rows(), sample_mda_result(), sample_sem_fit()
         )
-        text = emit_report(bundle)
         positions = [
             text.index("SECTOR COMPOSITION"),
             text.index("ONE-WAY ANOVA BY SECTOR"),
@@ -66,12 +65,12 @@ class TestSections:
         assert text.endswith("\n")
 
     def test_composition_lines(self):
-        text = emit_report(ResultsBundle(composition=sample_composition()))
+        text = emit_report(composition=sample_composition())
         assert "  primary        117  21.71%" in text
         assert "  total          539" in text
 
     def test_anova_only_bundle(self):
-        text = emit_report(ResultsBundle(anova_rows=sample_anova_rows()))
+        text = emit_report(anova=sample_anova_rows())
         assert text.startswith("ONE-WAY ANOVA BY SECTOR")
         assert "DISCRIMINANT" not in text
         lines = text.splitlines()
@@ -82,10 +81,10 @@ class TestSections:
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
-            emit_report(ResultsBundle())
+            emit_report()
 
     def test_mda_section_content(self):
-        text = emit_report(ResultsBundle(mda=sample_mda_result()))
+        text = emit_report(mda=sample_mda_result())
         assert "canonical functions: 2" in text
         assert "Wilks' Lambda tests:" in text
         assert "functions 1 through 2:" in text
@@ -99,12 +98,12 @@ class TestSections:
             result.classification.group_order,
         )
         patched = dataclasses.replace(result, classification=reference)
-        text = emit_report(ResultsBundle(mda=patched))
+        text = emit_report(mda=patched)
         assert "hit rate: 59.7%" in text
         assert "57.3%" in text
 
     def test_sem_section_content(self):
-        text = emit_report(ResultsBundle(sem=sample_sem_fit()))
+        text = emit_report(sem=sample_sem_fit())
         assert "chi-square 167.200, df 39, p 0.001 (N = 539)" in text
         assert "acceptable at the 5% level (p > 0.05): no" in text
         assert "converged: yes (48 iterations)" in text
@@ -112,20 +111,18 @@ class TestSections:
 
     def test_sem_acceptable_and_heywood(self):
         fit = sample_sem_fit(p=0.21, chi_square=45.0, heywood=("v3",))
-        text = emit_report(ResultsBundle(sem=fit))
+        text = emit_report(sem=fit)
         assert "acceptable at the 5% level (p > 0.05): yes" in text
         assert "zero bound for v3" in text
 
     def test_box_warning_only_when_rejected(self):
         result = sample_mda_result()
-        text = emit_report(ResultsBundle(mda=result))
+        text = emit_report(mda=result)
         warning = "equality of group covariance matrices rejected"
         assert (warning in text) == (result.box.p < 0.05)
 
     def test_blank_line_between_sections(self):
-        text = emit_report(
-            ResultsBundle(sample_composition(), sample_anova_rows(), None, None)
-        )
+        text = emit_report(sample_composition(), sample_anova_rows(), None, None)
         assert "\n\nONE-WAY ANOVA BY SECTOR" in text
 
 
@@ -141,8 +138,8 @@ class TestWriteReport:
         path = tmp_path / "report.txt"
         assert run_subcommand(["report", "--out-dir", str(out), "--out", str(path)]) == 0
         capsys.readouterr()
-        bundle = ResultsBundle(sector_composition(cards), anova_table(cards))
-        assert path.read_text(encoding="utf-8") == emit_report(bundle)
+        expected = emit_report(sector_composition(cards), anova_table(cards))
+        assert path.read_text(encoding="utf-8") == expected
         assert b"\r" not in path.read_bytes()
 
     def test_anova_columns_follow_sector_order(self, tmp_path, capsys):

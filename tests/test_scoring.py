@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cera.errors import ValidationError
-from cera.miner import FrequencyTable, Sector
+from cera.miner import Document, FrequencyTable, Sector
 from cera.scoring import (
     Criterion,
-    ReportMeta,
     ScoreCard,
     build_scorecards,
     default_criteria,
@@ -29,7 +28,7 @@ def freq_table(rows: dict[str, list[int]], n_criteria=10) -> FrequencyTable:
 
 
 def meta_for(rows, sector=Sector.PRIMARY, language="en"):
-    return {rid: ReportMeta(sector, language) for rid in rows}
+    return [Document(rid, sector, language, "") for rid in rows]
 
 
 class TestRateFrequency:

@@ -16,7 +16,7 @@ from cera.errors import (
 )
 from cera import sem
 from cera.miner import Sector
-from cera.report import ResultsBundle, emit_report
+from cera.report import emit_report
 from cera.scoring import ScoreCard
 from cera.sem import (
     _evaluate,
@@ -776,5 +776,5 @@ class TestSerialization:
         assert not fit.converged
         assert fit.acceptable_at_05 is False
         assert fit_to_dict(fit)["acceptable_at_05"] is False
-        text = emit_report(ResultsBundle(sem=fit))
+        text = emit_report(sem=fit)
         assert "acceptable at the 5% level (p > 0.05): no" in text
