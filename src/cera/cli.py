@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .sem import SemFit
 
 STRATEGIES = ("linear", "binary")
-ELIMINATION_RULES = ("conjunction", "disjunction")
 
 FREQUENCIES_NAME = "frequencies.csv"
 KEYWORD_FILE_NAME = "keyword_file.tsv"
@@ -60,12 +59,10 @@ class RunConfig:
     sem_model: Path | None = None  # None = packaged example model
 
     def validate(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.elimination not in ELIMINATION_RULES:
-            raise ValueError(
-                f"elimination must be one of {ELIMINATION_RULES}, got {self.elimination!r}"
-            )
+        for key, choices in (("strategy", STRATEGIES), ("elimination", scoring.ELIMINATION_RULES)):
+            value = getattr(self, key)
+            if value not in choices:
+                raise ValueError(f"{key} must be one of {choices}, got {value!r}")
         for label, path in (
             ("manifest", self.manifest),
             ("criteria", self.criteria),
@@ -181,13 +178,14 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cmd_mine(config: RunConfig) -> int:
+# Each subcommand's handler, bound to its subparser as ``run``.
+def _cmd_mine(config: RunConfig, args: argparse.Namespace) -> int:
     _mine(config, _criteria(config))
     return 0
 
 
-def _cmd_score(config: RunConfig, frequencies: str | None) -> int:
-    freq_path = Path(frequencies) if frequencies else config.out_dir / FREQUENCIES_NAME
+def _cmd_score(config: RunConfig, args: argparse.Namespace) -> int:
+    freq_path = Path(args.frequencies) if args.frequencies else config.out_dir / FREQUENCIES_NAME
     _score(config, miner.read_frequency_csv(freq_path), _criteria(config))
     return 0
 
@@ -218,7 +216,7 @@ def _write_mda(out_dir: Path, result: MdaResult) -> None:
     from . import mda as mda_mod
 
     _write_json(out_dir / MDA_NAME, mda_mod.mda_result_to_dict(result))
-    mda_mod.write_case_scores_csv(result.projections, out_dir / CASE_SCORES_NAME)
+    mda_mod.write_case_scores_csv(result, out_dir / CASE_SCORES_NAME)
 
 
 def _sem(config: RunConfig, cards: list[scoring.ScoreCard]) -> SemFit:
@@ -280,14 +278,14 @@ def _run_analyses(
     return results
 
 
-def _cmd_analysis(name: str, config: RunConfig, scorecards: str | None) -> int:
-    cards = scoring.read_scorecards_csv(_cards_path(scorecards, config))
-    analyze, write = ANALYSES[name]
+def _cmd_analysis(config: RunConfig, args: argparse.Namespace) -> int:
+    cards = scoring.read_scorecards_csv(_cards_path(args, config))
+    analyze, write = ANALYSES[args.command]
     write(config.out_dir, analyze(config, cards))
     return 0
 
 
-def _cmd_pipeline(config: RunConfig) -> int:
+def _cmd_pipeline(config: RunConfig, args: argparse.Namespace) -> int:
     """Chain every stage; analysis failures leave diagnostic artifacts."""
     with _stage("mine"):
         criteria = _criteria(config)
@@ -298,18 +296,18 @@ def _cmd_pipeline(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_report(config: RunConfig, scorecards: str | None, out: str | None) -> int:
-    cards = scoring.read_scorecards_csv(_cards_path(scorecards, config))
+def _cmd_report(config: RunConfig, args: argparse.Namespace) -> int:
+    cards = scoring.read_scorecards_csv(_cards_path(args, config))
     composition = scoring.sector_composition(cards)
     text = emit_report(composition, **_run_analyses(config, cards))
-    target = Path(out) if out else config.out_dir / REPORT_NAME
+    target = Path(args.out) if args.out else config.out_dir / REPORT_NAME
     with open(target, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return 0
 
 
-def _cards_path(scorecards: str | None, config: RunConfig) -> Path:
-    return Path(scorecards) if scorecards else config.out_dir / SCORECARDS_NAME
+def _cards_path(args: argparse.Namespace, config: RunConfig) -> Path:
+    return Path(args.scorecards) if args.scorecards else config.out_dir / SCORECARDS_NAME
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -343,7 +341,7 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
 def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--elimination",
-        choices=ELIMINATION_RULES,
+        choices=scoring.ELIMINATION_RULES,
         help="drop a report when it is foreign-language AND all-zero (conjunction, "
         "the default) or when EITHER holds (disjunction)",
     )
@@ -361,12 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", help="count criterion keyword frequencies")
     _add_common(p_mine)
     _add_corpus_flags(p_mine)
+    p_mine.set_defaults(run=_cmd_mine)
 
     p_score = sub.add_parser("score", help="rate frequencies and filter the sample")
     _add_common(p_score)
     _add_corpus_flags(p_score)
     _add_filter_flags(p_score)
     p_score.add_argument("--frequencies", help="frequency CSV (default: OUT_DIR/frequencies.csv)")
+    p_score.set_defaults(run=_cmd_score)
 
     for name, help_text in (
         ("anova", "one-way ANOVA of each criterion across sectors"),
@@ -374,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sem", "fit the latent-construct covariance model"),
     ):
         p_sub = sub.add_parser(name, help=help_text)
+        p_sub.set_defaults(run=_cmd_analysis)
         _add_common(p_sub)
         p_sub.add_argument(
             "--scorecards", help="scorecard CSV (default: OUT_DIR/scorecards.csv)"
@@ -386,12 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p_pipe)
     _add_filter_flags(p_pipe)
     p_pipe.add_argument("--sem-model", dest="sem_model", help="model config file")
+    p_pipe.set_defaults(run=_cmd_pipeline)
 
     p_report = sub.add_parser("report", help="write a combined human-readable summary")
     _add_common(p_report)
     p_report.add_argument("--scorecards", help="scorecard CSV (default: OUT_DIR/scorecards.csv)")
     p_report.add_argument("--sem-model", dest="sem_model", help="model config file")
     p_report.add_argument("--out", help="report path (default: OUT_DIR/report.txt)")
+    p_report.set_defaults(run=_cmd_report)
     return parser
 
 
@@ -405,20 +408,10 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     try:
         with _stage(args.command):
             config.out_dir.mkdir(parents=True, exist_ok=True)
-            if args.command == "mine":
-                return _cmd_mine(config)
-            if args.command == "score":
-                return _cmd_score(config, args.frequencies)
-            if args.command in ANALYSES:
-                return _cmd_analysis(args.command, config, args.scorecards)
-            if args.command == "pipeline":
-                return _cmd_pipeline(config)
-            if args.command == "report":
-                return _cmd_report(config, args.scorecards, args.out)
+            return args.run(config, args)
     except StageFailure as exc:
         print(exc, file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main() -> None:

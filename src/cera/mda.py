@@ -114,12 +114,6 @@ class CaseProjection:
     scores: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CaseProjections:
-    cases: list[CaseProjection]
-    n_functions: int
-
-
 def _sector_order(labels: Sequence[Hashable]) -> tuple[Hashable, ...]:
     present = set(labels)
     return tuple(s for s in SECTOR_ORDER if s in present)
@@ -374,32 +368,23 @@ def _classify_scores(
     return ClassificationMatrix.from_counts(counts, order)
 
 
-def _case_projections(
-    cards: Sequence[ScoreCard], scores: list[list[float]], labels: Sequence[Hashable], model: MdaModel
-) -> CaseProjections:
-    cases = [
-        CaseProjection(card.report_id, label, tuple(row))
-        for card, label, row in zip(cards, labels, scores)
-    ]
-    return CaseProjections(cases, len(model.functions))
-
-
-def write_case_scores_csv(projections: CaseProjections, path) -> None:
-    header = ["report_id", "group"] + [f"score_f{i+1}" for i in range(projections.n_functions)]
-    rows = (
-        [case.report_id, group_name(case.group), *map(repr, case.scores)]
-        for case in projections.cases
-    )
-    write_table(path, header, rows)
-
-
 @dataclass(frozen=True)
 class MdaResult:
     model: MdaModel
     wilks: list[WilksTest]
     box: BoxMResult
     classification: ClassificationMatrix
-    projections: CaseProjections
+    projections: list[CaseProjection]  # card order
+
+
+def write_case_scores_csv(result: MdaResult, path) -> None:
+    n_functions = len(result.model.functions)
+    header = ["report_id", "group"] + [f"score_f{i+1}" for i in range(n_functions)]
+    rows = (
+        [case.report_id, group_name(case.group), *map(repr, case.scores)]
+        for case in result.projections
+    )
+    write_table(path, header, rows)
 
 
 def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
@@ -411,7 +396,10 @@ def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
     box = _box_m(sp)
     scores = _project(x, model)  # labels come from the fit, so none is unknown
     classification = _classify_scores(scores, labels, model)
-    projections = _case_projections(cards, scores, labels, model)
+    projections = [
+        CaseProjection(card.report_id, label, tuple(row))
+        for card, label, row in zip(cards, labels, scores)
+    ]
     return MdaResult(model, wilks, box, classification, projections)
 
 

@@ -354,6 +354,8 @@ def _compile_criteria(
     Within each criterion, alternatives are entered longest-first so the
     greedy scan always prefers the criterion's longest match at a position.
     """
+    if not criteria:
+        raise ValidationError("criteria set is empty")
     index: CriteriaIndex = {}
     for ci, crit in enumerate(criteria):
         alternatives = {tuple(preprocess_text(p, stoplist, stemming)) for p in crit.alternatives}
@@ -398,8 +400,6 @@ def mine_linear(
     stemming: bool = False,
 ) -> FrequencyTable:
     """Sequential scan: preprocess each report and count criterion phrases."""
-    if not criteria:
-        raise ValidationError("criteria set is empty")
     stopset = frozenset(stoplist)
     index = _compile_criteria(criteria, stopset, stemming)
     rows = (
@@ -425,8 +425,6 @@ def mine_binary(
     all criteria. No report text is preprocessed again; only the criterion
     phrases are. A report missing from the keyword file is a ValidationError.
     """
-    if not criteria:
-        raise ValidationError("criteria set is empty")
     index: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for entries in _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming).values():
         for ci, alt in entries:

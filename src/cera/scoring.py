@@ -39,6 +39,9 @@ CriteriaSet = list[Criterion]
 # whose lower bound it reaches, and 0 when it reaches none.
 BANDS = ((75, 10), (50, 7), (20, 5), (5, 3), (1, 1))
 
+# Sample-filter rules of :func:`filter_sample`, the default first.
+ELIMINATION_RULES = ("conjunction", "disjunction")
+
 
 def rate_frequency(freq: int) -> int:
     """Map a keyword frequency to its band score; zero frequency scores 0."""
@@ -130,7 +133,7 @@ def filter_sample(
     ``analysis_language``. The ``disjunction`` rule removes a card when
     either condition holds on its own.
     """
-    if rule not in ("conjunction", "disjunction"):
+    if rule not in ELIMINATION_RULES:
         raise ValidationError(f"unknown elimination rule {rule!r}")
     kept = []
     for card in cards:

@@ -315,7 +315,7 @@ def implied_covariance(
     lam, phi, theta = model.matrices([_require(params, name) for name in free])
     for i, ov in enumerate(model.observed_vars):
         value = theta[i][i]
-        if value < 0 or (f"residual {ov}" in free and value <= 0):
+        if value < 0 or ((_THETA, i, i) in model.free_cells and value <= 0):
             raise ParameterBoundsError(f"residual variance of {ov!r} must be positive, got {value}")
     return _sigma(lam, phi, theta)[0]
 
@@ -368,14 +368,6 @@ def fd_gradient(
         shifted[i] += step
         grad.append((func(shifted) - f0) / step)
     return grad
-
-
-def _penalized_value(s: list[list[float]], sigma: list[list[float]], logdet_s: float) -> float:
-    """F_ML, or outside the PD region a penalty by how far the spectrum dips."""
-    result = _ml_value(s, sigma, logdet_s)
-    if result is None:
-        return 1e6 * (1.0 - numcore.eigh(sigma)[0][0])
-    return result[0]
 
 
 @dataclass
@@ -492,7 +484,10 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     backtracking by the Armijo rule; stops when the gradient infinity-norm
     falls below 1e-6 (converged) or after 500 scoring steps. Variances are
     optimized in log space, so they stay positive without explicit bounds.
-    ``iterations`` counts scoring steps.
+    ``iterations`` counts scoring steps. A model with no free parameter is
+    converged after 0 steps, with F_ML at its fixed values. An implied
+    covariance that is not positive definite at the start values raises
+    ConditioningError.
     """
     s = numcore.check_symmetric(s, "S")
     p = model.n_observed
@@ -504,34 +499,27 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
     if model.degrees_of_freedom < 0:
         raise ValidationError("model has negative degrees of freedom")
 
-    x0 = model.start(s)
-    point = _evaluate(model, s, logdet_s, x0)
-    if point is not None and x0:
+    point = _evaluate(model, s, logdet_s, model.start(s))
+    if point is None:
+        raise ConditioningError("implied covariance is not positive definite at the start values")
+    if model.free_cells:
         point, converged, iterations, message = _fisher_scoring(model, s, logdet_s, point)
-        f_min, values, mats = point.value, point.natural, point.mats
     else:
-        values = model.natural(x0)
-        mats = model.matrices(values)
-        f_min = _penalized_value(s, _sigma(*mats)[0], logdet_s)
-        converged, iterations = not x0, 0
-        message = (
-            "no free parameters" if converged
-            else "implied covariance is not positive definite at the start values"
-        )
+        converged, iterations, message = True, 0, "no free parameters"
 
-    estimates = dict(zip(model.free_parameter_names(), values))
-    f_min = 0.0 if -1e-10 < f_min < 0.0 else f_min
+    estimates = dict(zip(model.free_parameter_names(), point.natural))
+    f_min = 0.0 if -1e-10 < point.value < 0.0 else point.value
     chi_square = (n_cases - 1) * f_min
     df = model.degrees_of_freedom
     p_value = numcore.chisq_sf(chi_square, df) if df > 0 else 1.0
 
-    theta = mats[_THETA]
+    theta = point.mats[_THETA]
     heywood = tuple(
         ov
         for i, ov in enumerate(model.observed_vars)
-        if f"residual {ov}" in estimates and theta[i][i] < HEYWOOD_RTOL * s[i][i]
+        if (_THETA, i, i) in model.free_cells and theta[i][i] < HEYWOOD_RTOL * s[i][i]
     )
-    standard_form = _standardize(model, mats, s) if converged else {}
+    standard_form = _standardize(model, point.mats, s) if converged else {}
     return SemFit(
         estimates=estimates,
         standard_form=standard_form,

@@ -60,6 +60,20 @@ class TestPipeline:
         anova_lines = (out / "anova.csv").read_text(encoding="utf-8").splitlines()
         assert len(anova_lines) == 11  # header + one row per criterion
 
+    def test_anova_failure_leaves_header_only_table(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        lines = MANIFEST.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join(lines[:5]) + "\n", encoding="utf-8")  # no tertiary
+        out = tmp_path / "out"
+        assert run_subcommand(
+            ["pipeline", "--manifest", str(manifest), "--root", str(FIXTURE_DIR),
+             "--out-dir", str(out)]
+        ) == 0
+        anova_lines = (out / "anova.csv").read_text(encoding="utf-8").splitlines()
+        assert len(anova_lines) == 1 and anova_lines[0].startswith("variable,")
+        err = capsys.readouterr().err
+        assert err.startswith("anova: sector(s) missing from sample: tertiary")
+
     def test_deterministic_outputs(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         run_pipeline(first)
@@ -349,6 +363,11 @@ class TestConfigFile:
     ])
     def test_boolean_must_be_json_boolean(self, tmp_path, capsys, key, value):
         assert repr(key) in self.usage_error(tmp_path, capsys, {key: value})
+
+    @pytest.mark.parametrize("key, value", [("strategy", "quick"), ("elimination", "both")])
+    def test_value_outside_choices(self, tmp_path, capsys, key, value):
+        err = self.usage_error(tmp_path, capsys, {key: value})
+        assert f"{key} must be one of (" in err and repr(value) in err
 
     @pytest.mark.parametrize("key, value", [
         ("manifest", 5), ("out_dir", ["a"]), ("language", 5), ("strategy", {"a": 1}),

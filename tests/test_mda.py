@@ -406,7 +406,7 @@ class TestProjections:
     def test_group_mean_projects_to_centroid(self):
         _, result = self.make_result()
         for g in (Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY):
-            scores = [case.scores for case in result.projections.cases if case.group == g]
+            scores = [case.scores for case in result.projections if case.group == g]
             for k, score in enumerate(np.mean(scores, axis=0)):
                 centroid = result.model.functions[k].group_centroids[g]
                 assert score == pytest.approx(centroid, abs=1e-10)
@@ -414,22 +414,21 @@ class TestProjections:
     def test_projection_is_affine_in_scores(self):
         cards, result = self.make_result()
         model = result.model
-        for card, case in zip(cards, result.projections.cases):
+        for card, case in zip(cards, result.projections):
             x = np.array([card.scores[cid] for cid in model.criterion_ids])
             expected = [f.coefficients @ (x - model.scatter.grand_mean) for f in model.functions]
             assert np.allclose(case.scores, expected, atol=1e-10)
 
     def test_csv_layout(self, tmp_path):
         cards, result = self.make_result()
-        projections = result.projections
         path = tmp_path / "cases.csv"
-        write_case_scores_csv(projections, path)
+        write_case_scores_csv(result, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "report_id,group,score_f1,score_f2"
         assert len(lines) == len(cards) + 1
         first = lines[1].split(",")
         assert first[0] == "r1" and first[1] == "primary"
-        assert float(first[2]) == pytest.approx(projections.cases[0].scores[0])
+        assert float(first[2]) == pytest.approx(result.projections[0].scores[0])
 
 
 class TestRunMda:
@@ -449,7 +448,7 @@ class TestRunMda:
         assert len(result.wilks) == 2
         assert result.box.df1 == 12  # (3-1) * 3 * 4 / 2
         assert result.classification.counts.sum() == 24
-        assert len(result.projections.cases) == 24
+        assert len(result.projections) == 24
 
     def test_classification_matches_classify_data(self):
         cards = self.build_cards()

@@ -206,6 +206,12 @@ y2 free
             (("[latents]\nf =1", "[latents]\nf =1\nf =1"), "duplicate latent"),
             (("y1 free\ny2 free", "y1 free\ny1 free"), "duplicate residual"),
             (("f -> y3 free", "g -> y3 free"), "undeclared latent"),
+            (("[residuals]", "[latents]\ng =1\n[residuals]"), "duplicate section"),
+            (("f -> y2 free", "f y2 free"), "loading must be"),
+            (("f -> y1 free", "f -> y1 free =1"), "expected one status token"),
+            (("[residuals]", "[covariances]\nf g free\n[residuals]"), "covariance must be"),
+            (("[residuals]", "[covariances]\nf ~ g free\n[residuals]"),
+             "covariance references undeclared latent"),
         ],
     )
     def test_duplicate_and_undeclared(self, mutation, pattern):
@@ -519,11 +525,35 @@ y5
 y6
 """
         )
-        fit = fit_model(model, np.eye(6), 100)
-        assert fit.message == "implied covariance is not positive definite at the start values"
-        assert (fit.converged, fit.iterations) == (False, 0)
-        assert not fit.acceptable_at_05
-        assert fit.standard_form == {}
+        with pytest.raises(
+            ConditioningError,
+            match="^implied covariance is not positive definite at the start values$",
+        ):
+            fit_model(model, np.eye(6), 100)
+
+    def test_fully_fixed_model_not_positive_definite(self):
+        # No free parameter, so the start is the whole fit; Phi is indefinite.
+        model = parse_model(
+            """
+[latents]
+f1
+f2
+[loadings]
+f1 -> y1 =1
+f1 -> y2 =0.5
+f2 -> y3 =1
+f2 -> y4 =0.5
+[covariances]
+f1 ~ f2 =2
+[residuals]
+y1 =0.5
+y2 =0.5
+y3 =0.5
+y4 =0.5
+"""
+        )
+        with pytest.raises(ConditioningError, match="not positive definite at the start values"):
+            fit_model(model, np.eye(4), 100)
 
     def test_sample_size_guard(self):
         with pytest.raises(ValidationError, match="cases"):
