@@ -178,7 +178,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-# Each subcommand's handler, bound to its subparser as ``run``.
+# Each subcommand's handler, which COMMANDS binds to its subparser as ``run``.
 def _cmd_mine(config: RunConfig, args: argparse.Namespace) -> int:
     _mine(config, _criteria(config))
     return 0
@@ -242,10 +242,12 @@ ANALYSES = {
 
 
 def _write_failure(out_dir: Path, name: str, error: CeraError) -> None:
-    """A failed analysis leaves a header-only anova.csv or an error JSON."""
+    """A failed analysis leaves a header-only anova.csv, or an error JSON and no case scores."""
     if name == "anova":
         _write_anova(out_dir, [])
         return
+    if name == "mda":
+        (out_dir / CASE_SCORES_NAME).unlink(missing_ok=True)
     payload = {
         "status": "error",
         "stage": name,
@@ -310,42 +312,53 @@ def _cards_path(args: argparse.Namespace, config: RunConfig) -> Path:
     return Path(args.scorecards) if args.scorecards else config.out_dir / SCORECARDS_NAME
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
-
-
-def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--manifest", help="corpus manifest CSV (report_id,sector,language,path)")
-    parser.add_argument("--root", help="base directory for relative report paths")
-    parser.add_argument("--criteria", help="criteria config file (default: packaged set)")
-    parser.add_argument("--stoplist", help="stop-word list file (default: packaged list)")
-    parser.add_argument(
-        "--no-stoplist",
-        action="store_false",
-        dest="use_stoplist",
-        default=None,
-        help="disable stop-word removal",
-    )
-    parser.add_argument(
-        "--stemming",
-        action="store_true",
-        default=None,
-        help="enable suffix stemming (off by default)",
-    )
-    parser.add_argument(
-        "--strategy", choices=STRATEGIES, help="mining strategy (default: linear)"
-    )
-
-
-def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+# Every flag, keyed by its dest (the RunConfig field it sets, if any): (flag, help, options).
+FLAGS = {
+    "config": ("--config", "JSON file with default option values", {}),
+    "out_dir": ("--out-dir", "output directory (default: out)", {}),
+    "manifest": ("--manifest", "corpus manifest CSV (report_id,sector,language,path)", {}),
+    "root": ("--root", "base directory for relative report paths", {}),
+    "criteria": ("--criteria", "criteria config file (default: packaged set)", {}),
+    "stoplist": ("--stoplist", "stop-word list file (default: packaged list)", {}),
+    "use_stoplist": ("--no-stoplist", "disable stop-word removal", {"action": "store_false"}),
+    "stemming": ("--stemming", "enable suffix stemming (off by default)", {"action": "store_true"}),
+    "strategy": ("--strategy", "mining strategy (default: linear)", {"choices": STRATEGIES}),
+    "elimination": (
         "--elimination",
-        choices=scoring.ELIMINATION_RULES,
-        help="drop a report when it is foreign-language AND all-zero (conjunction, "
+        "drop a report when it is foreign-language AND all-zero (conjunction, "
         "the default) or when EITHER holds (disjunction)",
-    )
-    parser.add_argument("--language", help="analysis language tag (default: en)")
+        {"choices": scoring.ELIMINATION_RULES},
+    ),
+    "language": ("--language", "analysis language tag (default: en)", {}),
+    "frequencies": ("--frequencies", "frequency CSV (default: OUT_DIR/frequencies.csv)", {}),
+    "scorecards": ("--scorecards", "scorecard CSV (default: OUT_DIR/scorecards.csv)", {}),
+    "sem_model": ("--sem-model", "model config file", {}),
+    "out": ("--out", "report path (default: OUT_DIR/report.txt)", {}),
+}
+_CORPUS = ("manifest", "root", "criteria")
+_MINING = ("stoplist", "use_stoplist", "stemming", "strategy")
+_FILTER = ("elimination", "language")
+
+# Each command in --help order: (help, handler, the flags it reads besides --config, --out-dir).
+COMMANDS = {
+    "mine": ("count criterion keyword frequencies", _cmd_mine, (*_CORPUS, *_MINING)),
+    "score": (
+        "rate frequencies and filter the sample", _cmd_score, (*_CORPUS, *_FILTER, "frequencies")
+    ),
+    "anova": ("one-way ANOVA of each criterion across sectors", _cmd_analysis, ("scorecards",)),
+    "mda": ("discriminant analysis of sector membership", _cmd_analysis, ("scorecards",)),
+    "sem": (
+        "fit the latent-construct covariance model", _cmd_analysis, ("scorecards", "sem_model")
+    ),
+    "pipeline": (
+        "run mine, score, anova, mda, and sem",
+        _cmd_pipeline,
+        (*_CORPUS, *_MINING, *_FILTER, "sem_model"),
+    ),
+    "report": (
+        "write a combined human-readable summary", _cmd_report, ("scorecards", "sem_model", "out")
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,46 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
         "the scorecards by sector.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mine = sub.add_parser("mine", help="count criterion keyword frequencies")
-    _add_common(p_mine)
-    _add_corpus_flags(p_mine)
-    p_mine.set_defaults(run=_cmd_mine)
-
-    p_score = sub.add_parser("score", help="rate frequencies and filter the sample")
-    _add_common(p_score)
-    _add_corpus_flags(p_score)
-    _add_filter_flags(p_score)
-    p_score.add_argument("--frequencies", help="frequency CSV (default: OUT_DIR/frequencies.csv)")
-    p_score.set_defaults(run=_cmd_score)
-
-    for name, help_text in (
-        ("anova", "one-way ANOVA of each criterion across sectors"),
-        ("mda", "discriminant analysis of sector membership"),
-        ("sem", "fit the latent-construct covariance model"),
-    ):
-        p_sub = sub.add_parser(name, help=help_text)
-        p_sub.set_defaults(run=_cmd_analysis)
-        _add_common(p_sub)
-        p_sub.add_argument(
-            "--scorecards", help="scorecard CSV (default: OUT_DIR/scorecards.csv)"
-        )
-        if name == "sem":
-            p_sub.add_argument("--sem-model", dest="sem_model", help="model config file")
-
-    p_pipe = sub.add_parser("pipeline", help="run mine, score, anova, mda, and sem")
-    _add_common(p_pipe)
-    _add_corpus_flags(p_pipe)
-    _add_filter_flags(p_pipe)
-    p_pipe.add_argument("--sem-model", dest="sem_model", help="model config file")
-    p_pipe.set_defaults(run=_cmd_pipeline)
-
-    p_report = sub.add_parser("report", help="write a combined human-readable summary")
-    _add_common(p_report)
-    p_report.add_argument("--scorecards", help="scorecard CSV (default: OUT_DIR/scorecards.csv)")
-    p_report.add_argument("--sem-model", dest="sem_model", help="model config file")
-    p_report.add_argument("--out", help="report path (default: OUT_DIR/report.txt)")
-    p_report.set_defaults(run=_cmd_report)
+    for name, (help_text, run, dests) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(run=run)
+        for dest in ("config", "out_dir", *dests):
+            flag, flag_help, options = FLAGS[dest]
+            command.add_argument(flag, dest=dest, default=None, help=flag_help, **options)
     return parser
 
 

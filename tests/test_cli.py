@@ -74,6 +74,14 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("anova: sector(s) missing from sample: tertiary")
 
+    def test_failed_mda_removes_stale_case_scores(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "case_scores.csv").write_text("report_id,sector\n", encoding="utf-8")
+        assert run_pipeline(out) == 0
+        assert json.loads((out / "mda.json").read_text(encoding="utf-8"))["status"] == "error"
+        assert not (out / "case_scores.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         run_pipeline(first)
@@ -147,6 +155,29 @@ class TestMine:
         assert "ghost.txt" in err
 
 
+    def test_manifest_without_language_column(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("report_id,sector,path\nP1,primary,P1.txt\n", encoding="utf-8")
+        code = run_subcommand(
+            ["mine", "--manifest", str(manifest), "--root", str(FIXTURE_DIR),
+             "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "mine: manifest needs columns report_id,sector,language,path\n"
+        )
+
+    @pytest.mark.parametrize("flags, the_lines", [([], 0), (["--no-stoplist"], 47)])
+    def test_no_stoplist_keeps_stop_words(self, tmp_path, flags, the_lines):
+        out = tmp_path / "out"
+        assert run_subcommand(
+            ["mine", "--manifest", str(MANIFEST), "--out-dir", str(out), "--strategy", "binary",
+             *flags]
+        ) == 0
+        lines = (out / "keyword_file.tsv").read_text(encoding="utf-8").splitlines()
+        assert sum(line.startswith("the\t") for line in lines) == the_lines
+
+
 class TestScore:
     def test_explicit_frequencies_path(self, tmp_path):
         out = tmp_path / "out"
@@ -175,6 +206,34 @@ class TestScore:
         assert code == 1
         assert capsys.readouterr().err == "score: frequency table lacks criterion column(s): v10\n"
         assert not (out / "scorecards.csv").exists()
+
+    def test_negative_count(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out)])
+        negative = tmp_path / "freqs.csv"
+        lines = (out / "frequencies.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1].startswith("P1,2,")
+        lines[1] = "P1,-1," + lines[1][len("P1,2,"):]
+        negative.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_subcommand(
+            ["score", "--manifest", str(MANIFEST), "--out-dir", str(out),
+             "--frequencies", str(negative)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "score: negative count for (P1, v1)\n"
+        assert not (out / "scorecards.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--stoplist", "X"], ["--no-stoplist"], ["--stemming"], ["--strategy", "binary"],
+    ], ids=["stoplist", "no-stoplist", "stemming", "strategy"])
+    def test_mining_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            run_subcommand(
+                ["score", "--manifest", str(MANIFEST), "--out-dir", str(tmp_path / "out"), *flags]
+            )
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_manifest_flag_names_score(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -226,6 +285,17 @@ class TestAnalysisCommands:
         code = run_subcommand(["anova", "--out-dir", str(tmp_path / "nothing")])
         assert code == 1
         assert capsys.readouterr().err.startswith("anova:")
+
+    def test_header_only_scorecards(self, scored, capsys):
+        header_only = scored / "header.csv"
+        lines = (scored / "scorecards.csv").read_text(encoding="utf-8").splitlines()
+        header_only.write_text(lines[0] + "\n", encoding="utf-8")
+        code = run_subcommand(
+            ["mda", "--scorecards", str(header_only), "--out-dir", str(scored / "mda")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "mda: no scorecards\n"
+        assert list((scored / "mda").iterdir()) == []
 
     def test_single_commands_share_the_pipeline_path(self, tmp_path, capsys):
         piped, single = tmp_path / "pipe", tmp_path / "single"
@@ -308,6 +378,10 @@ class TestUsageErrors:
             )
         assert excinfo.value.code == 2
 
+    def test_every_flag_belongs_to_a_command(self):
+        read = {dest for _, _, dests in cli.COMMANDS.values() for dest in dests}
+        assert set(cli.FLAGS) == read | {"config", "out_dir"}
+
     def test_nonexistent_manifest_path(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_subcommand(
@@ -357,6 +431,17 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             run_subcommand(["mine", "--config", str(config_path)])
         assert excinfo.value.code == 2
+
+    def test_truncated_json(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"manifest": ', encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            run_subcommand(["mine", "--config", str(config_path)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"cera: error: cannot read config {config_path}: "
+            "Expecting value: line 1 column 14 (char 13)"
+        )
 
     @pytest.mark.parametrize("key, value", [
         ("stemming", "false"), ("use_stoplist", "no"), ("stemming", 1),
