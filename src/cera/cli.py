@@ -39,6 +39,9 @@ MDA_NAME = "mda.json"
 CASE_SCORES_NAME = "case_scores.csv"
 SEM_NAME = "sem_fit.json"
 REPORT_NAME = "report.txt"
+# Every artifact pipeline writes; it deletes an earlier run's before it mines.
+PIPELINE_NAMES = (FREQUENCIES_NAME, KEYWORD_FILE_NAME, SCORECARDS_NAME, ANOVA_NAME, MDA_NAME,
+                  CASE_SCORES_NAME, SEM_NAME)
 
 # Config keys that hold paths, resolved relative to the config file location.
 _PATH_KEYS = ("manifest", "root", "criteria", "stoplist", "sem_model", "out_dir")
@@ -158,6 +161,7 @@ def _mine(config: RunConfig, criteria: scoring.CriteriaSet) -> miner.FrequencyTa
         miner.write_keyword_file(kwfile, config.out_dir / KEYWORD_FILE_NAME)
         table = miner.mine_binary(kwfile, corpus, criteria)
     else:
+        (config.out_dir / KEYWORD_FILE_NAME).unlink(missing_ok=True)  # left by a binary run
         table = miner.mine_linear(corpus, criteria, stoplist, config.stemming)
     miner.write_frequency_csv(table, config.out_dir / FREQUENCIES_NAME)
     return table
@@ -242,12 +246,10 @@ ANALYSES = {
 
 
 def _write_failure(out_dir: Path, name: str, error: CeraError) -> None:
-    """A failed analysis leaves a header-only anova.csv, or an error JSON and no case scores."""
+    """A failed analysis leaves a header-only anova.csv, or an error JSON."""
     if name == "anova":
         _write_anova(out_dir, [])
         return
-    if name == "mda":
-        (out_dir / CASE_SCORES_NAME).unlink(missing_ok=True)
     payload = {
         "status": "error",
         "stage": name,
@@ -290,6 +292,9 @@ def _cmd_analysis(config: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_pipeline(config: RunConfig, args: argparse.Namespace) -> int:
     """Chain every stage; analysis failures leave diagnostic artifacts."""
     with _stage("mine"):
+        # A directory of one of these names stays, for its writer to report.
+        for stale in filter(Path.is_file, map(config.out_dir.joinpath, PIPELINE_NAMES)):
+            stale.unlink()
         criteria = _criteria(config)
         table = _mine(config, criteria)
     with _stage("score"):

@@ -58,11 +58,11 @@ Corpus = list[Document]
 
 @dataclass
 class KeywordFile:
-    """The sorted ``<keyword, file>`` record file, held as token sequences.
+    """The ``<keyword, file>`` record file, held as token sequences.
 
-    ``keywords`` is sorted. ``sequences`` maps each report id to its
-    preprocessed token order, as indices into ``keywords``; each position in
-    a sequence is one record. The stop list and stemming flag are the
+    ``keywords`` holds each keyword once, as first seen. ``sequences`` maps each
+    report id to its preprocessed token order, as indices into ``keywords``; each
+    position in a sequence is one record. The stop list and stemming flag are the
     preprocessing settings, which binary mining applies to criterion phrases.
     """
 
@@ -72,18 +72,17 @@ class KeywordFile:
     stemming: bool = False
 
     @property
-    def postings(self) -> list[tuple[list[str], array]]:
-        """Per keyword, the ids of the reports that contain it, ascending, and its count in each.
-
-        Tallied from ``sequences`` on every access.
-        """
+    def postings(self) -> list[tuple[str, list[str], array]]:
+        """``(keyword, ids of the reports holding it ascending, count in each)`` by sorted
+        keyword, tallied from ``sequences`` on every access."""
         report_ids: list[list[str]] = [[] for _ in self.keywords]
         counts = [array("I") for _ in self.keywords]
         for report_id in sorted(self.sequences):
             for k, n in Counter(self.sequences[report_id]).items():
                 report_ids[k].append(report_id)
                 counts[k].append(n)
-        return list(zip(report_ids, counts))
+        by_keyword = sorted(zip(self.keywords, count()))
+        return [(keyword, report_ids[k], counts[k]) for keyword, k in by_keyword]
 
     @property
     def records(self) -> list[tuple[str, str]]:
@@ -95,7 +94,7 @@ class KeywordFile:
         file (ROADMAP item 1).
         """
         records: list[tuple[str, str]] = []
-        for keyword, (report_ids, counts) in zip(self.keywords, self.postings):
+        for keyword, report_ids, counts in self.postings:
             for report_id, n in zip(report_ids, counts):
                 records += [(keyword, report_id)] * n
         return records
@@ -313,30 +312,24 @@ def build_sorted_keyword_file(
 ) -> KeywordFile:
     """Token sequences from one preprocessing pass per report.
 
-    Keywords are numbered as first seen, then renumbered in sorted order once
-    the vocabulary is complete. A report id listed twice is a ValidationError.
+    Keywords are numbered as first seen; they are sorted where the file is
+    written and searched. A report id listed twice is a ValidationError.
     """
     stopset = frozenset(stoplist)
-    first_seen: defaultdict[str, int] = defaultdict(count().__next__)
+    numbers: defaultdict[str, int] = defaultdict(count().__next__)
     sequences: dict[str, array] = {}
     for doc in corpus:
         if doc.report_id in sequences:
             raise ValidationError(f"report_id {doc.report_id!r} appears twice")
         tokens = preprocess_text(doc.text, stopset, stemming)
-        sequences[doc.report_id] = array("I", map(first_seen.__getitem__, tokens))
-    keywords = sorted(first_seen)
-    rank = [0] * len(keywords)
-    for r, keyword in enumerate(keywords):
-        rank[first_seen[keyword]] = r
-    for report_id, sequence in sequences.items():
-        sequences[report_id] = array("I", map(rank.__getitem__, sequence))
-    return KeywordFile(keywords, sequences, stopset, stemming)
+        sequences[doc.report_id] = array("I", map(numbers.__getitem__, tokens))
+    return KeywordFile(list(numbers), sequences, stopset, stemming)
 
 
 def write_keyword_file(kwfile: KeywordFile, path) -> None:
     """External format: one ``keyword<TAB>report_id`` line per record, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for keyword, (report_ids, counts) in zip(kwfile.keywords, kwfile.postings):
+        for keyword, report_ids, counts in kwfile.postings:
             for report_id, n in zip(report_ids, counts):
                 fh.write(f"{keyword}\t{report_id}\n" * n)
 
@@ -409,10 +402,10 @@ def mine_linear(
     return _frequency_table(corpus, criteria, rows)
 
 
-def _find(items: Sequence, item) -> int | None:
-    """Position of ``item`` in the sorted ``items`` by binary search, or None."""
-    i = bisect_left(items, item)
-    return i if i < len(items) and items[i] == item else None
+def _find(table: Sequence[tuple[str, int]], word: str) -> int | None:
+    """The number paired with ``word`` in the sorted ``(keyword, number)`` table, or None."""
+    i = bisect_left(table, (word,))
+    return table[i][1] if i < len(table) and table[i][0] == word else None
 
 
 def mine_binary(
@@ -425,10 +418,11 @@ def mine_binary(
     all criteria. No report text is preprocessed again; only the criterion
     phrases are. A report missing from the keyword file is a ValidationError.
     """
+    table = sorted(zip(kwfile.keywords, count()))
     index: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for entries in _compile_criteria(criteria, kwfile.stoplist, kwfile.stemming).values():
         for ci, alt in entries:
-            numbers = tuple(_find(kwfile.keywords, word) for word in alt)
+            numbers = tuple(_find(table, word) for word in alt)
             if None not in numbers:  # else some word occurs in no report
                 index.setdefault(numbers[0], []).append((ci, numbers))
     missing = [doc.report_id for doc in corpus if doc.report_id not in kwfile.sequences]

@@ -82,6 +82,19 @@ class TestPipeline:
         assert json.loads((out / "mda.json").read_text(encoding="utf-8"))["status"] == "error"
         assert not (out / "case_scores.csv").exists()
 
+    @pytest.mark.parametrize("argv, left", [
+        (["--language", "fr", "--elimination", "disjunction"], {"frequencies.csv"}),
+        (["--criteria", "@"], set()),
+    ], ids=["score-fails", "mine-fails"])
+    def test_failed_run_leaves_no_earlier_artifact(self, tmp_path, argv, left):
+        out = tmp_path / "out"
+        assert run_pipeline(out, "--strategy", "binary") == 0
+        criteria = tmp_path / "criteria.txt"
+        criteria.write_text("policy\n", encoding="utf-8")  # no [criterion] header
+        argv = [str(criteria) if a == "@" else a for a in argv]
+        assert run_pipeline(out, *argv) == 1
+        assert {p.name for p in out.iterdir()} == left
+
     def test_deterministic_outputs(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         run_pipeline(first)
@@ -134,6 +147,15 @@ class TestMine:
         # Only the binary strategy materializes its sorted keyword file.
         assert not (linear / "keyword_file.tsv").exists()
         assert (binary / "keyword_file.tsv").is_file()
+
+    @pytest.mark.parametrize("command", ["mine", "pipeline"])
+    def test_linear_run_removes_binary_keyword_file(self, tmp_path, command):
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(MANIFEST), "--out-dir", str(out)]
+        assert run_subcommand([*argv, "--strategy", "binary"]) == 0
+        assert (out / "keyword_file.tsv").is_file()
+        assert run_subcommand(argv) == 0
+        assert not (out / "keyword_file.tsv").exists()
 
     def test_missing_manifest_flag(self, tmp_path, capsys):
         code = run_subcommand(["mine", "--out-dir", str(tmp_path / "out")])

@@ -497,15 +497,17 @@ def test_keyword_file_postings_and_sequences(docs_words, stemming):
     corpus = [doc(f"r{len(docs_words) - i}", " ".join(words)) for i, words in enumerate(docs_words)]
     kwfile = build_sorted_keyword_file(corpus, {"the"}, stemming)
     keywords = kwfile.keywords
-    assert all(a < b for a, b in zip(keywords, keywords[1:]))
+    assert len(set(keywords)) == len(keywords)
     assert len(kwfile.postings) == len(keywords)
-    for report_ids, counts in kwfile.postings:
+    posted = [keyword for keyword, _, _ in kwfile.postings]
+    assert all(a < b for a, b in zip(posted, posted[1:]))
+    for _, report_ids, counts in kwfile.postings:
         assert report_ids and all(a < b for a, b in zip(report_ids, report_ids[1:]))
         assert len(counts) == len(report_ids) and min(counts) >= 1
     for d in corpus:
         decoded = [keywords[k] for k in kwfile.sequences[d.report_id]]
         assert decoded == preprocess_text(d.text, {"the"}, stemming)
-    assert sum(sum(counts) for _, counts in kwfile.postings) == len(kwfile.records)
+    assert sum(sum(counts) for _, _, counts in kwfile.postings) == len(kwfile.records)
 
 
 ACCENTED_VOCAB = ["énergie", "renouvelable", "forêt", "naïve", "café", "à", "accès", "the"]
