@@ -316,14 +316,14 @@ def build_sorted_keyword_file(
     written and searched. A report id listed twice is a ValidationError.
     """
     stopset = frozenset(stoplist)
-    numbers: defaultdict[str, int] = defaultdict(count().__next__)
+    first_seen: defaultdict[str, int] = defaultdict(count().__next__)
     sequences: dict[str, array] = {}
     for doc in corpus:
         if doc.report_id in sequences:
             raise ValidationError(f"report_id {doc.report_id!r} appears twice")
         tokens = preprocess_text(doc.text, stopset, stemming)
-        sequences[doc.report_id] = array("I", map(numbers.__getitem__, tokens))
-    return KeywordFile(list(numbers), sequences, stopset, stemming)
+        sequences[doc.report_id] = array("I", map(first_seen.__getitem__, tokens))
+    return KeywordFile(list(first_seen), sequences, stopset, stemming)
 
 
 def write_keyword_file(kwfile: KeywordFile, path) -> None:
