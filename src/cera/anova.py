@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from . import numcore
 from .errors import ValidationError
-from .miner import Sector, SECTOR_ORDER, write_table
+from .miner import Sector, write_table
 from .scoring import ScoreCard, score_rows
 
 
@@ -83,28 +83,26 @@ def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
 def anova_table(cards: Sequence[ScoreCard]) -> list[AnovaRow]:
     """One row per criterion, testing score means across the three sectors.
 
-    Group means are listed in sector order. A criterion whose scores are
-    constant within every sector gets a degenerate row (see
-    :func:`one_way_anova`), so the remaining criteria still report.
+    A criterion whose scores are constant within every sector gets a
+    degenerate row (see :func:`one_way_anova`), so the remaining criteria
+    still report.
     """
     if not cards:
         raise ValidationError("no scorecards")
     present = {card.sector for card in cards}
-    missing = [s.value for s in SECTOR_ORDER if s not in present]
+    missing = [s.value for s in Sector if s not in present]
     if missing:
         raise ValidationError(f"sector(s) missing from sample: {', '.join(missing)}")
     cids = cards[0].criterion_ids
     labels = tuple(card.sector for card in cards)
-    rows = []
-    for cid, values in zip(cids, zip(*score_rows(cards, cids))):
-        row = one_way_anova(GroupedSample(values, labels), variable_id=cid)
-        rows.append(replace(row, group_means={s: row.group_means[s] for s in SECTOR_ORDER}))
-    return rows
+    return [
+        one_way_anova(GroupedSample(values, labels), variable_id=cid)
+        for cid, values in zip(cids, zip(*score_rows(cards, cids)))
+    ]
 
 
 def write_anova_csv(rows: Sequence[AnovaRow], path) -> None:
-    header = ["variable", "mean_primary", "mean_secondary", "mean_tertiary",
-              "grand_mean", "F", "p", "sig"]
+    header = ["variable", *(f"mean_{s}" for s in Sector), "grand_mean", "F", "p", "sig"]
     lines = []
     for row in rows:
         f_text = "NA" if row.degenerate else repr(row.F)
@@ -112,9 +110,7 @@ def write_anova_csv(rows: Sequence[AnovaRow], path) -> None:
         lines.append(
             [
                 row.variable_id,
-                repr(row.group_means[Sector.PRIMARY]),
-                repr(row.group_means[Sector.SECONDARY]),
-                repr(row.group_means[Sector.TERTIARY]),
+                *(repr(row.group_means[s]) for s in Sector),
                 repr(row.grand_mean),
                 f_text,
                 p_text,

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 
 from . import numcore
 from .errors import ConditioningError, ValidationError
-from .miner import SECTOR_ORDER, group_name, write_table
+from .miner import Sector, write_table
 from .numcore import Matrix
 from .scoring import ScoreCard, score_rows
 
@@ -114,11 +114,6 @@ class CaseProjection:
     scores: tuple[float, ...]
 
 
-def _sector_order(labels: Sequence[Hashable]) -> tuple[Hashable, ...]:
-    present = set(labels)
-    return tuple(s for s in SECTOR_ORDER if s in present)
-
-
 def data_matrix(cards: Sequence[ScoreCard]) -> tuple[list[list[float]], list, list[str]]:
     """Stack scorecards into n rows of p scores plus sector labels."""
     if not cards:
@@ -132,7 +127,7 @@ def data_matrix(cards: Sequence[ScoreCard]) -> tuple[list[list[float]], list, li
 
 
 def scatter_from_data(
-    x, labels: Sequence[Hashable], group_order: Sequence[Hashable] | None = None
+    x, labels: Sequence[Hashable], group_order: Sequence[Hashable]
 ) -> ScatterPair:
     """Within/between scatter of raw (unnormalized) squared deviations.
 
@@ -145,19 +140,17 @@ def scatter_from_data(
     n, p = numcore.shape(x)
     if len(labels) != n:
         raise ValidationError("labels length does not match data rows")
-    if group_order is None:
-        group_order = sorted(set(labels), key=str)
     group_order = tuple(group_order)
     if len(group_order) < 2:
         raise ValidationError("need at least 2 groups")
     unknown = set(labels) - set(group_order)
     if unknown:
-        raise ValidationError(f"labels not in group order: {sorted(map(group_name, unknown))}")
+        raise ValidationError(f"labels not in group order: {sorted(map(str, unknown))}")
     indices = {g: [i for i, lab in enumerate(labels) if lab == g] for g in group_order}
     for g, idx in indices.items():
         if len(idx) < p + 1:
             raise ValidationError(
-                f"group {group_name(g)} has {len(idx)} cases; needs at least {p + 1} "
+                f"group {g} has {len(idx)} cases; needs at least {p + 1} "
                 f"for a nonsingular within-group scatter"
             )
     grand_mean = [sum(col) / n for col in zip(*x)]
@@ -212,7 +205,7 @@ def canonical_functions(sp: ScatterPair) -> list[CanonicalFunction]:
 def fit_mda_data(
     x,
     labels: Sequence[Hashable],
-    group_order: Sequence[Hashable] | None = None,
+    group_order: Sequence[Hashable],
     criterion_ids: Sequence[str] | None = None,
 ) -> MdaModel:
     sp = scatter_from_data(x, labels, group_order)
@@ -296,7 +289,7 @@ def _box_m(sp: ScatterPair) -> BoxMResult:
     for grp in order:
         if sizes[grp] <= sp.n_variables:
             raise ValidationError(
-                f"group {group_name(grp)} has {sizes[grp]} cases; needs more than "
+                f"group {grp} has {sizes[grp]} cases; needs more than "
                 f"{sp.n_variables} for a nonsingular covariance"
             )
     covs = {
@@ -310,13 +303,13 @@ def _box_m(sp: ScatterPair) -> BoxMResult:
     ]
     m_stat = (sp.n_total - sp.n_groups) * _log_det_cov(pooled, "pooled")
     for grp in order:
-        m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {group_name(grp)}")
+        m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {grp}")
     m_stat = max(m_stat, 0.0)
     return box_m_approximation(m_stat, [sizes[grp] for grp in order], sp.n_variables)
 
 
 def box_m_from_data(
-    x, labels: Sequence[Hashable], group_order: Sequence[Hashable] | None = None
+    x, labels: Sequence[Hashable], group_order: Sequence[Hashable]
 ) -> BoxMResult:
     """Box's M test of equal group covariances, with its F approximation.
 
@@ -344,7 +337,7 @@ def classify_data(
     unknown = set(labels) - set(model.scatter.group_order)
     if unknown:
         raise ValidationError(
-            f"labels not in fitted model: {sorted(map(group_name, unknown))}"
+            f"labels not in fitted model: {sorted(map(str, unknown))}"
         )
     x = numcore.as_rows(x, "data")
     if x and len(x[0]) != model.scatter.n_variables:
@@ -381,7 +374,7 @@ def write_case_scores_csv(result: MdaResult, path) -> None:
     n_functions = len(result.model.functions)
     header = ["report_id", "group"] + [f"score_f{i+1}" for i in range(n_functions)]
     rows = (
-        [case.report_id, group_name(case.group), *map(repr, case.scores)]
+        [case.report_id, str(case.group), *map(repr, case.scores)]
         for case in result.projections
     )
     write_table(path, header, rows)
@@ -389,7 +382,7 @@ def write_case_scores_csv(result: MdaResult, path) -> None:
 
 def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
     x, labels, cids = data_matrix(cards)
-    order = _sector_order(labels)
+    order = [s for s in Sector if s in set(labels)]
     model = fit_mda_data(x, labels, order, criterion_ids=cids)
     sp = model.scatter
     wilks = wilks_tests(model.eigenvalues, sp.n_total, sp.n_variables, sp.n_groups)
@@ -405,12 +398,12 @@ def run_mda(cards: Sequence[ScoreCard]) -> MdaResult:
 
 def mda_result_to_dict(result: MdaResult) -> dict:
     model = result.model
-    order = [group_name(g) for g in model.scatter.group_order]
+    order = [str(g) for g in model.scatter.group_order]
     return {
         "criteria": list(model.criterion_ids),
         "groups": order,
         "group_sizes": {
-            group_name(g): model.scatter.group_sizes[g] for g in model.scatter.group_order
+            str(g): model.scatter.group_sizes[g] for g in model.scatter.group_order
         },
         "functions": [
             {
@@ -418,7 +411,7 @@ def mda_result_to_dict(result: MdaResult) -> dict:
                 "eigenvalue": f.eigenvalue,
                 "coefficients": list(f.coefficients),
                 "centroids": {
-                    group_name(g): f.group_centroids[g] for g in model.scatter.group_order
+                    str(g): f.group_centroids[g] for g in model.scatter.group_order
                 },
             }
             for f in model.functions

@@ -32,17 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Sector(str, Enum):
+    """Industry sector. Artifacts list sectors in member order; ``str()`` gives the value."""
+
     PRIMARY = "primary"
     SECONDARY = "secondary"
     TERTIARY = "tertiary"
 
-
-SECTOR_ORDER = (Sector.PRIMARY, Sector.SECONDARY, Sector.TERTIARY)
-
-
-def group_name(g) -> str:
-    """Display name of a group label: a Sector's value, else ``str(label)``."""
-    return g.value if hasattr(g, "value") else str(g)
+    __str__ = str.__str__
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,7 @@ def load_corpus(root_path, manifest) -> Corpus:
         except ValueError:
             raise ValidationError(
                 f"unknown sector {sector_label!r} for report {report_id!r}; "
-                f"expected one of {[s.value for s in SECTOR_ORDER]}"
+                f"expected one of {[s.value for s in Sector]}"
             ) from None
         path = root / rel_path  # an absolute rel_path replaces root
         if not path.is_file():

@@ -12,7 +12,7 @@ import math
 from typing import TYPE_CHECKING, Hashable
 
 from .errors import ValidationError
-from .miner import group_name
+from .miner import Sector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .anova import AnovaRow
@@ -28,22 +28,19 @@ def _compose_section(composition) -> list[str]:
     lines = ["SECTOR COMPOSITION", ""]
     total = sum(count for count, _ in composition.values())
     for group, (count, pct) in composition.items():
-        lines.append(f"  {group_name(group):<12} {count:>5}  {pct:.2f}%")
+        lines.append(f"  {group:<12} {count:>5}  {pct:.2f}%")
     lines.append(f"  {'total':<12} {total:>5}")
     return lines
 
 
 def _anova_section(rows: list[AnovaRow]) -> list[str]:
     lines = ["ONE-WAY ANOVA BY SECTOR", ""]
-    groups = list(rows[0].group_means) if rows else []
-    header = f"  {'variable':<10}" + "".join(
-        f"{'mean_' + group_name(g):>16}" for g in groups
-    )
+    header = f"  {'variable':<10}" + "".join(f"{'mean_' + s:>16}" for s in Sector)
     header += f"{'grand_mean':>12}{'F':>10}{'p':>8}  sig"
     lines.append(header)
     for row in rows:
         cells = f"  {row.variable_id:<10}"
-        cells += "".join(f"{row.group_means[g]:>16.2f}" for g in groups)
+        cells += "".join(f"{row.group_means[s]:>16.2f}" for s in Sector)
         cells += f"{row.grand_mean:>12.2f}{_f3(row.F):>10}{_f3(row.p):>8}"
         cells += "    *" if row.significant_at_05 else ""
         lines.append(cells)
@@ -71,7 +68,7 @@ def _mda_section(mda: MdaResult) -> list[str]:
         )
     lines.append("  classification (rows = actual, columns = predicted):")
     cm = mda.classification
-    names = [group_name(g) for g in cm.group_order]
+    names = [str(g) for g in cm.group_order]
     lines.append("    " + f"{'':<12}" + "".join(f"{n:>12}" for n in names) + f"{'correct':>10}")
     for i, name in enumerate(names):
         row = "".join(f"{int(c):>12}" for c in cm.counts[i])

@@ -12,8 +12,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .miner import Corpus, FrequencyTable, Sector, SECTOR_ORDER, read_table, write_table
+from .miner import Corpus, FrequencyTable, Sector, read_table, write_table
 from .miner import config_sections, load_config, packaged_text
+
+
+# (lower bound, score) bands, highest first; a frequency scores the first band
+# whose lower bound it reaches, and 0 when it reaches none.
+BANDS = ((75, 10), (50, 7), (20, 5), (5, 3), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -28,16 +33,15 @@ class Criterion:
             raise ValidationError("criterion_id must be nonempty")
         if not self.alternatives:
             raise ValidationError(f"criterion {self.criterion_id} has no phrase alternatives")
-        if self.max_score <= 0:
-            raise ValidationError(f"criterion {self.criterion_id} max_score must be positive")
+        if self.max_score < BANDS[0][1]:
+            raise ValidationError(
+                f"criterion {self.criterion_id} max_score {self.max_score} is below the "
+                f"scale's top score {BANDS[0][1]}"
+            )
 
 
 CriteriaSet = list[Criterion]
 
-
-# (lower bound, score) bands, highest first; a frequency scores the first band
-# whose lower bound it reaches, and 0 when it reaches none.
-BANDS = ((75, 10), (50, 7), (20, 5), (5, 3), (1, 1))
 
 # Sample-filter rules of :func:`filter_sample`, the default first.
 ELIMINATION_RULES = ("conjunction", "disjunction")
@@ -94,21 +98,15 @@ def build_scorecards(
     The table's columns must be exactly the configured criteria, in any order.
     Each card takes its sector and language from the corpus document with its id.
     """
-    by_id = {c.criterion_id: c for c in criteria}
-    missing = [cid for cid in by_id if cid not in freq.criterion_ids]
+    ids = [c.criterion_id for c in criteria]
+    missing = [cid for cid in ids if cid not in freq.criterion_ids]
     if missing:
         raise ValidationError(
             f"frequency table lacks criterion column(s): {', '.join(missing)}"
         )
     for cid in freq.criterion_ids:
-        crit = by_id.get(cid)
-        if crit is None:
+        if cid not in ids:
             raise ValidationError(f"frequency table column {cid!r} is not a known criterion")
-        if BANDS[0][1] > crit.max_score:
-            raise ValidationError(
-                f"criterion {cid} max_score {crit.max_score} is below the "
-                f"scale's top score {BANDS[0][1]}"
-            )
     docs = {doc.report_id: doc for doc in corpus}
     cards = []
     for rid in freq.report_ids:
@@ -151,7 +149,7 @@ def sector_composition(cards: Sequence[ScoreCard]) -> dict[Sector, tuple[int, fl
         raise ValidationError("cannot compute composition of an empty sample")
     total = len(cards)
     out = {}
-    for sector in SECTOR_ORDER:
+    for sector in Sector:
         count = sum(1 for c in cards if c.sector is sector)
         out[sector] = (count, round(100.0 * count / total, 2))
     return out

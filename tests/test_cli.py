@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -14,7 +15,7 @@ from cera import cli, miner, scoring, sem
 
 from cera.cli import _PATH_KEYS, RunConfig, _build_config, build_parser, run_subcommand
 from cera.errors import IdentificationError, ValidationError
-from cera.miner import SECTOR_ORDER
+from cera.miner import Sector
 from cera.scoring import ScoreCard, rate_frequency, read_scorecards_csv, write_scorecards_csv
 
 from conftest import FIXTURE_DIR, FIXTURE_SCORES, MANIFEST
@@ -107,14 +108,14 @@ class TestPipeline:
          "score: no scorecards to write\n"),
         ([], "mine: a corpus manifest is required (--manifest)\n"),
         (["--manifest", str(MANIFEST), "--criteria", "@"],
-         "score: criterion v1 max_score 5 is below the scale's top score 10\n"),
+         "mine: criteria config @: criterion v1 max_score 5 is below the scale's top score 10\n"),
     ], ids=["empty-sample", "no-manifest", "max-score"])
     def test_diagnostic_names_the_stage(self, tmp_path, capsys, argv, line):
         criteria = tmp_path / "criteria.txt"
         criteria.write_text("[v1]\nlabel: policy\nmax_score: 5\npolicy\n", encoding="utf-8")
         argv = [str(criteria) if a == "@" else a for a in argv]
         assert run_subcommand(["pipeline", "--out-dir", str(tmp_path / "out"), *argv]) == 1
-        assert capsys.readouterr().err == line
+        assert capsys.readouterr().err == line.replace("@", str(criteria))
 
     def test_write_error_names_the_stage(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -156,6 +157,19 @@ class TestMine:
         assert (out / "keyword_file.tsv").is_file()
         assert run_subcommand(argv) == 0
         assert not (out / "keyword_file.tsv").exists()
+
+    @pytest.mark.parametrize("max_score", [5, 0])
+    def test_max_score_below_top_band_rejected(self, tmp_path, capsys, max_score):
+        criteria, out = tmp_path / "criteria.txt", tmp_path / "out"
+        criteria.write_text(f"[v1]\nlabel: policy\nmax_score: {max_score}\npolicy\n",
+                            encoding="utf-8")
+        assert run_subcommand(["mine", "--manifest", str(MANIFEST), "--criteria", str(criteria),
+                               "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"mine: criteria config {criteria}: criterion v1 max_score {max_score} "
+            "is below the scale's top score 10\n"
+        )
+        assert not (out / "frequencies.csv").exists()
 
     def test_missing_manifest_flag(self, tmp_path, capsys):
         code = run_subcommand(["mine", "--out-dir", str(tmp_path / "out")])
@@ -745,8 +759,31 @@ def seeded_cards(seed: int, n: int) -> list[ScoreCard]:
             for j, k in enumerate(FACTOR_OF)
         }
         scores = {cid: rate_frequency(f) for cid, f in freqs.items()}
-        cards.append(ScoreCard(f"r{i:03d}", SECTOR_ORDER[i % 3], "en", freqs, scores))
+        cards.append(ScoreCard(f"r{i:03d}", list(Sector)[i % 3], "en", freqs, scores))
     return cards
+
+
+# sha256 of each artifact that anova, mda, sem and report write for seeded_cards(11, 120).
+SEEDED_DIGESTS = {
+    "anova.csv": "ffb5a0dc185b0515a434377eb101dac59002a6721399027525dfc131b2593668",
+    "case_scores.csv": "5ec507314edb05c450a58be5fff09d6746f9606e4687fec97c0cbbdfb4e906a8",
+    "mda.json": "6887e291995c3927853bd1949aa20231685d876602a83ff38f0af46fe0108a97",
+    "report.txt": "54355f93d7a30062e27ea0d8ac958b90beb1b836f49b6f2b53f21e2015936860",
+    "sem_fit.json": "95017b4e836d5f1414d2249be6e97715941d1d44c48255fd34a5e7562607c6ff",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason=(
+    "builtin sum() of floats is compensated from Python 3.12, so the analysis bytes "
+    "differ (ROADMAP open item 5)"))
+def test_analysis_artifact_bytes_pinned(tmp_path):
+    """Group keys, the case-score group column and the report's sector rows, byte for byte."""
+    cards, out = tmp_path / "cards.csv", tmp_path / "out"
+    write_scorecards_csv(seeded_cards(11, 120), cards)
+    for command in ("anova", "mda", "sem", "report"):
+        assert run_subcommand([command, "--scorecards", str(cards), "--out-dir", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == SEEDED_DIGESTS
 
 
 def test_no_command_loads_numpy(tmp_path):

@@ -41,7 +41,7 @@ class TestScatter:
 
     def test_constant_within_groups(self):
         sp = scatter_from_data(
-            np.array([[1.0], [1.0], [5.0], [5.0]]), ["a", "a", "b", "b"]
+            np.array([[1.0], [1.0], [5.0], [5.0]]), ["a", "a", "b", "b"], ("a", "b")
         )
         assert sp.W[0][0] == 0.0
         assert sp.B[0][0] == pytest.approx(16.0, rel=1e-12)
@@ -50,7 +50,7 @@ class TestScatter:
         rng = np.random.default_rng(31)
         x = rng.normal(size=(30, 4))
         labels = (["a"] * 10) + (["b"] * 10) + (["c"] * 10)
-        sp = scatter_from_data(x, labels)
+        sp = scatter_from_data(x, labels, ("a", "b", "c"))
         centered = x - x.mean(axis=0)
         total = centered.T @ centered
         assert np.allclose(sp.W + sp.B, total, atol=1e-9)
@@ -61,11 +61,18 @@ class TestScatter:
         # p = 2 demands at least 3 cases per group.
         x = np.array([[0.0, 1.0], [1.0, 0.0], [4.0, 4.0], [5.0, 5.0], [6.0, 4.0]])
         with pytest.raises(ValidationError, match="at least 3"):
-            scatter_from_data(x, ["a", "a", "b", "b", "b"])
+            scatter_from_data(x, ["a", "a", "b", "b", "b"], ("a", "b"))
+
+    @pytest.mark.parametrize("labels", [["a", "a", "b"], ["a", "a", "b", "b", "b"]],
+                             ids=["fewer", "more"])
+    def test_label_count_must_match_rows(self, labels):
+        x = np.array([[0.0], [2.0], [4.0], [6.0]])
+        with pytest.raises(ValidationError, match="^labels length does not match data rows$"):
+            scatter_from_data(x, labels, ("a", "b"))
 
     def test_single_group_rejected(self):
         with pytest.raises(ValidationError):
-            scatter_from_data(np.array([[1.0], [2.0]]), ["a", "a"])
+            scatter_from_data(np.array([[1.0], [2.0]]), ["a", "a"], ("a",))
 
     def test_sector_cards_ordering(self):
         cards = make_cards(
@@ -95,7 +102,7 @@ class TestScatter:
 class TestCanonicalFunctions:
     def test_identical_group_means_give_zero(self):
         x = np.array([[0.0], [4.0], [1.0], [3.0]])
-        sp = scatter_from_data(x, ["a", "a", "b", "b"])
+        sp = scatter_from_data(x, ["a", "a", "b", "b"], ("a", "b"))
         functions = canonical_functions(sp)
         assert len(functions) == 1
         assert functions[0].eigenvalue == 0.0
@@ -103,7 +110,7 @@ class TestCanonicalFunctions:
 
     def test_one_dimensional_eigenvalue(self):
         sp = scatter_from_data(
-            np.array([[0.0], [2.0], [4.0], [6.0]]), ["a", "a", "b", "b"]
+            np.array([[0.0], [2.0], [4.0], [6.0]]), ["a", "a", "b", "b"], ("a", "b")
         )
         functions = canonical_functions(sp)
         # lambda = B/W = 16/4; v normalized so v' W v = 1.
@@ -127,7 +134,7 @@ class TestCanonicalFunctions:
         x = rng.normal(size=(12, 3))
         x[:, 2] = x[:, 1]
         with pytest.raises(ConditioningError, match="removing"):
-            canonical_functions(scatter_from_data(x, ["a"] * 6 + ["b"] * 6))
+            canonical_functions(scatter_from_data(x, ["a"] * 6 + ["b"] * 6, ("a", "b")))
 
     def test_centroids_weighted_mean_zero(self):
         # Size-weighted centroid average vanishes: projections are grand-mean centered.

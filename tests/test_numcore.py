@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ class TestSymmetryValidation:
 
     def test_tolerates_roundoff(self):
         numcore.check_symmetric([[1.0, 2.0 + 1e-12], [2.0, 5.0]])
+
+
+@pytest.mark.parametrize("m, message", [
+    ([1.0, 2.0], "data must be a 2-D array"),
+    ([["1.0", "one"]], "data must be a 2-D array"),
+    ([[1.0, 2.0], [3.0]], "data must be a 2-D array, got rows of unequal length"),
+], ids=["one-d", "non-numeric", "ragged"])
+def test_as_rows_rejects_non_matrix(m, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        numcore.as_rows(m, "data")
 
 
 class TestMatrix:

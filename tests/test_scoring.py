@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -214,6 +216,17 @@ water use
     def test_criterion_validation(self):
         with pytest.raises(ValidationError):
             Criterion("v1", "x", ())
+
+    @pytest.mark.parametrize("text, message", [
+        ("[ ]\npolicy\n", "criterion_id must be nonempty"),
+        ("[v1]\nmax_score: ten\npolicy\n", "bad max_score line: 'max_score: ten'"),
+        ("# no section\n", "criteria config defines no criteria"),
+        ("[v1]\nmax_score: 9\npolicy\n",
+         "criterion v1 max_score 9 is below the scale's top score 10"),
+    ], ids=["empty-id", "bad-max-score-line", "no-criteria", "max-score-below-top"])
+    def test_bad_config_named(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_criteria(text)
 
 
 class TestScorecardCsv:

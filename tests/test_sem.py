@@ -14,7 +14,7 @@ from cera.errors import (
     ParameterBoundsError,
     ValidationError,
 )
-from cera import sem
+from cera import numcore, sem
 from cera.miner import Sector
 from cera.report import emit_report
 from cera.scoring import ScoreCard
@@ -703,6 +703,37 @@ def test_fit_matches_lbfgs_oracle(spec):
     assert list(fit.estimates) == list(estimates)
     for name, value in estimates.items():
         assert fit.estimates[name] == pytest.approx(value, abs=1e-5), name
+
+
+class TestOptimizerBranches:
+    def test_ascending_step_replaced_by_steepest_descent(self, monkeypatch):
+        s, n = _simulated_sample()
+        expected = fit_model(default_model(), s, n)
+        solve = numcore.lstsq_symmetric
+        monkeypatch.setattr(numcore, "lstsq_symmetric", lambda a, b: [-v for v in solve(a, b)])
+        fit = fit_model(default_model(), s, n)
+        # Every reversed scoring step ascends; without the -g fallback the
+        # line search would halve it to nothing and stop unconverged.
+        assert fit.converged and fit.message == "gradient norm below tolerance"
+        assert fit.F_ML == pytest.approx(expected.F_ML, abs=1e-9)
+        for name, value in expected.estimates.items():
+            assert fit.estimates[name] == pytest.approx(value, abs=1e-4), name
+
+    def test_line_search_without_decrease_stops(self, monkeypatch):
+        s, n = _simulated_sample(n=300)
+        expected = fit_model(default_model(), s, n)
+        monkeypatch.setattr(sem, "GRADIENT_TOL", 0.0)
+        fit = fit_model(default_model(), s, n)
+        assert not fit.converged and fit.message == "line search found no decrease"
+        assert expected.iterations < fit.iterations < sem.MAX_ITERATIONS
+        assert fit.F_ML == pytest.approx(expected.F_ML, abs=1e-12)
+
+    def test_overflowing_log_variance_is_no_point(self):
+        model = default_model()
+        s = _simulated_sample()[0].tolist()
+        x = model.start(s)
+        x[model.logged.index(True)] = 1000.0  # exp(1000) overflows to inf
+        assert _evaluate(model, s, 0.0, x) is None
 
 
 class TestStandardized:
