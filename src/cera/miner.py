@@ -32,13 +32,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Sector(str, Enum):
-    """Industry sector. Artifacts list sectors in member order; ``str()`` gives the value."""
+    """Industry sector. Artifacts list sectors in member order; ``str()`` gives the value.
+    ``Sector(label)`` reads a value in any letter case; an unknown label's error lists them."""
 
     PRIMARY = "primary"
     SECONDARY = "secondary"
     TERTIARY = "tertiary"
 
     __str__ = str.__str__
+
+    @classmethod
+    def _missing_(cls, label):
+        values = [sector.value for sector in cls]
+        if isinstance(label, str) and label.lower() in values:
+            return cls(label.lower())
+        raise ValueError(f"unknown sector {label!r}; expected one of {', '.join(values)}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +207,7 @@ def _parse_stoplist(text: str) -> frozenset[str]:
 
 
 def read_table(path, kind: str, columns: Sequence[str] = ("report_id",)):
-    """The header and ``(line number, cells)`` rows of a manifest, frequency or scorecard table.
+    """The header and ``(line, {name: cell})`` rows of a manifest, frequency or scorecard table.
 
     Blank lines are skipped; data cells are stripped, header names are not.
     The header must name each of ``columns`` and no column twice; each row
@@ -219,7 +227,6 @@ def read_table(path, kind: str, columns: Sequence[str] = ("report_id",)):
             raise ValidationError(f"{kind} header repeats column {name!r}")
     if not set(columns) <= set(header):
         raise ValidationError(f"{kind} needs columns {','.join(columns)}")
-    id_col = header.index("report_id")
     rows = []
     seen: set[str] = set()
     for line, cells in lines[1:]:
@@ -229,13 +236,13 @@ def read_table(path, kind: str, columns: Sequence[str] = ("report_id",)):
             raise ValidationError(
                 f"{kind} row at line {line} has {len(cells)} cells, header has {len(header)}"
             )
-        cells = list(map(str.strip, cells))
-        rid = cells[id_col]
+        row = dict(zip(header, map(str.strip, cells)))
+        rid = row["report_id"]
         if not rid or rid in seen:
             problem = "duplicate" if rid else "empty"
             raise ValidationError(f"{kind} row at line {line}: {problem} report_id {rid!r}")
         seen.add(rid)
-        rows.append((line, cells))
+        rows.append((line, row))
     return header, rows
 
 
@@ -254,24 +261,20 @@ def load_corpus(root_path, manifest) -> Corpus:
     invalid byte sequences replaced and a leading byte-order mark dropped.
     """
     root = Path(root_path)
-    columns = ("report_id", "sector", "language", "path")
-    header, rows = read_table(manifest, "manifest", columns)
+    _, rows = read_table(manifest, "manifest", ("report_id", "sector", "language", "path"))
 
     corpus: Corpus = []
-    for _, cells in rows:
-        report_id, sector_label, language, rel_path = (cells[header.index(c)] for c in columns)
+    for line, row in rows:
+        rid = row["report_id"]
         try:
-            sector = Sector(sector_label.lower())
-        except ValueError:
-            raise ValidationError(
-                f"unknown sector {sector_label!r} for report {report_id!r}; "
-                f"expected one of {[s.value for s in Sector]}"
-            ) from None
-        path = root / rel_path  # an absolute rel_path replaces root
+            sector = Sector(row["sector"])
+        except ValueError as exc:
+            raise ValidationError(f"manifest row at line {line}, report {rid!r}: {exc}") from None
+        path = root / row["path"]  # an absolute path replaces root
         if not path.is_file():
             raise IngestionError(f"report file not found: {path}")
         text = path.read_text(encoding="utf-8-sig", errors="replace")
-        corpus.append(Document(report_id, sector, language, text))
+        corpus.append(Document(rid, sector, row["language"], text))
     return corpus
 
 
@@ -439,14 +442,14 @@ def write_frequency_csv(table: FrequencyTable, path) -> None:
 def read_frequency_csv(path) -> FrequencyTable:
     """A frequency table: a ``report_id`` column, the others criteria in header order."""
     header, rows = read_table(path, "frequency")
-    id_col = header.index("report_id")
-    criteria = [(i, cid) for i, cid in enumerate(header) if i != id_col]
-    report_ids = [cells[id_col] for _, cells in rows]
+    criterion_ids = [name for name in header if name != "report_id"]
     counts = {}
-    for rid, (_, cells) in zip(report_ids, rows):
-        for i, cid in criteria:
+    for line, row in rows:
+        rid = row["report_id"]
+        for cid in criterion_ids:
             try:
-                counts[(rid, cid)] = int(cells[i])
+                counts[(rid, cid)] = int(row[cid])
             except ValueError:
-                raise ValidationError(f"non-integer count {cells[i]!r} for ({rid}, {cid})") from None
-    return FrequencyTable(report_ids, [cid for _, cid in criteria], counts)
+                problem = f"non-integer count {row[cid]!r} for ({rid}, {cid})"
+                raise ValidationError(f"frequency row at line {line}: {problem}") from None
+    return FrequencyTable([row["report_id"] for _, row in rows], criterion_ids, counts)

@@ -220,20 +220,17 @@ def read_scorecards_csv(path) -> list[ScoreCard]:
     The header needs report_id, sector and at least one ``<criterion>_score`` column.
     """
     header, rows = read_table(path, "scorecard", ("report_id", "sector"))
-    freq_cols = [(i, h[: -len("_freq")]) for i, h in enumerate(header) if h.endswith("_freq")]
-    score_cols = [(i, h[: -len("_score")]) for i, h in enumerate(header) if h.endswith("_score")]
+    freq_cols = [(h, h.removesuffix("_freq")) for h in header if h.endswith("_freq")]
+    score_cols = [(h, h.removesuffix("_score")) for h in header if h.endswith("_score")]
     if not score_cols:
         raise ValidationError("scorecard header has no <criterion>_score column")
-    id_idx, sector_idx = header.index("report_id"), header.index("sector")
-    lang_idx = header.index("language") if "language" in header else None
     cards = []
     for line, row in rows:
         try:
-            frequencies = {cid: int(row[i]) for i, cid in freq_cols}
-            scores = {cid: int(row[i]) for i, cid in score_cols}
-            language = row[lang_idx] if lang_idx is not None else ""
-            card = ScoreCard(row[id_idx], Sector(row[sector_idx]), language, frequencies, scores)
+            freqs = {cid: int(row[h]) for h, cid in freq_cols}
+            scores = {cid: int(row[h]) for h, cid in score_cols}
+            sector = Sector(row["sector"])
         except ValueError as exc:
             raise ValidationError(f"scorecard row at line {line}: {exc}") from None
-        cards.append(card)
+        cards.append(ScoreCard(row["report_id"], sector, row.get("language", ""), freqs, scores))
     return cards

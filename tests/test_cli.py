@@ -673,6 +673,17 @@ BAD_INPUT_RUNS = {
     "oversized-cell": (b"report_id,sector,v1_score\nr1,primary," + b"1" * 131_073 + b"\n",
                        ["anova", "--scorecards", "@"], 1,
                        "anova: scorecard row at line 2: field larger than field limit (131072)"),
+    "manifest-sector": (b"report_id,sector,language,path\nP1,Quaternary,en,P1.txt\n",
+                        ["mine", "--manifest", "@"], 1,
+                        "mine: manifest row at line 2, report 'P1': unknown sector 'Quaternary'; "
+                        "expected one of primary, secondary, tertiary"),
+    "scorecard-sector": (b"report_id,sector,v1_score\nr1,quaternary,1\n",
+                         ["anova", "--scorecards", "@"], 1,
+                         "anova: scorecard row at line 2: unknown sector 'quaternary'; "
+                         "expected one of primary, secondary, tertiary"),
+    "frequency-cell": (b"report_id,v1\nP1,x\n",
+                       ["score", "--manifest", str(MANIFEST), "--frequencies", "@"], 1,
+                       "score: frequency row at line 2: non-integer count 'x' for (P1, v1)"),
 }
 
 
@@ -784,6 +795,24 @@ def test_analysis_artifact_bytes_pinned(tmp_path):
         assert run_subcommand([command, "--scorecards", str(cards), "--out-dir", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == SEEDED_DIGESTS
+
+
+def test_sector_letter_case_keeps_analysis_bytes(tmp_path):
+    """Scorecard sectors written ``Primary`` and ``TERTIARY`` read as the lower-case file does."""
+    lower, mixed = tmp_path / "lower.csv", tmp_path / "mixed.csv"
+    write_scorecards_csv(seeded_cards(11, 120), lower)
+    text = lower.read_text(encoding="utf-8")
+    mixed.write_text(text.replace(",primary,", ",Primary,").replace(",tertiary,", ",TERTIARY,"),
+                     encoding="utf-8")
+    assert mixed.read_bytes() != lower.read_bytes()
+    artifacts = []
+    for cards in (lower, mixed):
+        out = tmp_path / f"{cards.stem}-out"
+        for command in ("anova", "mda", "report"):
+            assert run_subcommand([command, "--scorecards", str(cards), "--out-dir", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(artifacts[0]) == ["anova.csv", "case_scores.csv", "mda.json", "report.txt"]
+    assert artifacts[1] == artifacts[0]
 
 
 def test_no_command_loads_numpy(tmp_path):

@@ -154,10 +154,29 @@ class TestLoadCorpus:
         (tmp_path / "a.txt").write_text("x", encoding="utf-8")
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(
-            "report_id,sector,language,path\na,quaternary,en,a.txt\n", encoding="utf-8"
+            "report_id,sector,language,path\na,primary,en,a.txt\nb,Quaternary,en,a.txt\n",
+            encoding="utf-8",
         )
-        with pytest.raises(ValidationError):
+        message = ("manifest row at line 3, report 'b': unknown sector 'Quaternary'; "
+                   "expected one of primary, secondary, tertiary")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_corpus(tmp_path, manifest)
+
+    def test_sector_in_any_letter_case(self, tmp_path, fixture_corpus):
+        text = MANIFEST.read_text(encoding="utf-8")
+        for label, written in (("primary", "Primary"), ("tertiary", "TERTIARY")):
+            text = text.replace(f",{label},", f",{written},")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text, encoding="utf-8")
+        assert load_corpus(FIXTURE_DIR, manifest) == fixture_corpus
+
+    def test_columns_found_by_name(self, tmp_path, fixture_corpus):
+        rows = list(csv.reader(MANIFEST.read_text(encoding="utf-8").splitlines()))
+        assert rows[0] == ["report_id", "sector", "language", "path"]
+        permuted = [[path, language, rid, sector] for rid, sector, language, path in rows]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(map(",".join, permuted)) + "\n", encoding="utf-8")
+        assert load_corpus(FIXTURE_DIR, manifest) == fixture_corpus
 
     def test_report_byte_order_mark_dropped(self, tmp_path, fixture_corpus):
         (tmp_path / "manifest.csv").write_bytes(MANIFEST.read_bytes())
@@ -570,9 +589,16 @@ class TestFrequencyCsv:
 
     def test_non_integer_count_rejected(self, tmp_path):
         path = tmp_path / "freq.csv"
-        path.write_text("report_id,v1\nr1,two\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="r1"):
+        path.write_text("report_id,v1,v2\nr1,1,2\nr2,3,two\n", encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=r"^frequency row at line 3: non-integer count 'two' for \(r2, v2\)$"):
             read_frequency_csv(path)
+
+    def test_columns_found_by_name(self, tmp_path):
+        ordered, permuted = tmp_path / "ordered.csv", tmp_path / "permuted.csv"
+        ordered.write_text("report_id,v1,v2\nA,1,2\nB,3,4\n", encoding="utf-8")
+        permuted.write_text("v1,report_id,v2\n1,A,2\n3,B,4\n", encoding="utf-8")
+        assert read_frequency_csv(permuted) == read_frequency_csv(ordered)
 
     def test_duplicate_report_id_rejected(self, tmp_path):
         path = tmp_path / "freq.csv"

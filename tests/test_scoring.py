@@ -275,8 +275,17 @@ class TestScorecardCsv:
         write_scorecards_csv(cards, path)
         text = path.read_text(encoding="utf-8").replace("primary", "quaternary")
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2"):
+        message = ("scorecard row at line 2: unknown sector 'quaternary'; "
+                   "expected one of primary, secondary, tertiary")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             read_scorecards_csv(path)
+
+    def test_sector_in_any_letter_case(self, tmp_path):
+        cards = [card("r1", [1] * 10), card("r2", [2] * 10, sector=Sector.TERTIARY)]
+        path, lines = self.written_lines(tmp_path, cards)
+        text = "\n".join(lines).replace(",primary,", ",Primary,").replace(",tertiary,", ",TERTIARY,")
+        path.write_text(text + "\n", encoding="utf-8")
+        assert read_scorecards_csv(path) == cards
 
     def written_lines(self, tmp_path, cards):
         path = tmp_path / "cards.csv"
