@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import marshal
+import os
 import re
 import unicodedata
 from array import array
@@ -23,9 +25,9 @@ from enum import Enum
 from importlib import resources
 from itertools import compress, count, filterfalse
 from pathlib import Path
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import BinaryIO, Callable, Iterable, Sequence, TYPE_CHECKING
 
-from .errors import IngestionError, ValidationError
+from .errors import CeraError, IngestionError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scoring import Criterion
@@ -385,18 +387,111 @@ def _frequency_table(corpus: Corpus, criteria: Sequence["Criterion"], rows) -> F
     return FrequencyTable([doc.report_id for doc in corpus], cids, counts)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _map_reports(job: Callable[[Document], list[int]], docs: Sequence[Document]) -> list:
+    """``[job(doc) for doc in docs]``, computed here and in forked workers.
+
+    Of ``n`` shares, the smaller of the CPU count and ``len(docs)``, worker ``w``
+    computes ``docs[w::n]`` and this process ``docs[::n]``. Every worker is reaped
+    before this returns or raises. A worker's exception is raised again here; a
+    worker that ends without sending its rows is a CeraError. Without ``os.fork``,
+    on one CPU, or while other threads run (forking them is unsafe), all runs here.
+    """
+    import signal  # these two are loaded only by the commands that mine
+    import threading
+
+    n = min(_cpu_count(), len(docs))
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [job(doc) for doc in docs]
+    workers: list[tuple[int, BinaryIO]] = []  # pid and pipe of each unreaped worker
+    try:
+        for w in range(1, n):
+            workers.append(_fork_worker(job, docs[w::n]))
+        shares = [[job(doc) for doc in docs[::n]]]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                message = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise CeraError(f"mining worker {pid} {how} before sending its rows")
+            ok, payload = marshal.loads(message)
+            if not ok:
+                import pickle
+
+                raise pickle.loads(payload)
+            shares.append(payload)
+    finally:
+        for pid, pipe in workers:  # left by an exception: end them
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows: list = [None] * len(docs)
+    for w, share in enumerate(shares):
+        rows[w::n] = share
+    return rows
+
+
+def _fork_worker(job, docs) -> tuple[int, BinaryIO]:
+    """Fork a worker over ``docs``; its pid and the read end of its pipe.
+
+    The worker sends ``(True, rows)`` or ``(False, its pickled exception)`` as
+    marshal bytes, then ends with ``os._exit``: it flushes no stdio buffer it
+    inherited and never returns into the caller's stack.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            try:
+                message = marshal.dumps((True, [job(doc) for doc in docs]))
+            except Exception as exc:
+                import pickle
+
+                message = marshal.dumps((False, pickle.dumps(exc)))
+            with open(write_end, "wb") as pipe:
+                pipe.write(message)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
 def mine_linear(
     corpus: Corpus,
     criteria: Sequence["Criterion"],
     stoplist: Iterable[str] = frozenset(),
     stemming: bool = False,
 ) -> FrequencyTable:
-    """Sequential scan: preprocess each report and count criterion phrases."""
+    """Linear strategy: preprocess each report and scan it for criterion phrases.
+
+    Reports are mined in forked workers, one per further available CPU, and in
+    this process. Rows keep corpus order, so artifacts are byte-identical to a
+    serial run; on Windows (no ``os.fork``) or one CPU the reports are mined
+    here, one by one. Workers are reaped before this returns, so a command's
+    rusage CPU time and peak RSS include theirs.
+    """
     stopset = frozenset(stoplist)
     index = _compile_criteria(criteria, stopset, stemming)
-    rows = (
-        _count_hits(preprocess_text(doc.text, stopset, stemming), index, len(criteria))
-        for doc in corpus
+    rows = _map_reports(
+        lambda doc: _count_hits(preprocess_text(doc.text, stopset, stemming), index, len(criteria)),
+        corpus,
     )
     return _frequency_table(corpus, criteria, rows)
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -202,6 +204,26 @@ class TestMine:
         assert capsys.readouterr().err == (
             "mine: manifest needs columns report_id,sector,language,path\n"
         )
+
+    def test_killed_mining_worker_is_a_mine_diagnostic(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        parent, preprocess = os.getpid(), miner.preprocess_text
+
+        def killed_in_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return preprocess(*args)
+
+        monkeypatch.setattr(miner, "preprocess_text", killed_in_worker)
+        out = tmp_path / "out"
+        assert run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"mine: mining worker \d+ killed by signal 9 before sending its rows\n", err
+        ), err
+        assert not (out / "frequencies.csv").exists()
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("flags, the_lines", [([], 0), (["--no-stoplist"], 47)])
     def test_no_stoplist_keeps_stop_words(self, tmp_path, flags, the_lines):

@@ -1,5 +1,11 @@
 import csv
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 import unicodedata
 from functools import partial
 
@@ -7,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cera import miner
-from cera.errors import IngestionError, ValidationError
+from cera.errors import CeraError, IngestionError, ValidationError
 from cera.miner import (
     Document,
     Sector,
@@ -270,6 +276,107 @@ class TestMineLinear:
     def test_empty_criteria_rejected(self):
         with pytest.raises(ValidationError):
             mine_linear([doc("r", "x")], [])
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedMining:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_rows_keep_corpus_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        docs = [doc(f"d{i}", "x " * i) for i in range(7)]  # shares of 3, 2 and 2
+        rows = miner._map_reports(lambda d: [len(d.text), os.getpid()], docs)
+        assert [length for length, _ in rows] == [2 * i for i in range(7)]
+        pids = [pid for _, pid in rows]
+        assert pids[::3] == [os.getpid()] * 3
+        assert len(set(pids)) == cpus
+        assert_no_children()
+
+    def test_forked_and_in_process_tables_equal(self, monkeypatch, fixture_corpus):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 1)
+        serial = mine_linear(fixture_corpus, default_criteria(), frozenset(["the"]), True)
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 3)
+        forked = mine_linear(fixture_corpus, default_criteria(), frozenset(["the"]), True)
+        assert forked == serial
+        assert_no_children()
+
+    def test_worker_exception_keeps_class_and_message(self, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def job(d):
+            if os.getpid() != parent:
+                raise ValidationError(f"bad report {d.report_id}")
+            return [0]
+
+        with pytest.raises(ValidationError, match=r"^bad report r1$"):
+            miner._map_reports(job, [doc("r0", ""), doc("r1", "")])
+        assert_no_children()
+
+    def test_worker_killed_by_signal_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def job(d):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return [0]
+
+        with pytest.raises(CeraError, match=r"^mining worker \d+ killed by signal 9 before"):
+            miner._map_reports(job, [doc("r0", ""), doc("r1", "")])
+        assert_no_children()
+
+    def test_interrupt_kills_and_reaps_workers(self, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 3)
+        parent = os.getpid()
+
+        def job(d):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return [0]
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            miner._map_reports(job, [doc(f"r{i}", "") for i in range(3)])
+        assert time.perf_counter() - start < 30
+        assert_no_children()
+
+    def test_other_threads_keep_mining_in_process(self, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            rows = miner._map_reports(lambda d: [os.getpid()], [doc(f"r{i}", "") for i in range(3)])
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert rows == [[os.getpid()]] * 3
+
+    def test_unflushed_stdout_is_written_once(self):
+        script = (
+            "import sys\n"
+            "from cera import miner\n"
+            "from cera.scoring import default_criteria\n"
+            "miner._cpu_count = lambda: 3\n"
+            "sys.stdout.write('before mining\\n')\n"
+            f"corpus = miner.load_corpus({str(FIXTURE_DIR)!r}, {str(MANIFEST)!r})\n"
+            "miner.mine_linear(corpus, default_criteria())\n"
+            "print('after mining')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "before mining\nafter mining\n"
 
 
 class TestMineBinary:
