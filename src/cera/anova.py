@@ -59,10 +59,10 @@ def one_way_anova(sample: GroupedSample, variable_id: str = "") -> AnovaRow:
     g = len(groups)
     grand_mean = _mean(sample.values)
     group_means = {label: _mean(vals) for label, vals in groups.items()}
-    ssb = sum(len(vals) * (group_means[label] - grand_mean) ** 2 for label, vals in groups.items())
-    ssw = sum(
-        (v - group_means[label]) ** 2 for label, vals in groups.items() for v in vals
-    )
+    ssb = numcore.total(len(vals) * (group_means[label] - grand_mean) ** 2
+                        for label, vals in groups.items())
+    ssw = numcore.total((v - group_means[label]) ** 2
+                        for label, vals in groups.items() for v in vals)
     degenerate = ssw <= 0.0
     if degenerate:
         f_stat = p = math.nan

@@ -153,7 +153,7 @@ def scatter_from_data(
                 f"group {g} has {len(idx)} cases; needs at least {p + 1} "
                 f"for a nonsingular within-group scatter"
             )
-    grand_mean = [sum(col) / n for col in zip(*x)]
+    grand_mean = [numcore.total(col) / n for col in zip(*x)]
     w = [[0.0] * p for _ in range(p)]
     b = [[0.0] * p for _ in range(p)]
     group_sizes = {}
@@ -260,10 +260,9 @@ def box_m_approximation(m_stat: float, group_sizes: Sequence[int], p: int) -> Bo
         raise ValidationError("need at least 2 groups")
     n = sum(group_sizes)
     inv_dfs = [1.0 / (size - 1) for size in group_sizes]
-    c1 = (sum(inv_dfs) - 1.0 / (n - g)) * (2 * p * p + 3 * p - 1) / (6.0 * (p + 1) * (g - 1))
-    c2 = (sum(v * v for v in inv_dfs) - 1.0 / (n - g) ** 2) * (p - 1) * (p + 2) / (
-        6.0 * (g - 1)
-    )
+    sum_inv, sum_inv_sq = numcore.total(inv_dfs), numcore.total(v * v for v in inv_dfs)
+    c1 = (sum_inv - 1.0 / (n - g)) * (2 * p * p + 3 * p - 1) / (6.0 * (p + 1) * (g - 1))
+    c2 = (sum_inv_sq - 1.0 / (n - g) ** 2) * (p - 1) * (p + 2) / (6.0 * (g - 1))
     df1 = (g - 1) * p * (p + 1) // 2
     if c2 > c1 * c1:
         df2 = (df1 + 2) / (c2 - c1 * c1)
@@ -297,7 +296,8 @@ def _box_m(sp: ScatterPair) -> BoxMResult:
         for grp in order
     }
     pooled = [
-        [sum((sizes[grp] - 1) * covs[grp][j][k] for grp in order) / (sp.n_total - sp.n_groups)
+        [numcore.total((sizes[grp] - 1) * covs[grp][j][k] for grp in order)
+         / (sp.n_total - sp.n_groups)
          for k in range(sp.n_variables)]
         for j in range(sp.n_variables)
     ]

@@ -402,13 +402,18 @@ def _map_reports(job: Callable[[Document], list[int]], docs: Sequence[Document])
     computes ``docs[w::n]`` and this process ``docs[::n]``. Every worker is reaped
     before this returns or raises. A worker's exception is raised again here; a
     worker that ends without sending its rows is a CeraError. Without ``os.fork``,
-    on one CPU, or while other threads run (forking them is unsafe), all runs here.
+    on one CPU, or while other OS threads run (forking them is unsafe), all runs
+    here; threads are counted in ``/proc/self/task``, native ones too, where it exists.
     """
     import signal  # these two are loaded only by the commands that mine
     import threading
 
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
     n = min(_cpu_count(), len(docs))
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n < 2 or not hasattr(os, "fork") or threads > 1:
         return [job(doc) for doc in docs]
     workers: list[tuple[int, BinaryIO]] = []  # pid and pipe of each unreaped worker
     try:

@@ -4,14 +4,15 @@ Problem sizes here are tiny (at most 23x23: one row/column per scoring
 criterion, or per free parameter of a covariance model), so everything is a
 direct dense method in plain Python. A matrix is a list of row lists of
 floats; anything array-like is accepted and converted. Nothing here imports
-numpy.
+numpy. Float totals add left to right (``total``) on every supported Python.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 from .errors import ConditioningError, ValidationError
 
@@ -57,14 +58,18 @@ class Matrix(list):
         raise ValueError(f"axis must be None or 1, got {axis!r}")
 
 
+def total(values) -> float:
+    return reduce(add, values, 0.0)
+
+
 def dot(a, b) -> float:
-    return sum(map(mul, a, b))
+    return total(map(mul, a, b))
 
 
 def centered_columns(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     """The column means of ``rows`` and each column minus its mean."""
     cols = list(zip(*rows))
-    means = [sum(col) / len(rows) for col in cols]
+    means = [total(col) / len(rows) for col in cols]
     return means, [[v - m for v in col] for col, m in zip(cols, means)]
 
 
@@ -130,7 +135,7 @@ def cholesky(a) -> list[list[float]] | None:
 
 def log_det(chol: list[list[float]]) -> float:
     """ln |a| from the Cholesky factor of a."""
-    return 2.0 * sum(math.log(row[-1]) for row in chol)
+    return 2.0 * total(math.log(row[-1]) for row in chol)
 
 
 def solve_lower(chol: list[list[float]], b) -> list[float]:
@@ -231,8 +236,8 @@ def lstsq_symmetric(a, b) -> list[float]:
     cutoff = EPS * n
     chol = cholesky(a)
     if chol is not None:
-        inv_norm2 = sum(dot(col, col) for col in _inverse_columns(chol))
-        if 1.0 > cutoff * math.sqrt(sum(dot(row, row) for row in a)) * inv_norm2:
+        inv_norm2 = total(dot(col, col) for col in _inverse_columns(chol))
+        if 1.0 > cutoff * math.sqrt(total(dot(row, row) for row in a)) * inv_norm2:
             return solve_lower_t(chol, solve_lower(chol, b))
     values, vectors = eigh(a)
     largest = max((abs(v) for v in values), default=0.0)

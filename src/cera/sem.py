@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .miner import config_sections, load_config, packaged_text
-from .numcore import dot
+from .numcore import dot, total
 from .scoring import ScoreCard, score_rows
 
 # Residual variances this far below the observed variance are flagged as
@@ -329,7 +329,7 @@ def _ml_value(
     if chol is None:
         return None
     sigma_inv = numcore.inverse_from_cholesky(chol)
-    trace = sum(map(dot, s, sigma_inv))  # both symmetric: sum of S_ij (Sigma^-1)_ij
+    trace = total(map(dot, s, sigma_inv))  # both symmetric: sum of S_ij (Sigma^-1)_ij
     return numcore.log_det(chol) + trace - logdet_s - len(s), sigma_inv
 
 

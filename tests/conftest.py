@@ -1,10 +1,17 @@
+import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cera.miner import Sector
 from cera.scoring import ScoreCard
+
+# numpy's OpenBLAS starts a second OS thread when it loads. Tests fork the miner's
+# workers from this process, and a forked multi-threaded process can deadlock, so
+# the miner mines in-process while other OS threads run; keep BLAS to one thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "fixture"
 MANIFEST = FIXTURE_DIR / "manifest.csv"

@@ -805,18 +805,37 @@ SEEDED_DIGESTS = {
     "sem_fit.json": "95017b4e836d5f1414d2249be6e97715941d1d44c48255fd34a5e7562607c6ff",
 }
 
+# sha256 of each artifact that pipeline and then report write for the fixture corpus, with
+# either strategy; MDA and SEM fail on its six reports and write their error JSONs.
+FIXTURE_DIGESTS = {
+    "anova.csv": "d14e53fc39fcda0ed4f2c010b184eeb8d2ebd682d4a38a5a35d70a5a9a88640f",
+    "frequencies.csv": "11b7b7b5e1820d1ed52c3f0cd592c7f4e6c62cc31b4ce647c727a6455a656d0e",
+    "mda.json": "bf8f6ed37239b470ace703bbbc2896fae221f8ffd4c8934c1c706051122e605f",
+    "report.txt": "1b5c3ddd481bf323aec9228aba3bc91c8612ac195c7f7b512689b4c37216797c",
+    "scorecards.csv": "c39d1392a680b48c6af843a0acbf83e274daf72ecbb335150288645951bbf514",
+    "sem_fit.json": "cbbef02b1fa7a540b7e1881f7a5ded82503a25d277f8159fd54d09b9897ec464",
+}
+KEYWORD_FILE_DIGEST = "ac3af4a8cf76710bc824ca635ad3a845b5c698594f20d8ca25219f22302af391"
 
-@pytest.mark.skipif(sys.version_info >= (3, 12), reason=(
-    "builtin sum() of floats is compensated from Python 3.12, so the analysis bytes "
-    "differ (ROADMAP open item 5)"))
+
 def test_analysis_artifact_bytes_pinned(tmp_path):
-    """Group keys, the case-score group column and the report's sector rows, byte for byte."""
+    """Every artifact of the seeded analyses and of the fixture pipeline, byte for byte,
+    on every supported Python: group keys, the case-score group column, the report's
+    sector rows and each float total, which adds left to right."""
+    def digests(out):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
     cards, out = tmp_path / "cards.csv", tmp_path / "out"
     write_scorecards_csv(seeded_cards(11, 120), cards)
     for command in ("anova", "mda", "sem", "report"):
         assert run_subcommand([command, "--scorecards", str(cards), "--out-dir", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == SEEDED_DIGESTS
+    assert digests(out) == SEEDED_DIGESTS
+    for strategy, extra in (("linear", {}), ("binary", {"keyword_file.tsv": KEYWORD_FILE_DIGEST})):
+        out = tmp_path / strategy
+        assert run_subcommand(["pipeline", "--manifest", str(MANIFEST), "--out-dir", str(out),
+                               "--strategy", strategy]) == 0
+        assert run_subcommand(["report", "--out-dir", str(out)]) == 0
+        assert digests(out) == {**FIXTURE_DIGESTS, **extra}
 
 
 def test_sector_letter_case_keeps_analysis_bytes(tmp_path):

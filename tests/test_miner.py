@@ -1,3 +1,4 @@
+import _thread
 import csv
 import os
 import re
@@ -8,6 +9,7 @@ import threading
 import time
 import unicodedata
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +280,13 @@ class TestMineLinear:
             mine_linear([doc("r", "x")], [])
 
 
+PROC_TASKS = Path("/proc/self/task")  # one entry per OS thread, on Linux
+
+
+def os_threads() -> int:
+    return len(os.listdir(PROC_TASKS)) if PROC_TASKS.is_dir() else threading.active_count()
+
+
 def assert_no_children():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -288,6 +297,7 @@ class TestForkedMining:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_rows_keep_corpus_order(self, monkeypatch, cpus):
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        assert os_threads() == 1  # conftest.py keeps numpy's BLAS to this one thread
         docs = [doc(f"d{i}", "x " * i) for i in range(7)]  # shares of 3, 2 and 2
         rows = miner._map_reports(lambda d: [len(d.text), os.getpid()], docs)
         assert [length for length, _ in rows] == [2 * i for i in range(7)]
@@ -347,17 +357,24 @@ class TestForkedMining:
         assert_no_children()
 
     def test_other_threads_keep_mining_in_process(self, monkeypatch):
+        """A ``threading`` thread and, where OS threads are listed, a ``_thread`` one,
+        which ``threading.active_count()`` does not count."""
         monkeypatch.setattr(miner, "_cpu_count", lambda: 3)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(30,))
-        thread.start()
-        try:
-            rows = miner._map_reports(lambda d: [os.getpid()], [doc(f"r{i}", "") for i in range(3)])
-        finally:
-            release.set()
-            thread.join(30)
-        assert not thread.is_alive()
-        assert rows == [[os.getpid()]] * 3
+        starters = [lambda wait: threading.Thread(target=wait).start()]
+        if PROC_TASKS.is_dir():
+            starters.append(lambda wait: _thread.start_new_thread(wait, ()))
+        for start in starters:
+            release = threading.Event()
+            start(partial(release.wait, 30))
+            try:
+                rows = miner._map_reports(lambda d: [os.getpid()], [doc(f"r{i}", "") for i in range(3)])
+            finally:
+                release.set()
+            deadline = time.monotonic() + 30
+            while os_threads() > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert os_threads() == 1
+            assert rows == [[os.getpid()]] * 3
 
     def test_unflushed_stdout_is_written_once(self):
         script = (

@@ -248,6 +248,14 @@ class TestMatrix:
                 product()
 
 
+class TestTotal:
+    def test_adds_left_to_right_on_every_python(self):
+        """Left to right, 1e16 + 1.0 rounds back to 1e16; builtin sum() from 3.12 gives 1.0."""
+        values = [1e16, 1.0, -1e16]
+        assert numcore.total(values) == 0.0
+        assert numcore.dot(values, [1.0] * 3) == 0.0
+
+
 def _oracle_matrices():
     """Seeded symmetric matrices of order 1-10 and 23, by kind.
 
