@@ -1,9 +1,11 @@
 """Command-line front end: mine -> score -> analyze.
 
-Subcommands: mine, score, anova, mda, sem, pipeline, report. A JSON file
-passed with --config supplies defaults for any flag; flags given on the
-command line win. Exit codes: 0 success, 1 runtime or analysis error,
-2 usage error.
+Subcommands: mine, score, anova, mda, sem, pipeline, report. ``FLAGS``
+declares every option once: its flag, help line, default and argparse
+options. A JSON file passed with --config supplies values for the options
+a command takes and its other keys are ignored; flags given on the command
+line win. The parsed namespace, filled in this way, is the run's resolved
+config. Exit codes: 0 success, 1 runtime or analysis error, 2 usage error.
 
 The analysis modules are imported by the commands that run them, so
 ``--help``, ``mine`` and ``score`` load none of them. No command imports
@@ -16,7 +18,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,45 +44,13 @@ REPORT_NAME = "report.txt"
 PIPELINE_NAMES = (FREQUENCIES_NAME, KEYWORD_FILE_NAME, SCORECARDS_NAME, ANOVA_NAME, MDA_NAME,
                   CASE_SCORES_NAME, SEM_NAME)
 
-# Config keys that hold paths, resolved relative to the config file location.
-_PATH_KEYS = ("manifest", "root", "criteria", "stoplist", "sem_model", "out_dir")
-
-
-@dataclass
-class RunConfig:
-    manifest: Path | None = None
-    root: Path | None = None  # defaults to the manifest's directory
-    criteria: Path | None = None  # None = packaged defaults
-    stoplist: Path | None = None  # None = packaged defaults
-    use_stoplist: bool = True
-    stemming: bool = False
-    strategy: str = "linear"
-    out_dir: Path = Path("out")
-    elimination: str = "conjunction"
-    language: str = "en"
-    sem_model: Path | None = None  # None = packaged example model
-
-    def validate(self) -> None:
-        for key, choices in (("strategy", STRATEGIES), ("elimination", scoring.ELIMINATION_RULES)):
-            value = getattr(self, key)
-            if value not in choices:
-                raise ValueError(f"{key} must be one of {choices}, got {value!r}")
-        for label, path in (
-            ("manifest", self.manifest),
-            ("criteria", self.criteria),
-            ("stoplist", self.stoplist),
-            ("sem model", self.sem_model),
-        ):
-            if path is not None and not Path(path).is_file():
-                raise ValueError(f"{label} file not found: {path}")
-
 
 class StageFailure(Exception):
     """A stage failed; the message is its diagnostic line, stage name first."""
 
 
-def _load_config_file(path: str) -> dict:
-    """The config file's values for RunConfig fields; null means unset.
+def _load_config_file(path: str, dests: tuple[str, ...]) -> dict:
+    """The config file's values for the options ``dests``; null means unset.
 
     Booleans must be JSON booleans and every other value a JSON string.
     Relative paths resolve against the file's directory.
@@ -93,55 +62,59 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    base = Path(path).parent
     values = {}
-    for field in fields(RunConfig):
-        key, value = field.name, raw.get(field.name)
+    for key in dests:
+        value = raw.get(key)
         if value is None:
             continue
-        if isinstance(field.default, bool):
+        _, _, default, options = FLAGS[key]
+        if isinstance(default, bool):
             if not isinstance(value, bool):
                 raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
         elif not isinstance(value, str):
             raise ValueError(f"config key {key!r} must be a string, got {value!r}")
-        values[key] = base / value if key in _PATH_KEYS else value
+        values[key] = Path(path).parent / value if options.get("type") is Path else value
     return values
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Each field takes its flag (dest = key), else the config file's value, else its default."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    values = {}
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is None:
-            value = file_values.get(field.name)
-        if value is not None:
-            values[field.name] = Path(value) if field.name in _PATH_KEYS else value
-    config = RunConfig(**values)
-    config.validate()
-    return config
+def _build_config(args: argparse.Namespace) -> None:
+    """Fill in each option the command takes, then check its choices and input files.
+
+    An option takes its flag, else the config file's value, else its FLAGS default.
+    """
+    dests = ("out_dir", *COMMANDS[args.command][2])
+    file_values = _load_config_file(args.config, dests) if args.config else {}
+    for dest in dests:
+        _, _, default, options = FLAGS[dest]
+        if getattr(args, dest) is None:
+            setattr(args, dest, file_values.get(dest, default))
+        value, choices = getattr(args, dest), options.get("choices")
+        if choices and value not in choices:
+            raise ValueError(f"{dest} must be one of {choices}, got {value!r}")
+        if dest in ("manifest", "criteria", "stoplist", "sem_model") and value is not None:
+            if not value.is_file():
+                raise ValueError(f"{dest.replace('_', ' ')} file not found: {value}")
 
 
-def _stoplist(config: RunConfig) -> frozenset[str]:
-    if not config.use_stoplist:
+def _stoplist(args: argparse.Namespace) -> frozenset[str]:
+    if not args.use_stoplist:
         return frozenset()
-    if config.stoplist is not None:
-        return miner.load_stoplist(config.stoplist)
+    if args.stoplist is not None:
+        return miner.load_stoplist(args.stoplist)
     return miner.default_stoplist()
 
 
-def _criteria(config: RunConfig) -> scoring.CriteriaSet:
-    if config.criteria is not None:
-        return scoring.load_criteria(config.criteria)
+def _criteria(args: argparse.Namespace) -> scoring.CriteriaSet:
+    if args.criteria is not None:
+        return scoring.load_criteria(args.criteria)
     return scoring.default_criteria()
 
 
-def _load_corpus(config: RunConfig) -> miner.Corpus:
-    if config.manifest is None:
+def _load_corpus(args: argparse.Namespace) -> miner.Corpus:
+    if args.manifest is None:
         raise ValidationError("a corpus manifest is required (--manifest)")
-    root = config.root if config.root is not None else Path(config.manifest).parent
-    return miner.load_corpus(root, config.manifest)
+    root = args.root if args.root is not None else args.manifest.parent
+    return miner.load_corpus(root, args.manifest)
 
 
 @contextmanager
@@ -153,26 +126,26 @@ def _stage(name: str):
         raise StageFailure(f"{name}: {exc}") from exc
 
 
-def _mine(config: RunConfig, criteria: scoring.CriteriaSet) -> miner.FrequencyTable:
-    corpus = _load_corpus(config)
-    stoplist = _stoplist(config)
-    if config.strategy == "binary":
-        kwfile = miner.build_sorted_keyword_file(corpus, stoplist, config.stemming)
-        miner.write_keyword_file(kwfile, config.out_dir / KEYWORD_FILE_NAME)
+def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.FrequencyTable:
+    corpus = _load_corpus(args)
+    stoplist = _stoplist(args)
+    if args.strategy == "binary":
+        kwfile = miner.build_sorted_keyword_file(corpus, stoplist, args.stemming)
+        miner.write_keyword_file(kwfile, args.out_dir / KEYWORD_FILE_NAME)
         table = miner.mine_binary(kwfile, corpus, criteria)
     else:
-        (config.out_dir / KEYWORD_FILE_NAME).unlink(missing_ok=True)  # left by a binary run
-        table = miner.mine_linear(corpus, criteria, stoplist, config.stemming)
-    miner.write_frequency_csv(table, config.out_dir / FREQUENCIES_NAME)
+        (args.out_dir / KEYWORD_FILE_NAME).unlink(missing_ok=True)  # left by a binary run
+        table = miner.mine_linear(corpus, criteria, stoplist, args.stemming)
+    miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
     return table
 
 
 def _score(
-    config: RunConfig, table: miner.FrequencyTable, criteria: scoring.CriteriaSet
+    args: argparse.Namespace, table: miner.FrequencyTable, criteria: scoring.CriteriaSet
 ) -> list[scoring.ScoreCard]:
-    cards = scoring.build_scorecards(table, _load_corpus(config), criteria)
-    sample = scoring.filter_sample(cards, config.language, config.elimination)
-    scoring.write_scorecards_csv(sample, config.out_dir / SCORECARDS_NAME)
+    cards = scoring.build_scorecards(table, _load_corpus(args), criteria)
+    sample = scoring.filter_sample(cards, args.language, args.elimination)
+    scoring.write_scorecards_csv(sample, args.out_dir / SCORECARDS_NAME)
     return sample
 
 
@@ -183,14 +156,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # Each subcommand's handler, which COMMANDS binds to its subparser as ``run``.
-def _cmd_mine(config: RunConfig, args: argparse.Namespace) -> int:
-    _mine(config, _criteria(config))
+def _cmd_mine(args: argparse.Namespace) -> int:
+    _mine(args, _criteria(args))
     return 0
 
 
-def _cmd_score(config: RunConfig, args: argparse.Namespace) -> int:
-    freq_path = Path(args.frequencies) if args.frequencies else config.out_dir / FREQUENCIES_NAME
-    _score(config, miner.read_frequency_csv(freq_path), _criteria(config))
+def _cmd_score(args: argparse.Namespace) -> int:
+    freq_path = args.frequencies or args.out_dir / FREQUENCIES_NAME
+    _score(args, miner.read_frequency_csv(freq_path), _criteria(args))
     return 0
 
 
@@ -198,7 +171,7 @@ def _cmd_score(config: RunConfig, args: argparse.Namespace) -> int:
 # commands, pipeline and report. Each imports its analysis module when it
 # runs and looks the analysis functions up through that module at call time,
 # so bench/tracing.py can wrap them.
-def _anova(config: RunConfig, cards: list[scoring.ScoreCard]) -> list[AnovaRow]:
+def _anova(args: argparse.Namespace, cards: list[scoring.ScoreCard]) -> list[AnovaRow]:
     from . import anova as anova_mod
 
     return anova_mod.anova_table(cards)
@@ -210,7 +183,7 @@ def _write_anova(out_dir: Path, rows: list[AnovaRow]) -> None:
     anova_mod.write_anova_csv(rows, out_dir / ANOVA_NAME)
 
 
-def _mda(config: RunConfig, cards: list[scoring.ScoreCard]) -> MdaResult:
+def _mda(args: argparse.Namespace, cards: list[scoring.ScoreCard]) -> MdaResult:
     from . import mda as mda_mod
 
     return mda_mod.run_mda(cards)
@@ -223,10 +196,10 @@ def _write_mda(out_dir: Path, result: MdaResult) -> None:
     mda_mod.write_case_scores_csv(result, out_dir / CASE_SCORES_NAME)
 
 
-def _sem(config: RunConfig, cards: list[scoring.ScoreCard]) -> SemFit:
+def _sem(args: argparse.Namespace, cards: list[scoring.ScoreCard]) -> SemFit:
     from . import sem as sem_mod
 
-    path = config.sem_model
+    path = args.sem_model
     model = sem_mod.load_model(path) if path is not None else sem_mod.default_model()
     s, n = sem_mod.covariance_from_cards(cards, model.observed_vars)
     return sem_mod.fit_model(model, s, n)
@@ -260,7 +233,7 @@ def _write_failure(out_dir: Path, name: str, error: CeraError) -> None:
 
 
 def _run_analyses(
-    config: RunConfig, cards: list[scoring.ScoreCard], out_dir: Path | None = None
+    args: argparse.Namespace, cards: list[scoring.ScoreCard], out_dir: Path | None = None
 ) -> dict:
     """Every analysis on ``cards``; a failed one reports on stderr and yields None.
 
@@ -270,7 +243,7 @@ def _run_analyses(
     results = {}
     for name, (analyze, write) in ANALYSES.items():
         try:
-            results[name] = analyze(config, cards)
+            results[name] = analyze(args, cards)
         except CeraError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             results[name] = None
@@ -282,63 +255,67 @@ def _run_analyses(
     return results
 
 
-def _cmd_analysis(config: RunConfig, args: argparse.Namespace) -> int:
-    cards = scoring.read_scorecards_csv(_cards_path(args, config))
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    cards = scoring.read_scorecards_csv(args.scorecards or args.out_dir / SCORECARDS_NAME)
     analyze, write = ANALYSES[args.command]
-    write(config.out_dir, analyze(config, cards))
+    write(args.out_dir, analyze(args, cards))
     return 0
 
 
-def _cmd_pipeline(config: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> int:
     """Chain every stage; analysis failures leave diagnostic artifacts."""
     with _stage("mine"):
         # A directory of one of these names stays, for its writer to report.
-        for stale in filter(Path.is_file, map(config.out_dir.joinpath, PIPELINE_NAMES)):
+        for stale in filter(Path.is_file, map(args.out_dir.joinpath, PIPELINE_NAMES)):
             stale.unlink()
-        criteria = _criteria(config)
-        table = _mine(config, criteria)
+        criteria = _criteria(args)
+        table = _mine(args, criteria)
     with _stage("score"):
-        sample = _score(config, table, criteria)
-    _run_analyses(config, sample, config.out_dir)
+        sample = _score(args, table, criteria)
+    _run_analyses(args, sample, args.out_dir)
     return 0
 
 
-def _cmd_report(config: RunConfig, args: argparse.Namespace) -> int:
-    cards = scoring.read_scorecards_csv(_cards_path(args, config))
+def _cmd_report(args: argparse.Namespace) -> int:
+    cards = scoring.read_scorecards_csv(args.scorecards or args.out_dir / SCORECARDS_NAME)
     composition = scoring.sector_composition(cards)
-    text = emit_report(composition, **_run_analyses(config, cards))
-    target = Path(args.out) if args.out else config.out_dir / REPORT_NAME
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    text = emit_report(composition, **_run_analyses(args, cards))
+    with open(args.out or args.out_dir / REPORT_NAME, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return 0
 
 
-def _cards_path(args: argparse.Namespace, config: RunConfig) -> Path:
-    return Path(args.scorecards) if args.scorecards else config.out_dir / SCORECARDS_NAME
-
-
-# Every flag, keyed by its dest (the RunConfig field it sets, if any): (flag, help, options).
+# Every option, keyed by its dest: (flag, help, default, other add_argument options).
+# Path options parse to a Path; in a config file they resolve against its directory.
+_PATH = {"type": Path}
 FLAGS = {
-    "config": ("--config", "JSON file with default option values", {}),
-    "out_dir": ("--out-dir", "output directory (default: out)", {}),
-    "manifest": ("--manifest", "corpus manifest CSV (report_id,sector,language,path)", {}),
-    "root": ("--root", "base directory for relative report paths", {}),
-    "criteria": ("--criteria", "criteria config file (default: packaged set)", {}),
-    "stoplist": ("--stoplist", "stop-word list file (default: packaged list)", {}),
-    "use_stoplist": ("--no-stoplist", "disable stop-word removal", {"action": "store_false"}),
-    "stemming": ("--stemming", "enable suffix stemming (off by default)", {"action": "store_true"}),
-    "strategy": ("--strategy", "mining strategy (default: linear)", {"choices": STRATEGIES}),
+    "config": ("--config", "JSON file with default option values", None, {}),
+    "out_dir": ("--out-dir", "output directory (default: out)", Path("out"), _PATH),
+    "manifest": ("--manifest", "corpus manifest CSV (report_id,sector,language,path)", None, _PATH),
+    "root": ("--root", "base directory for relative report paths", None, _PATH),
+    "criteria": ("--criteria", "criteria config file (default: packaged set)", None, _PATH),
+    "stoplist": ("--stoplist", "stop-word list file (default: packaged list)", None, _PATH),
+    "use_stoplist": ("--no-stoplist", "disable stop-word removal", True, {"action": "store_false"}),
+    "stemming": (
+        "--stemming", "enable suffix stemming (off by default)", False, {"action": "store_true"}
+    ),
+    "strategy": (
+        "--strategy", "mining strategy (default: linear)", "linear", {"choices": STRATEGIES}
+    ),
     "elimination": (
         "--elimination",
         "drop a report when it is foreign-language AND all-zero (conjunction, "
         "the default) or when EITHER holds (disjunction)",
+        "conjunction",
         {"choices": scoring.ELIMINATION_RULES},
     ),
-    "language": ("--language", "analysis language tag (default: en)", {}),
-    "frequencies": ("--frequencies", "frequency CSV (default: OUT_DIR/frequencies.csv)", {}),
-    "scorecards": ("--scorecards", "scorecard CSV (default: OUT_DIR/scorecards.csv)", {}),
-    "sem_model": ("--sem-model", "model config file", {}),
-    "out": ("--out", "report path (default: OUT_DIR/report.txt)", {}),
+    "language": ("--language", "analysis language tag (default: en)", "en", {}),
+    "frequencies": (
+        "--frequencies", "frequency CSV (default: OUT_DIR/frequencies.csv)", None, _PATH
+    ),
+    "scorecards": ("--scorecards", "scorecard CSV (default: OUT_DIR/scorecards.csv)", None, _PATH),
+    "sem_model": ("--sem-model", "model config file", None, _PATH),
+    "out": ("--out", "report path (default: OUT_DIR/report.txt)", None, _PATH),
 }
 _CORPUS = ("manifest", "root", "criteria")
 _MINING = ("stoplist", "use_stoplist", "stemming", "strategy")
@@ -377,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(run=run)
         for dest in ("config", "out_dir", *dests):
-            flag, flag_help, options = FLAGS[dest]
+            flag, flag_help, _, options = FLAGS[dest]
             command.add_argument(flag, dest=dest, default=None, help=flag_help, **options)
     return parser
 
@@ -386,13 +363,13 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
+        _build_config(args)
     except (ValueError, IngestionError) as exc:
         parser.error(str(exc))  # exits 2
     try:
         with _stage(args.command):
-            config.out_dir.mkdir(parents=True, exist_ok=True)
-            return args.run(config, args)
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+            return args.run(args)
     except StageFailure as exc:
         print(exc, file=sys.stderr)
         return 1

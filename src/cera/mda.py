@@ -239,13 +239,6 @@ def wilks_tests(eigenvalues: Sequence[float], n_total: int, p: int, g: int) -> l
     return tests
 
 
-def _log_det_cov(cov: list[list[float]], what: str) -> float:
-    chol = numcore.cholesky(cov)
-    if chol is None:
-        raise ConditioningError(f"{what} covariance matrix is singular")
-    return numcore.log_det(chol)
-
-
 def box_m_approximation(m_stat: float, group_sizes: Sequence[int], p: int) -> BoxMResult:
     """Map a Box's M statistic to its two-moment F approximation.
 
@@ -301,9 +294,10 @@ def _box_m(sp: ScatterPair) -> BoxMResult:
          for k in range(sp.n_variables)]
         for j in range(sp.n_variables)
     ]
-    m_stat = (sp.n_total - sp.n_groups) * _log_det_cov(pooled, "pooled")
+    singular = "{} covariance matrix is singular"
+    m_stat = (sp.n_total - sp.n_groups) * numcore.log_det_pd(pooled, singular.format("pooled"))
     for grp in order:
-        m_stat -= (sizes[grp] - 1) * _log_det_cov(covs[grp], f"group {grp}")
+        m_stat -= (sizes[grp] - 1) * numcore.log_det_pd(covs[grp], singular.format(f"group {grp}"))
     m_stat = max(m_stat, 0.0)
     return box_m_approximation(m_stat, [sizes[grp] for grp in order], sp.n_variables)
 

@@ -138,6 +138,14 @@ def log_det(chol: list[list[float]]) -> float:
     return 2.0 * total(math.log(row[-1]) for row in chol)
 
 
+def log_det_pd(a, message: str) -> float:
+    """ln |a| of symmetric ``a``; ConditioningError(message) unless it is positive definite."""
+    chol = cholesky(a)
+    if chol is None:
+        raise ConditioningError(message)
+    return log_det(chol)
+
+
 def solve_lower(chol: list[list[float]], b) -> list[float]:
     """y with L y = b, by forward substitution."""
     y: list[float] = []
@@ -170,13 +178,7 @@ def _inverse_columns(chol: list[list[float]]) -> list[list[float]]:
 
 def inverse_from_cholesky(chol: list[list[float]]) -> list[list[float]]:
     """a^-1 = L^-T L^-1 from the Cholesky factor of a, exactly symmetric."""
-    n = len(chol)
-    cols = _inverse_columns(chol)
-    inv = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            inv[i][j] = inv[j][i] = dot(cols[i], cols[j])
-    return inv
+    return gram(_inverse_columns(chol))
 
 
 def eigh(a) -> tuple[list[float], list[list[float]]]:

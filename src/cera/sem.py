@@ -333,20 +333,14 @@ def _ml_value(
     return numcore.log_det(chol) + trace - logdet_s - len(s), sigma_inv
 
 
-def _sample_log_det(s: list[list[float]]) -> float:
-    chol = numcore.cholesky(s)
-    if chol is None:
-        raise ConditioningError("sample covariance is not positive definite")
-    return numcore.log_det(chol)
-
-
 def ml_discrepancy(s, sigma) -> float:
     """F_ML = ln|Sigma| + tr(S Sigma^-1) - ln|S| - p; zero iff Sigma = S."""
     s = numcore.check_symmetric(s, "S")
     sigma = numcore.check_symmetric(sigma, "sigma")
     if len(s) != len(sigma):
         raise ValidationError(f"shape mismatch: {numcore.shape(s)} vs {numcore.shape(sigma)}")
-    result = _ml_value(s, sigma, _sample_log_det(s))
+    logdet_s = numcore.log_det_pd(s, "sample covariance is not positive definite")
+    result = _ml_value(s, sigma, logdet_s)
     if result is None:
         raise ConditioningError("implied covariance is not positive definite")
     value = result[0]
@@ -495,7 +489,7 @@ def fit_model(model: SemModelSpec, s, n_cases: int) -> SemFit:
         raise ValidationError(f"S must be {p}x{p} for this model, got {numcore.shape(s)}")
     if n_cases <= p:
         raise ValidationError(f"need more cases than variables: N={n_cases}, p={p}")
-    logdet_s = _sample_log_det(s)
+    logdet_s = numcore.log_det_pd(s, "sample covariance is not positive definite")
     if model.degrees_of_freedom < 0:
         raise ValidationError("model has negative degrees of freedom")
 

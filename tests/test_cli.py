@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +14,7 @@ import pytest
 import cera
 from cera import cli, miner, scoring, sem
 
-from cera.cli import _PATH_KEYS, RunConfig, _build_config, build_parser, run_subcommand
+from cera.cli import FLAGS, _build_config, build_parser, run_subcommand
 from cera.errors import IdentificationError, ValidationError
 from cera.miner import Sector
 from cera.scoring import ScoreCard, rate_frequency, read_scorecards_csv, write_scorecards_csv
@@ -505,34 +504,67 @@ class TestConfigFile:
         ("stemming", "false"), ("use_stoplist", "no"), ("stemming", 1),
     ])
     def test_boolean_must_be_json_boolean(self, tmp_path, capsys, key, value):
-        assert repr(key) in self.usage_error(tmp_path, capsys, {key: value})
+        assert repr(key) in self.usage_error(tmp_path, capsys, {key: value}, "mine")
 
     @pytest.mark.parametrize("key, value", [("strategy", "quick"), ("elimination", "both")])
     def test_value_outside_choices(self, tmp_path, capsys, key, value):
-        err = self.usage_error(tmp_path, capsys, {key: value})
+        err = self.usage_error(tmp_path, capsys, {key: value}, _command_taking(key))
         assert f"{key} must be one of (" in err and repr(value) in err
 
     @pytest.mark.parametrize("key, value", [
         ("manifest", 5), ("out_dir", ["a"]), ("language", 5), ("strategy", {"a": 1}),
     ])
     def test_text_and_path_values_must_be_strings(self, tmp_path, capsys, key, value):
-        err = self.usage_error(tmp_path, capsys, {key: value})
+        err = self.usage_error(tmp_path, capsys, {key: value}, _command_taking(key))
         assert f"config key {key!r} must be a string" in err
 
     @staticmethod
-    def usage_error(tmp_path, capsys, values) -> str:
-        """Run `mine` with ``values`` as its config file; expect exit 2 and return stderr."""
+    def usage_error(tmp_path, capsys, values, command) -> str:
+        """Run ``command`` with ``values`` as its config file; expect exit 2 and return stderr."""
         config_path = tmp_path / "config.json"
         config_path.write_text(
             json.dumps({"manifest": str(MANIFEST), **values}), encoding="utf-8"
         )
         with pytest.raises(SystemExit) as excinfo:
             run_subcommand(
-                ["mine", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
+                [command, "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
             )
         assert excinfo.value.code == 2
         assert not (tmp_path / "out").exists()
         return capsys.readouterr().err
+
+    @pytest.fixture
+    def pipeline_out(self, tmp_path):
+        out = tmp_path / "p"
+        assert run_pipeline(out) == 0
+        return out
+
+    def run_with_config(self, tmp_path, command, values) -> int:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(values), encoding="utf-8")
+        return run_subcommand([command, "--config", str(config_path)])
+
+    def test_analysis_ignores_manifest_key(self, tmp_path, pipeline_out):
+        """anova reads no manifest, so a missing one named in the config is no error."""
+        values = {"manifest": "gone/manifest.csv", "out_dir": str(pipeline_out)}
+        (pipeline_out / "anova.csv").unlink()
+        assert self.run_with_config(tmp_path, "anova", values) == 0
+        assert (pipeline_out / "anova.csv").is_file()
+
+    def test_report_ignores_mining_keys(self, tmp_path, pipeline_out):
+        """report does not mine, so a strategy outside the choices is no error."""
+        values = {"strategy": "bogus", "out_dir": str(pipeline_out)}
+        assert self.run_with_config(tmp_path, "report", values) == 0
+        assert (pipeline_out / "report.txt").is_file()
+
+    def test_scorecards_key_read(self, tmp_path, pipeline_out):
+        """The config's scorecards path is read, relative to the config file."""
+        values = {"scorecards": "p/scorecards.csv", "out_dir": "q"}
+        assert self.run_with_config(tmp_path, "anova", values) == 0
+        assert not (tmp_path / "q" / "scorecards.csv").exists()
+        assert (tmp_path / "q" / "anova.csv").read_bytes() == (
+            pipeline_out / "anova.csv"
+        ).read_bytes()
 
     def test_null_means_unset(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -541,12 +573,12 @@ class TestConfigFile:
                         "out_dir": None}),
             encoding="utf-8",
         )
-        config = _build_config(build_parser().parse_args(["score", "--config", str(config_path)]))
+        config = TestConfigFields.build(["pipeline", "--config", str(config_path)])
         assert (config.language, config.stemming, config.out_dir) == ("en", False, Path("out"))
 
 
-# A non-default value for every RunConfig field, as a config file states it,
-# and an argv fragment that overrides it. "@" stands for the flag directory.
+# A non-default value for every option but --config, as a config file states
+# it, and an argv fragment that overrides it. "@" stands for the flag directory.
 FILE_VALUES = {
     "manifest": "inputs/manifest.csv",
     "root": "corpus",
@@ -559,6 +591,9 @@ FILE_VALUES = {
     "elimination": "disjunction",
     "language": "fr",
     "sem_model": "inputs/model.txt",
+    "frequencies": "inputs/frequencies.csv",
+    "scorecards": "inputs/scorecards.csv",
+    "out": "summary.txt",
 }
 FLAG_VALUES = {
     "manifest": (["--manifest", "@/manifest.csv"], "@/manifest.csv"),
@@ -572,12 +607,25 @@ FLAG_VALUES = {
     "elimination": (["--elimination", "conjunction"], "conjunction"),
     "language": (["--language", "de"], "de"),
     "sem_model": (["--sem-model", "@/model.txt"], "@/model.txt"),
+    "frequencies": (["--frequencies", "@/frequencies.csv"], "@/frequencies.csv"),
+    "scorecards": (["--scorecards", "@/scorecards.csv"], "@/scorecards.csv"),
+    "out": (["--out", "@/summary.txt"], "@/summary.txt"),
 }
 FILE_KEYS = ("manifest", "criteria", "stoplist", "sem_model")
 
 
+def _is_path(key: str) -> bool:
+    return FLAGS[key][3].get("type") is Path
+
+
+def _command_taking(key: str) -> str:
+    """The first command, in --help order, that takes option ``key``."""
+    return next(name for name, (_, _, dests) in cli.COMMANDS.items()
+                if key in ("out_dir", *dests))
+
+
 class TestConfigFields:
-    """Every RunConfig field: from the config file, overridden by its flag."""
+    """Every option, on a command that takes it: from the config file, overridden by its flag."""
 
     @pytest.fixture
     def setup(self, tmp_path):
@@ -591,7 +639,9 @@ class TestConfigFields:
 
     @staticmethod
     def build(argv):
-        return _build_config(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        _build_config(args)
+        return args
 
     @staticmethod
     def write_config(config_dir, values):
@@ -600,22 +650,26 @@ class TestConfigFields:
         return str(path)
 
     def test_tables_cover_every_field(self):
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
-        assert set(FILE_VALUES) == fields
-        assert set(FLAG_VALUES) == fields
-        assert set(_PATH_KEYS) <= fields
+        options = set(FLAGS) - {"config"}
+        assert set(FILE_VALUES) == options
+        assert set(FLAG_VALUES) == options
+        assert set(FILE_KEYS) < set(filter(_is_path, options)) == {
+            "out_dir", "manifest", "root", "criteria", "stoplist", "frequencies", "scorecards",
+            "sem_model", "out",
+        }
 
     @pytest.mark.parametrize("key", sorted(FILE_VALUES))
     def test_field_from_config_file(self, setup, key):
         """Relative paths resolve against the config file's directory."""
         config_dir, _ = setup
         path = self.write_config(config_dir, FILE_VALUES)
-        config = self.build(["pipeline", "--config", path])
+        command = _command_taking(key)
+        config = self.build([command, "--config", path])
         expected = FILE_VALUES[key]
-        if key in _PATH_KEYS:
+        if _is_path(key):
             expected = config_dir / expected
         assert getattr(config, key) == expected
-        assert getattr(config, key) != getattr(self.build(["pipeline"]), key)
+        assert getattr(config, key) != getattr(self.build([command]), key)
 
     @pytest.mark.parametrize("key", sorted(FLAG_VALUES))
     def test_flag_overrides_field(self, setup, key):
@@ -623,12 +677,12 @@ class TestConfigFields:
         path = self.write_config(config_dir, FILE_VALUES)
         argv, expected = FLAG_VALUES[key]
         argv = [a.replace("@", str(flag_dir)) for a in argv]
-        if key in _PATH_KEYS:
+        if _is_path(key):
             expected = Path(expected.replace("@", str(flag_dir)))
         elif key in ("use_stoplist", "stemming"):
             # The flag can only move a boolean off its default.
             path = self.write_config(config_dir, {**FILE_VALUES, key: not expected})
-        config = self.build(["pipeline", "--config", path, *argv])
+        config = self.build([_command_taking(key), "--config", path, *argv])
         assert getattr(config, key) == expected
 
     def test_unknown_key_ignored(self, setup):
@@ -649,7 +703,8 @@ BOM_INPUTS = {
     "stoplist": ("the\nand\n", miner.load_stoplist),
     "criteria": (_packaged("criteria.txt"), scoring.load_criteria),
     "sem_model": (_packaged("sem_model.txt"), sem.load_model),
-    "config": (json.dumps({"language": "fr", "sem_model": "model.txt"}), cli._load_config_file),
+    "config": (json.dumps({"language": "fr", "sem_model": "model.txt"}),
+               lambda path: cli._load_config_file(path, ("language", "sem_model"))),
     "frequencies": ("report_id,v1,v2\nA,1,2\nB,3,4\n", miner.read_frequency_csv),
     "scorecards": ("report_id,sector,v1_freq,v1_score,language\nr1,primary,3,1,en\n",
                    scoring.read_scorecards_csv),
@@ -857,7 +912,10 @@ def test_sector_letter_case_keeps_analysis_bytes(tmp_path):
 
 
 def test_no_command_loads_numpy(tmp_path):
-    """Every command runs without importing numpy, the analyses on cards they can fit."""
+    """Every command runs without importing numpy, the analyses on cards they can fit.
+
+    ``--help``, ``mine`` and ``score`` load no analysis module either.
+    """
     cards = tmp_path / "cards.csv"
     write_scorecards_csv(seeded_cards(11, 120), cards)
     script = """
@@ -883,6 +941,9 @@ for argv, expected in runs:
     assert code == expected, (argv, code)
     loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
     assert not loaded, (argv[0], loaded[:5])
+    if argv[0] in ("--help", "mine", "score"):
+        analysis = {"cera.anova", "cera.mda", "cera.sem", "cera.numcore"} & set(sys.modules)
+        assert not analysis, (argv[0], sorted(analysis))
 """
     out = tmp_path / "out"
     run_child(script, str(MANIFEST), str(cards), str(out))
