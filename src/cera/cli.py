@@ -131,8 +131,9 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
     stoplist = _stoplist(args)
     if args.strategy == "binary":
         kwfile = miner.build_sorted_keyword_file(corpus, stoplist, args.stemming)
-        miner.write_keyword_file(kwfile, args.out_dir / KEYWORD_FILE_NAME)
-        table = miner.mine_binary(kwfile, corpus, criteria)
+        path = args.out_dir / KEYWORD_FILE_NAME
+        with miner.in_background(miner.write_keyword_file, kwfile, path):
+            table = miner.mine_binary(kwfile, corpus, criteria)
     else:
         (args.out_dir / KEYWORD_FILE_NAME).unlink(missing_ok=True)  # left by a binary run
         table = miner.mine_linear(corpus, criteria, stoplist, args.stemming)

@@ -20,10 +20,11 @@ import unicodedata
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from itertools import compress, count, filterfalse
+from itertools import compress, count, filterfalse, islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Sequence, TYPE_CHECKING
 
@@ -315,15 +316,38 @@ def build_sorted_keyword_file(
 
     Keywords are numbered as first seen; they are sorted where the file is
     written and searched. A report id listed twice is a ValidationError.
+    Reports are preprocessed in contiguous blocks, here and in forked workers
+    (:func:`_map_reports`). Each process numbers the keywords of its block as
+    it first sees them. This process's block comes first, so its numbers are
+    final; it then numbers the workers' new keywords in corpus order and
+    renumbers their blocks through a lookup list, so the result equals a
+    serial build's.
     """
+    seen: set[str] = set()
+    for doc in corpus:
+        if doc.report_id in seen:
+            raise ValidationError(f"report_id {doc.report_id!r} appears twice")
+        seen.add(doc.report_id)
     stopset = frozenset(stoplist)
     first_seen: defaultdict[str, int] = defaultdict(count().__next__)
-    sequences: dict[str, array] = {}
-    for doc in corpus:
-        if doc.report_id in sequences:
-            raise ValidationError(f"report_id {doc.report_id!r} appears twice")
+    numbered_here = count()
+
+    def number(doc: Document) -> tuple[int, list[str], array]:
+        """The keyword count before ``doc``, the keywords it adds, and its numbers."""
+        next(numbered_here)
+        size = len(first_seen)
         tokens = preprocess_text(doc.text, stopset, stemming)
-        sequences[doc.report_id] = array("I", map(first_seen.__getitem__, tokens))
+        numbers = array("I", [*map(first_seen.__getitem__, tokens)])
+        return size, [*islice(first_seen, size, None)], numbers
+
+    rows = _map_reports(number, corpus)
+    here = next(numbered_here)  # the rows of this process's block, which come first
+    sequences = {doc.report_id: row[2] for doc, row in zip(corpus[:here], rows)}
+    lookup: list[int] = []  # a worker's keyword numbers -> this process's
+    for doc, (size, new, numbers) in zip(corpus[here:], rows[here:]):
+        del lookup[size:]  # a worker's block starts at size 0
+        lookup += map(first_seen.__getitem__, new)
+        sequences[doc.report_id] = array("I", [*map(lookup.__getitem__, array("I", numbers))])
     return KeywordFile(list(first_seen), sequences, stopset, stemming)
 
 
@@ -331,8 +355,7 @@ def write_keyword_file(kwfile: KeywordFile, path) -> None:
     """External format: one ``keyword<TAB>report_id`` line per record, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for keyword, report_ids, counts in kwfile.postings:
-            for report_id, n in zip(report_ids, counts):
-                fh.write(f"{keyword}\t{report_id}\n" * n)
+            fh.write("".join([f"{keyword}\t{rid}\n" * n for rid, n in zip(report_ids, counts)]))
 
 
 # First token -> (criterion index, phrase) entries, longest phrase first
@@ -395,61 +418,79 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_reports(job: Callable[[Document], list[int]], docs: Sequence[Document]) -> list:
-    """``[job(doc) for doc in docs]``, computed here and in forked workers.
-
-    Of ``n`` shares, the smaller of the CPU count and ``len(docs)``, worker ``w``
-    computes ``docs[w::n]`` and this process ``docs[::n]``. Every worker is reaped
-    before this returns or raises. A worker's exception is raised again here; a
-    worker that ends without sending its rows is a CeraError. Without ``os.fork``,
-    on one CPU, or while other OS threads run (forking them is unsafe), all runs
-    here; threads are counted in ``/proc/self/task``, native ones too, where it exists.
-    """
-    import signal  # these two are loaded only by the commands that mine
-    import threading
+def _processes(jobs: int) -> int:
+    """How many processes should share ``jobs`` jobs: the smaller of the CPU count
+    and ``jobs``, or 1 without ``os.fork`` or while other OS threads run (forking
+    them is unsafe). Threads are counted in ``/proc/self/task``, native ones too,
+    where it exists."""
+    import threading  # loaded only by the commands that mine
 
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
         threads = threading.active_count()
-    n = min(_cpu_count(), len(docs))
-    if n < 2 or not hasattr(os, "fork") or threads > 1:
+    if not hasattr(os, "fork") or threads > 1:
+        return 1
+    return min(_cpu_count(), jobs)
+
+
+def _map_reports(job: Callable[[Document], object], docs: Sequence[Document]) -> list:
+    """``[job(doc) for doc in docs]``, computed here and in forked workers.
+
+    ``docs`` is cut into :func:`_processes` contiguous blocks, the first ones
+    one report longer where they do not divide evenly. This process computes
+    the first block and worker ``w`` block ``w``; the rows are concatenated.
+    Every worker is reaped before this returns or raises. A worker's exception
+    is raised again here; a worker that ends without sending its rows is a
+    CeraError. With one process all runs here.
+    """
+    n = _processes(len(docs))
+    if n < 2:
         return [job(doc) for doc in docs]
+    bounds = [-(-len(docs) * w // n) for w in range(n + 1)]
+    blocks = [docs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     workers: list[tuple[int, BinaryIO]] = []  # pid and pipe of each unreaped worker
     try:
-        for w in range(1, n):
-            workers.append(_fork_worker(job, docs[w::n]))
-        shares = [[job(doc) for doc in docs[::n]]]
+        for block in blocks[1:]:
+            workers.append(_fork(list, map(job, block)))
+        rows = [job(doc) for doc in blocks[0]]
         while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                message = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            if code:
-                how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise CeraError(f"mining worker {pid} {how} before sending its rows")
-            ok, payload = marshal.loads(message)
-            if not ok:
-                import pickle
-
-                raise pickle.loads(payload)
-            shares.append(payload)
+            rows += _join(workers, "mining worker", "rows")
     finally:
-        for pid, pipe in workers:  # left by an exception: end them
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    rows: list = [None] * len(docs)
-    for w, share in enumerate(shares):
-        rows[w::n] = share
+        _end(workers)
     return rows
 
 
-def _fork_worker(job, docs) -> tuple[int, BinaryIO]:
-    """Fork a worker over ``docs``; its pid and the read end of its pipe.
+@contextmanager
+def in_background(func: Callable[..., None], *args):
+    """Run ``func(*args)`` in a forked worker while the ``with`` body runs here.
 
-    The worker sends ``(True, rows)`` or ``(False, its pickled exception)`` as
+    The worker is reaped when the body ends. Its exception is raised again
+    here, before one the body raised, as in serial order; a worker that ends
+    without reporting is a CeraError. A ``KeyboardInterrupt`` or other
+    ``BaseException`` in the body kills the worker. When :func:`_processes`
+    gives one process, ``func`` runs here before the body.
+    """
+    if _processes(2) < 2:
+        func(*args)
+        yield
+        return
+    workers = [_fork(func, *args)]
+    try:
+        yield
+    except Exception:
+        _join(workers, f"{func.__name__} worker", "result")
+        raise
+    else:
+        _join(workers, f"{func.__name__} worker", "result")
+    finally:
+        _end(workers)
+
+
+def _fork(func: Callable, *args) -> tuple[int, BinaryIO]:
+    """Fork a worker that computes ``func(*args)``; its pid and the read end of its pipe.
+
+    The worker sends ``(True, result)`` or ``(False, its pickled exception)`` as
     marshal bytes, then ends with ``os._exit``: it flushes no stdio buffer it
     inherited and never returns into the caller's stack.
     """
@@ -464,7 +505,7 @@ def _fork_worker(job, docs) -> tuple[int, BinaryIO]:
         status = 1
         try:
             try:
-                message = marshal.dumps((True, [job(doc) for doc in docs]))
+                message = marshal.dumps((True, func(*args)))
             except Exception as exc:
                 import pickle
 
@@ -478,6 +519,39 @@ def _fork_worker(job, docs) -> tuple[int, BinaryIO]:
     return pid, open(read_end, "rb")
 
 
+def _join(workers: list[tuple[int, BinaryIO]], name: str, sends: str):
+    """Reap ``workers[0]``, drop it from the list and return what it sent.
+
+    Its exception is raised again with its class and message; a worker that
+    ends without sending is a CeraError naming it as ``name`` and what it
+    ``sends``.
+    """
+    pid, pipe = workers[0]
+    with pipe:
+        message = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del workers[0]
+    if code:
+        how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise CeraError(f"{name} {pid} {how} before sending its {sends}")
+    ok, payload = marshal.loads(message)
+    if not ok:
+        import pickle
+
+        raise pickle.loads(payload)
+    return payload
+
+
+def _end(workers: list[tuple[int, BinaryIO]]) -> None:
+    """Kill and reap the workers an exception left unreaped."""
+    import signal
+
+    for pid, pipe in workers:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def mine_linear(
     corpus: Corpus,
     criteria: Sequence["Criterion"],
@@ -486,9 +560,10 @@ def mine_linear(
 ) -> FrequencyTable:
     """Linear strategy: preprocess each report and scan it for criterion phrases.
 
-    Reports are mined in forked workers, one per further available CPU, and in
-    this process. Rows keep corpus order, so artifacts are byte-identical to a
-    serial run; on Windows (no ``os.fork``) or one CPU the reports are mined
+    Reports are mined in contiguous blocks by forked workers, one per further
+    available CPU, and by this process (:func:`_map_reports`). Rows keep corpus
+    order, so artifacts are byte-identical to a serial run; on Windows (no
+    ``os.fork``), on one CPU or while other OS threads run, the reports are mined
     here, one by one. Workers are reaped before this returns, so a command's
     rusage CPU time and peak RSS include theirs.
     """

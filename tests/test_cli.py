@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -222,6 +223,63 @@ class TestMine:
         ), err
         assert not (out / "frequencies.csv").exists()
         with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unwritable_keyword_file_is_a_mine_diagnostic(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        out = tmp_path / "out"
+        (out / "keyword_file.tsv").mkdir(parents=True)
+        assert run_pipeline(out, "--strategy", "binary") == 1
+        assert capsys.readouterr().err == (
+            f"mine: [Errno 21] Is a directory: '{out / 'keyword_file.tsv'}'\n"
+        )
+        assert not (out / "frequencies.csv").exists()
+        with pytest.raises(ChildProcessError):  # the writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_keyword_file_writer_is_a_mine_diagnostic(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        parent, write = os.getpid(), miner.write_keyword_file
+
+        def write_keyword_file(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return write(*args)
+
+        monkeypatch.setattr(miner, "write_keyword_file", write_keyword_file)
+        out = tmp_path / "out"
+        assert run_pipeline(out, "--strategy", "binary") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"mine: write_keyword_file worker \d+ killed by signal 9 before sending its result\n",
+            err,
+        ), err
+        assert not (out / "frequencies.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_scan_kills_keyword_file_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        parent, write = os.getpid(), miner.write_keyword_file
+
+        def write_keyword_file(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return write(*args)
+
+        def mine_binary(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(miner, "write_keyword_file", write_keyword_file)
+        monkeypatch.setattr(miner, "mine_binary", mine_binary)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(tmp_path / "out", "--strategy", "binary")
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("flags, the_lines", [([], 0), (["--no-stoplist"], 47)])

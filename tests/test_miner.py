@@ -298,11 +298,11 @@ class TestForkedMining:
     def test_rows_keep_corpus_order(self, monkeypatch, cpus):
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
         assert os_threads() == 1  # conftest.py keeps numpy's BLAS to this one thread
-        docs = [doc(f"d{i}", "x " * i) for i in range(7)]  # shares of 3, 2 and 2
+        docs = [doc(f"d{i}", "x " * i) for i in range(7)]  # blocks of 3, 2 and 2
         rows = miner._map_reports(lambda d: [len(d.text), os.getpid()], docs)
         assert [length for length, _ in rows] == [2 * i for i in range(7)]
         pids = [pid for _, pid in rows]
-        assert pids[::3] == [os.getpid()] * 3
+        assert pids[:3] == [os.getpid()] * 3
         assert len(set(pids)) == cpus
         assert_no_children()
 
@@ -394,6 +394,115 @@ class TestForkedMining:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "before mining\nafter mining\n"
+
+
+# Blocks of 2 CPUs start at r0 and r4, of 3 CPUs at r0, r3 and r6. Each later block
+# brings keywords the first lacks, and r3 and r4 are empty.
+BLOCK_TEXTS = [
+    "alpha beta gamma", "beta delta alpha", "gamma epsilon", "", "",
+    "zeta beta eta alpha", "theta gamma zeta iota", "kappa alpha theta kappa",
+]
+BLOCK_KEYWORDS = [
+    "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa",
+]
+
+
+class TestForkedBuild:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_serial_build(self, monkeypatch, tmp_path, cpus):
+        corpus = [doc(f"r{i}", text) for i, text in enumerate(BLOCK_TEXTS)]
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 1)
+        serial = build_sorted_keyword_file(corpus)
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        assert os_threads() == 1
+        kwfile = build_sorted_keyword_file(corpus)
+        assert_no_children()
+        assert kwfile.keywords == BLOCK_KEYWORDS
+        assert kwfile.sequences["r6"].tolist() == [7, 2, 5, 8]
+        assert kwfile.sequences["r3"].tolist() == []
+        assert kwfile == serial
+        write_keyword_file(serial, tmp_path / "serial.tsv")
+        write_keyword_file(kwfile, tmp_path / "forked.tsv")
+        assert (tmp_path / "forked.tsv").read_bytes() == (tmp_path / "serial.tsv").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_repeated_report_id_rejected(self, monkeypatch, cpus):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        corpus = [doc(f"r{i}", text) for i, text in enumerate(BLOCK_TEXTS)] + [doc("r2", "x")]
+        with pytest.raises(ValidationError, match=r"^report_id 'r2' appears twice$"):
+            build_sorted_keyword_file(corpus)
+        assert_no_children()
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "ab", "c", "the", "cases"]), max_size=8), max_size=9),
+    st.sampled_from([2, 3]),
+)
+@settings(max_examples=25, deadline=None)
+def test_forked_build_equals_serial(docs_words, cpus):
+    corpus = [doc(f"r{i}", " ".join(words)) for i, words in enumerate(docs_words)]
+    original = miner._cpu_count
+    try:
+        miner._cpu_count = lambda: 1
+        serial = build_sorted_keyword_file(corpus, {"the"}, True)
+        miner._cpu_count = lambda: cpus
+        assert build_sorted_keyword_file(corpus, {"the"}, True) == serial
+    finally:
+        miner._cpu_count = original
+
+
+def write_marker(path):
+    Path(path).write_text(str(os.getpid()), encoding="utf-8")
+
+
+def killed_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestInBackground:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_runs_beside_the_body(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        marker = tmp_path / "marker"
+        with miner.in_background(write_marker, marker):
+            here = os.getpid()
+        assert_no_children()
+        assert (marker.read_text(encoding="utf-8") != str(here)) == (cpus > 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_exception_wins_over_the_body(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        body = []
+        with pytest.raises(IsADirectoryError, match=r"Is a directory"):
+            with miner.in_background(write_marker, tmp_path):
+                body.append(True)
+                raise ValidationError("scan failed")
+        assert body == ([True] if cpus > 1 else [])  # in-process, the body never starts
+        assert_no_children()
+
+    def test_body_exception_kept_when_worker_succeeds(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        with pytest.raises(ValidationError, match=r"^scan failed$"):
+            with miner.in_background(write_marker, tmp_path / "marker"):
+                raise ValidationError("scan failed")
+        assert (tmp_path / "marker").is_file()
+        assert_no_children()
+
+    def test_worker_killed_by_signal_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        with pytest.raises(CeraError, match=r"^killed_worker worker \d+ killed by signal 9 before"):
+            with miner.in_background(killed_worker):
+                pass
+        assert_no_children()
+
+    def test_interrupt_kills_and_reaps_worker(self, monkeypatch):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            with miner.in_background(time.sleep, 60):
+                raise KeyboardInterrupt
+        assert time.perf_counter() - start < 30
+        assert_no_children()
 
 
 class TestMineBinary:
