@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -131,9 +132,11 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
     stoplist = _stoplist(args)
     if args.strategy == "binary":
         kwfile = miner.build_sorted_keyword_file(corpus, stoplist, args.stemming)
-        path = args.out_dir / KEYWORD_FILE_NAME
-        with miner.in_background(miner.write_keyword_file, kwfile, path):
-            table = miner.mine_binary(kwfile, corpus, criteria)
+        # The scan runs here while a worker writes the keyword file; serially, scan then write.
+        table, _ = miner.map_forked(lambda run: run(), [
+            partial(miner.mine_binary, kwfile, corpus, criteria),
+            partial(miner.write_keyword_file, kwfile, args.out_dir / KEYWORD_FILE_NAME),
+        ])
     else:
         (args.out_dir / KEYWORD_FILE_NAME).unlink(missing_ok=True)  # left by a binary run
         table = miner.mine_linear(corpus, criteria, stoplist, args.stemming)

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
-import marshal
 import os
 import re
 import unicodedata
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -317,11 +315,11 @@ def build_sorted_keyword_file(
     Keywords are numbered as first seen; they are sorted where the file is
     written and searched. A report id listed twice is a ValidationError.
     Reports are preprocessed in contiguous blocks, here and in forked workers
-    (:func:`_map_reports`). Each process numbers the keywords of its block as
-    it first sees them. This process's block comes first, so its numbers are
-    final; it then numbers the workers' new keywords in corpus order and
-    renumbers their blocks through a lookup list, so the result equals a
-    serial build's.
+    (:func:`map_forked`). Each process numbers the keywords of its block as
+    it first sees them; a worker's number arrays come back as arrays. This
+    process's block comes first, so its numbers are final; it then numbers
+    the workers' new keywords in corpus order and renumbers their blocks
+    through a lookup list, so the result equals a serial build's.
     """
     seen: set[str] = set()
     for doc in corpus:
@@ -340,14 +338,14 @@ def build_sorted_keyword_file(
         numbers = array("I", [*map(first_seen.__getitem__, tokens)])
         return size, [*islice(first_seen, size, None)], numbers
 
-    rows = _map_reports(number, corpus)
+    rows = map_forked(number, corpus)
     here = next(numbered_here)  # the rows of this process's block, which come first
     sequences = {doc.report_id: row[2] for doc, row in zip(corpus[:here], rows)}
     lookup: list[int] = []  # a worker's keyword numbers -> this process's
     for doc, (size, new, numbers) in zip(corpus[here:], rows[here:]):
         del lookup[size:]  # a worker's block starts at size 0
         lookup += map(first_seen.__getitem__, new)
-        sequences[doc.report_id] = array("I", [*map(lookup.__getitem__, array("I", numbers))])
+        sequences[doc.report_id] = array("I", [*map(lookup.__getitem__, numbers)])
     return KeywordFile(list(first_seen), sequences, stopset, stemming)
 
 
@@ -434,66 +432,43 @@ def _processes(jobs: int) -> int:
     return min(_cpu_count(), jobs)
 
 
-def _map_reports(job: Callable[[Document], object], docs: Sequence[Document]) -> list:
-    """``[job(doc) for doc in docs]``, computed here and in forked workers.
+def map_forked(job: Callable, items: Sequence) -> list:
+    """``[job(item) for item in items]``, computed here and in forked workers.
 
-    ``docs`` is cut into :func:`_processes` contiguous blocks, the first ones
-    one report longer where they do not divide evenly. This process computes
+    ``items`` is cut into :func:`_processes` contiguous blocks, the first ones
+    one item longer where they do not divide evenly. This process computes
     the first block and worker ``w`` block ``w``; the rows are concatenated.
-    Every worker is reaped before this returns or raises. A worker's exception
-    is raised again here; a worker that ends without sending its rows is a
-    CeraError. With one process all runs here.
+    Every worker is reaped before this returns or raises. An exception raised
+    here wins, and the workers are killed; otherwise a worker's exception is
+    raised again here, and a worker that ends without sending its rows is a
+    CeraError. With one process all runs here, in item order.
     """
-    n = _processes(len(docs))
+    n = _processes(len(items))
     if n < 2:
-        return [job(doc) for doc in docs]
-    bounds = [-(-len(docs) * w // n) for w in range(n + 1)]
-    blocks = [docs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return [job(item) for item in items]
+    bounds = [-(-len(items) * w // n) for w in range(n + 1)]
+    blocks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     workers: list[tuple[int, BinaryIO]] = []  # pid and pipe of each unreaped worker
     try:
         for block in blocks[1:]:
             workers.append(_fork(list, map(job, block)))
-        rows = [job(doc) for doc in blocks[0]]
+        rows = [job(item) for item in blocks[0]]
         while workers:
-            rows += _join(workers, "mining worker", "rows")
+            rows += _join(workers)
     finally:
         _end(workers)
     return rows
 
 
-@contextmanager
-def in_background(func: Callable[..., None], *args):
-    """Run ``func(*args)`` in a forked worker while the ``with`` body runs here.
-
-    The worker is reaped when the body ends. Its exception is raised again
-    here, before one the body raised, as in serial order; a worker that ends
-    without reporting is a CeraError. A ``KeyboardInterrupt`` or other
-    ``BaseException`` in the body kills the worker. When :func:`_processes`
-    gives one process, ``func`` runs here before the body.
-    """
-    if _processes(2) < 2:
-        func(*args)
-        yield
-        return
-    workers = [_fork(func, *args)]
-    try:
-        yield
-    except Exception:
-        _join(workers, f"{func.__name__} worker", "result")
-        raise
-    else:
-        _join(workers, f"{func.__name__} worker", "result")
-    finally:
-        _end(workers)
-
-
 def _fork(func: Callable, *args) -> tuple[int, BinaryIO]:
     """Fork a worker that computes ``func(*args)``; its pid and the read end of its pipe.
 
-    The worker sends ``(True, result)`` or ``(False, its pickled exception)`` as
-    marshal bytes, then ends with ``os._exit``: it flushes no stdio buffer it
-    inherited and never returns into the caller's stack.
+    The worker sends ``pickle.dumps((True, result))``, or ``(False, exception)``
+    when ``func`` raises, then ends with ``os._exit``: it flushes no stdio
+    buffer it inherited and never returns into the caller's stack.
     """
+    import pickle  # loaded only by the commands that fork, before the fork for the worker
+
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -505,11 +480,9 @@ def _fork(func: Callable, *args) -> tuple[int, BinaryIO]:
         status = 1
         try:
             try:
-                message = marshal.dumps((True, func(*args)))
+                message = pickle.dumps((True, func(*args)))
             except Exception as exc:
-                import pickle
-
-                message = marshal.dumps((False, pickle.dumps(exc)))
+                message = pickle.dumps((False, exc))
             with open(write_end, "wb") as pipe:
                 pipe.write(message)
             status = 0
@@ -519,13 +492,14 @@ def _fork(func: Callable, *args) -> tuple[int, BinaryIO]:
     return pid, open(read_end, "rb")
 
 
-def _join(workers: list[tuple[int, BinaryIO]], name: str, sends: str):
-    """Reap ``workers[0]``, drop it from the list and return what it sent.
+def _join(workers: list[tuple[int, BinaryIO]]):
+    """Reap ``workers[0]``, drop it from the list and return the rows it sent.
 
     Its exception is raised again with its class and message; a worker that
-    ends without sending is a CeraError naming it as ``name`` and what it
-    ``sends``.
+    ends without sending is a CeraError.
     """
+    import pickle
+
     pid, pipe = workers[0]
     with pipe:
         message = pipe.read()
@@ -533,12 +507,10 @@ def _join(workers: list[tuple[int, BinaryIO]], name: str, sends: str):
     del workers[0]
     if code:
         how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise CeraError(f"{name} {pid} {how} before sending its {sends}")
-    ok, payload = marshal.loads(message)
+        raise CeraError(f"mining worker {pid} {how} before sending its rows")
+    ok, payload = pickle.loads(message)
     if not ok:
-        import pickle
-
-        raise pickle.loads(payload)
+        raise payload
     return payload
 
 
@@ -561,7 +533,7 @@ def mine_linear(
     """Linear strategy: preprocess each report and scan it for criterion phrases.
 
     Reports are mined in contiguous blocks by forked workers, one per further
-    available CPU, and by this process (:func:`_map_reports`). Rows keep corpus
+    available CPU, and by this process (:func:`map_forked`). Rows keep corpus
     order, so artifacts are byte-identical to a serial run; on Windows (no
     ``os.fork``), on one CPU or while other OS threads run, the reports are mined
     here, one by one. Workers are reaped before this returns, so a command's
@@ -569,7 +541,7 @@ def mine_linear(
     """
     stopset = frozenset(stoplist)
     index = _compile_criteria(criteria, stopset, stemming)
-    rows = _map_reports(
+    rows = map_forked(
         lambda doc: _count_hits(preprocess_text(doc.text, stopset, stemming), index, len(criteria)),
         corpus,
     )

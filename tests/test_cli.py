@@ -240,6 +240,21 @@ class TestMine:
         with pytest.raises(ChildProcessError):  # the writer was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scan_error_wins_over_write_error(self, tmp_path, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+
+        def mine_binary(*args):
+            raise ValidationError("scan failed")
+
+        monkeypatch.setattr(miner, "mine_binary", mine_binary)
+        out = tmp_path / "out"
+        (out / "keyword_file.tsv").mkdir(parents=True)
+        assert run_pipeline(out, "--strategy", "binary") == 1
+        assert capsys.readouterr().err == "mine: scan failed\n"
+        with pytest.raises(ChildProcessError):  # the writer was killed and reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_killed_keyword_file_writer_is_a_mine_diagnostic(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
         parent, write = os.getpid(), miner.write_keyword_file
@@ -254,8 +269,7 @@ class TestMine:
         assert run_pipeline(out, "--strategy", "binary") == 1
         err = capsys.readouterr().err
         assert re.fullmatch(
-            r"mine: write_keyword_file worker \d+ killed by signal 9 before sending its result\n",
-            err,
+            r"mine: mining worker \d+ killed by signal 9 before sending its rows\n", err
         ), err
         assert not (out / "frequencies.csv").exists()
         with pytest.raises(ChildProcessError):
@@ -972,24 +986,26 @@ def test_sector_letter_case_keeps_analysis_bytes(tmp_path):
 def test_no_command_loads_numpy(tmp_path):
     """Every command runs without importing numpy, the analyses on cards they can fit.
 
-    ``--help``, ``mine`` and ``score`` load no analysis module either.
+    ``--help``, ``mine`` and ``score`` load no analysis module either. ``--help`` and
+    the analyses load neither ``pickle`` nor ``signal``, which only forked mining needs.
     """
     cards = tmp_path / "cards.csv"
     write_scorecards_csv(seeded_cards(11, 120), cards)
     script = """
 import contextlib, io, sys
 from cera.cli import run_subcommand
-manifest, cards, out = sys.argv[1:]
+manifest, cards, out, mode = sys.argv[1:]
 fixture = ["--out-dir", out]
 fitted = ["--scorecards", cards, "--out-dir", out + "-cards"]
 # Six fixture reports are too few for mda and sem, which exit 1 on them.
-runs = [(["--help"], 0), (["mine", "--manifest", manifest, *fixture], 0),
-        (["score", "--manifest", manifest, *fixture], 0), (["anova", *fixture], 0),
-        (["mda", *fixture], 1), (["sem", *fixture], 1),
-        (["pipeline", "--manifest", manifest, "--strategy", "linear", *fixture], 0),
-        (["pipeline", "--manifest", manifest, "--strategy", "binary", *fixture], 0),
-        (["report", *fixture], 0),
-        (["mda", *fitted], 0), (["sem", *fitted], 0), (["report", *fitted], 0)]
+runs = {"fixture": [(["--help"], 0), (["mine", "--manifest", manifest, *fixture], 0),
+                    (["score", "--manifest", manifest, *fixture], 0), (["anova", *fixture], 0),
+                    (["mda", *fixture], 1), (["sem", *fixture], 1),
+                    (["pipeline", "--manifest", manifest, "--strategy", "linear", *fixture], 0),
+                    (["pipeline", "--manifest", manifest, "--strategy", "binary", *fixture], 0),
+                    (["report", *fixture], 0)],
+        "fitted": [(["--help"], 0), (["anova", *fitted], 0), (["mda", *fitted], 0),
+                   (["sem", *fitted], 0), (["report", *fitted], 0)]}[mode]
 for argv, expected in runs:
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -1002,9 +1018,13 @@ for argv, expected in runs:
     if argv[0] in ("--help", "mine", "score"):
         analysis = {"cera.anova", "cera.mda", "cera.sem", "cera.numcore"} & set(sys.modules)
         assert not analysis, (argv[0], sorted(analysis))
+    if mode == "fitted":  # this process mines nothing
+        forking = {"pickle", "signal"} & set(sys.modules)
+        assert not forking, (argv[0], sorted(forking))
 """
     out = tmp_path / "out"
-    run_child(script, str(MANIFEST), str(cards), str(out))
+    for mode in ("fixture", "fitted"):
+        run_child(script, str(MANIFEST), str(cards), str(out), mode)
     assert (out / "keyword_file.tsv").is_file() and (out / "report.txt").is_file()
     fit = json.loads((tmp_path / "out-cards" / "sem_fit.json").read_text())
     assert fit["convergence"]["converged"]

@@ -299,7 +299,7 @@ class TestForkedMining:
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
         assert os_threads() == 1  # conftest.py keeps numpy's BLAS to this one thread
         docs = [doc(f"d{i}", "x " * i) for i in range(7)]  # blocks of 3, 2 and 2
-        rows = miner._map_reports(lambda d: [len(d.text), os.getpid()], docs)
+        rows = miner.map_forked(lambda d: [len(d.text), os.getpid()], docs)
         assert [length for length, _ in rows] == [2 * i for i in range(7)]
         pids = [pid for _, pid in rows]
         assert pids[:3] == [os.getpid()] * 3
@@ -324,7 +324,7 @@ class TestForkedMining:
             return [0]
 
         with pytest.raises(ValidationError, match=r"^bad report r1$"):
-            miner._map_reports(job, [doc("r0", ""), doc("r1", "")])
+            miner.map_forked(job, [doc("r0", ""), doc("r1", "")])
         assert_no_children()
 
     def test_worker_killed_by_signal_is_an_error(self, monkeypatch):
@@ -337,7 +337,7 @@ class TestForkedMining:
             return [0]
 
         with pytest.raises(CeraError, match=r"^mining worker \d+ killed by signal 9 before"):
-            miner._map_reports(job, [doc("r0", ""), doc("r1", "")])
+            miner.map_forked(job, [doc("r0", ""), doc("r1", "")])
         assert_no_children()
 
     def test_interrupt_kills_and_reaps_workers(self, monkeypatch):
@@ -352,7 +352,7 @@ class TestForkedMining:
 
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            miner._map_reports(job, [doc(f"r{i}", "") for i in range(3)])
+            miner.map_forked(job, [doc(f"r{i}", "") for i in range(3)])
         assert time.perf_counter() - start < 30
         assert_no_children()
 
@@ -367,7 +367,7 @@ class TestForkedMining:
             release = threading.Event()
             start(partial(release.wait, 30))
             try:
-                rows = miner._map_reports(lambda d: [os.getpid()], [doc(f"r{i}", "") for i in range(3)])
+                rows = miner.map_forked(lambda d: [os.getpid()], [doc(f"r{i}", "") for i in range(3)])
             finally:
                 release.set()
             deadline = time.monotonic() + 30
@@ -449,60 +449,6 @@ def test_forked_build_equals_serial(docs_words, cpus):
         assert build_sorted_keyword_file(corpus, {"the"}, True) == serial
     finally:
         miner._cpu_count = original
-
-
-def write_marker(path):
-    Path(path).write_text(str(os.getpid()), encoding="utf-8")
-
-
-def killed_worker():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestInBackground:
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_runs_beside_the_body(self, monkeypatch, tmp_path, cpus):
-        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
-        marker = tmp_path / "marker"
-        with miner.in_background(write_marker, marker):
-            here = os.getpid()
-        assert_no_children()
-        assert (marker.read_text(encoding="utf-8") != str(here)) == (cpus > 1)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_worker_exception_wins_over_the_body(self, monkeypatch, tmp_path, cpus):
-        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
-        body = []
-        with pytest.raises(IsADirectoryError, match=r"Is a directory"):
-            with miner.in_background(write_marker, tmp_path):
-                body.append(True)
-                raise ValidationError("scan failed")
-        assert body == ([True] if cpus > 1 else [])  # in-process, the body never starts
-        assert_no_children()
-
-    def test_body_exception_kept_when_worker_succeeds(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
-        with pytest.raises(ValidationError, match=r"^scan failed$"):
-            with miner.in_background(write_marker, tmp_path / "marker"):
-                raise ValidationError("scan failed")
-        assert (tmp_path / "marker").is_file()
-        assert_no_children()
-
-    def test_worker_killed_by_signal_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
-        with pytest.raises(CeraError, match=r"^killed_worker worker \d+ killed by signal 9 before"):
-            with miner.in_background(killed_worker):
-                pass
-        assert_no_children()
-
-    def test_interrupt_kills_and_reaps_worker(self, monkeypatch):
-        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
-        start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            with miner.in_background(time.sleep, 60):
-                raise KeyboardInterrupt
-        assert time.perf_counter() - start < 30
-        assert_no_children()
 
 
 class TestMineBinary:
