@@ -133,7 +133,7 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
     if args.strategy == "binary":
         kwfile = miner.build_sorted_keyword_file(corpus, stoplist, args.stemming)
         # The scan runs here while a worker writes the keyword file; serially, scan then write.
-        table, _ = miner.map_forked(lambda run: run(), [
+        table, _ = miner.map_forked(lambda runs: [run() for run in runs], [
             partial(miner.mine_binary, kwfile, corpus, criteria),
             partial(miner.write_keyword_file, kwfile, args.out_dir / KEYWORD_FILE_NAME),
         ])

@@ -22,7 +22,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from itertools import compress, count, filterfalse, islice
+from itertools import compress, count, filterfalse
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Sequence, TYPE_CHECKING
 
@@ -315,37 +315,30 @@ def build_sorted_keyword_file(
     Keywords are numbered as first seen; they are sorted where the file is
     written and searched. A report id listed twice is a ValidationError.
     Reports are preprocessed in contiguous blocks, here and in forked workers
-    (:func:`map_forked`). Each process numbers the keywords of its block as
-    it first sees them; a worker's number arrays come back as arrays. This
-    process's block comes first, so its numbers are final; it then numbers
-    the workers' new keywords in corpus order and renumbers their blocks
-    through a lookup list, so the result equals a serial build's.
+    (:func:`map_forked`), each numbering its own keywords as first seen. Merged
+    in corpus order through one lookup list per block, they equal a serial build.
     """
-    seen: set[str] = set()
-    for doc in corpus:
-        if doc.report_id in seen:
-            raise ValidationError(f"report_id {doc.report_id!r} appears twice")
-        seen.add(doc.report_id)
     stopset = frozenset(stoplist)
+
+    def number(block: Corpus) -> list[tuple[list[str], list[array]]]:
+        first_seen: defaultdict[str, int] = defaultdict(count().__next__)
+        numbers = [  # each token list is freed before the next report is preprocessed
+            array("I", [*map(first_seen.__getitem__, preprocess_text(doc.text, stopset, stemming))])
+            for doc in block
+        ]
+        return [(list(first_seen), numbers)]
+
     first_seen: defaultdict[str, int] = defaultdict(count().__next__)
-    numbered_here = count()
-
-    def number(doc: Document) -> tuple[int, list[str], array]:
-        """The keyword count before ``doc``, the keywords it adds, and its numbers."""
-        next(numbered_here)
-        size = len(first_seen)
-        tokens = preprocess_text(doc.text, stopset, stemming)
-        numbers = array("I", [*map(first_seen.__getitem__, tokens)])
-        return size, [*islice(first_seen, size, None)], numbers
-
-    rows = map_forked(number, corpus)
-    here = next(numbered_here)  # the rows of this process's block, which come first
-    sequences = {doc.report_id: row[2] for doc, row in zip(corpus[:here], rows)}
-    lookup: list[int] = []  # a worker's keyword numbers -> this process's
-    for doc, (size, new, numbers) in zip(corpus[here:], rows[here:]):
-        del lookup[size:]  # a worker's block starts at size 0
-        lookup += map(first_seen.__getitem__, new)
-        sequences[doc.report_id] = array("I", [*map(lookup.__getitem__, numbers)])
+    sequences: dict[str, array] = {}
+    docs = iter(corpus)
+    for keywords, block in map_forked(number, corpus):
+        lookup = [*map(first_seen.__getitem__, keywords)]
+        if lookup != [*range(len(lookup))]:  # the first block's numbers are kept
+            block = [array("I", [*map(lookup.__getitem__, numbers)]) for numbers in block]
+        for numbers, doc in zip(block, docs):  # the block first: zip stops on it, taking no doc
+            if doc.report_id in sequences:
+                raise ValidationError(f"report_id {doc.report_id!r} appears twice")
+            sequences[doc.report_id] = numbers
     return KeywordFile(list(first_seen), sequences, stopset, stemming)
 
 
@@ -432,27 +425,27 @@ def _processes(jobs: int) -> int:
     return min(_cpu_count(), jobs)
 
 
-def map_forked(job: Callable, items: Sequence) -> list:
-    """``[job(item) for item in items]``, computed here and in forked workers.
+def map_forked(job: Callable[[Sequence], list], items: Sequence) -> list:
+    """The lists ``job`` returns for contiguous blocks of ``items``, concatenated in order.
 
-    ``items`` is cut into :func:`_processes` contiguous blocks, the first ones
-    one item longer where they do not divide evenly. This process computes
-    the first block and worker ``w`` block ``w``; the rows are concatenated.
-    Every worker is reaped before this returns or raises. An exception raised
-    here wins, and the workers are killed; otherwise a worker's exception is
+    ``items`` is cut into :func:`_processes` blocks, the first ones one item
+    longer where they do not divide evenly. Each process calls ``job`` once:
+    this process on the first block, worker ``w`` on block ``w``. Every
+    worker is reaped before this returns or raises. An exception raised here
+    wins, and the workers are killed; otherwise a worker's exception is
     raised again here, and a worker that ends without sending its rows is a
-    CeraError. With one process all runs here, in item order.
+    CeraError. With one process the call is ``job(items)``, here.
     """
     n = _processes(len(items))
     if n < 2:
-        return [job(item) for item in items]
+        return job(items)
     bounds = [-(-len(items) * w // n) for w in range(n + 1)]
     blocks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     workers: list[tuple[int, BinaryIO]] = []  # pid and pipe of each unreaped worker
     try:
         for block in blocks[1:]:
-            workers.append(_fork(list, map(job, block)))
-        rows = [job(item) for item in blocks[0]]
+            workers.append(_fork(job, block))
+        rows = job(blocks[0])
         while workers:
             rows += _join(workers)
     finally:
@@ -460,11 +453,11 @@ def map_forked(job: Callable, items: Sequence) -> list:
     return rows
 
 
-def _fork(func: Callable, *args) -> tuple[int, BinaryIO]:
-    """Fork a worker that computes ``func(*args)``; its pid and the read end of its pipe.
+def _fork(job: Callable[[Sequence], list], block: Sequence) -> tuple[int, BinaryIO]:
+    """Fork a worker that computes ``job(block)``; its pid and the read end of its pipe.
 
-    The worker sends ``pickle.dumps((True, result))``, or ``(False, exception)``
-    when ``func`` raises, then ends with ``os._exit``: it flushes no stdio
+    The worker sends ``pickle.dumps((True, rows))``, or ``(False, exception)``
+    when ``job`` raises, then ends with ``os._exit``: it flushes no stdio
     buffer it inherited and never returns into the caller's stack.
     """
     import pickle  # loaded only by the commands that fork, before the fork for the worker
@@ -480,7 +473,7 @@ def _fork(func: Callable, *args) -> tuple[int, BinaryIO]:
         status = 1
         try:
             try:
-                message = pickle.dumps((True, func(*args)))
+                message = pickle.dumps((True, job(block)))
             except Exception as exc:
                 message = pickle.dumps((False, exc))
             with open(write_end, "wb") as pipe:
@@ -535,17 +528,16 @@ def mine_linear(
     Reports are mined in contiguous blocks by forked workers, one per further
     available CPU, and by this process (:func:`map_forked`). Rows keep corpus
     order, so artifacts are byte-identical to a serial run; on Windows (no
-    ``os.fork``), on one CPU or while other OS threads run, the reports are mined
-    here, one by one. Workers are reaped before this returns, so a command's
+    ``os.fork``), on one CPU or while other OS threads run, the corpus is mined
+    here as one block. Workers are reaped before this returns, so a command's
     rusage CPU time and peak RSS include theirs.
     """
     stopset = frozenset(stoplist)
     index = _compile_criteria(criteria, stopset, stemming)
-    rows = map_forked(
-        lambda doc: _count_hits(preprocess_text(doc.text, stopset, stemming), index, len(criteria)),
-        corpus,
-    )
-    return _frequency_table(corpus, criteria, rows)
+    n = len(criteria)
+    return _frequency_table(corpus, criteria, map_forked(lambda block: [
+        _count_hits(preprocess_text(doc.text, stopset, stemming), index, n) for doc in block
+    ], corpus))
 
 
 def _find(table: Sequence[tuple[str, int]], word: str) -> int | None:

@@ -299,11 +299,13 @@ class TestForkedMining:
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
         assert os_threads() == 1  # conftest.py keeps numpy's BLAS to this one thread
         docs = [doc(f"d{i}", "x " * i) for i in range(7)]  # blocks of 3, 2 and 2
-        rows = miner.map_forked(lambda d: [len(d.text), os.getpid()], docs)
-        assert [length for length, _ in rows] == [2 * i for i in range(7)]
-        pids = [pid for _, pid in rows]
-        assert pids[:3] == [os.getpid()] * 3
-        assert len(set(pids)) == cpus
+        # One row per call of ``job``: the calling pid and the block's text lengths.
+        rows = miner.map_forked(lambda block: [(os.getpid(), [len(d.text) for d in block])], docs)
+        assert [len(lengths) for _, lengths in rows] == ([3, 2, 2] if cpus == 3 else [7])
+        assert [n for _, lengths in rows for n in lengths] == [2 * i for i in range(7)]
+        pids = [pid for pid, _ in rows]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == cpus  # one call per process
         assert_no_children()
 
     def test_forked_and_in_process_tables_equal(self, monkeypatch, fixture_corpus):
@@ -318,9 +320,9 @@ class TestForkedMining:
         monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
         parent = os.getpid()
 
-        def job(d):
+        def job(block):
             if os.getpid() != parent:
-                raise ValidationError(f"bad report {d.report_id}")
+                raise ValidationError(f"bad report {block[0].report_id}")
             return [0]
 
         with pytest.raises(ValidationError, match=r"^bad report r1$"):
@@ -331,7 +333,7 @@ class TestForkedMining:
         monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
         parent = os.getpid()
 
-        def job(d):
+        def job(block):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return [0]
@@ -344,7 +346,7 @@ class TestForkedMining:
         monkeypatch.setattr(miner, "_cpu_count", lambda: 3)
         parent = os.getpid()
 
-        def job(d):
+        def job(block):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)
@@ -367,14 +369,15 @@ class TestForkedMining:
             release = threading.Event()
             start(partial(release.wait, 30))
             try:
-                rows = miner.map_forked(lambda d: [os.getpid()], [doc(f"r{i}", "") for i in range(3)])
+                docs = [doc(f"r{i}", "") for i in range(3)]
+                rows = miner.map_forked(lambda block: [(os.getpid(), len(block))], docs)
             finally:
                 release.set()
             deadline = time.monotonic() + 30
             while os_threads() > 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert os_threads() == 1
-            assert rows == [[os.getpid()]] * 3
+            assert rows == [(os.getpid(), 3)]  # one call, on every item
 
     def test_unflushed_stdout_is_written_once(self):
         script = (
@@ -430,6 +433,12 @@ class TestForkedBuild:
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
         corpus = [doc(f"r{i}", text) for i, text in enumerate(BLOCK_TEXTS)] + [doc("r2", "x")]
         with pytest.raises(ValidationError, match=r"^report_id 'r2' appears twice$"):
+            build_sorted_keyword_file(corpus)
+        assert_no_children()
+        # Both copies in one worker's block: positions 4 and 5, in 4-7 under 2 CPUs, 3-5 under 3.
+        corpus = corpus[:8]
+        corpus[5] = doc("r4", BLOCK_TEXTS[5])
+        with pytest.raises(ValidationError, match=r"^report_id 'r4' appears twice$"):
             build_sorted_keyword_file(corpus)
         assert_no_children()
 
