@@ -77,32 +77,10 @@ class KeywordFile:
     stemming: bool = False
 
     @property
-    def postings(self) -> list[tuple[str, list[str], array]]:
-        """``(keyword, ids of the reports holding it ascending, count in each)`` by sorted
-        keyword, tallied from ``sequences`` on every access."""
-        report_ids: list[list[str]] = [[] for _ in self.keywords]
-        counts = [array("I") for _ in self.keywords]
-        for report_id in sorted(self.sequences):
-            for k, n in Counter(self.sequences[report_id]).items():
-                report_ids[k].append(report_id)
-                counts[k].append(n)
-        by_keyword = sorted(zip(self.keywords, count()))
-        return [(keyword, report_ids[k], counts[k]) for keyword, k in by_keyword]
-
-    @property
     def records(self) -> list[tuple[str, str]]:
-        """One ``(keyword, report_id)`` tuple per token occurrence, sorted.
-
-        Mining and writing never build these tuples; tests and the
-        benchmark's record counter do, and each access tallies the postings
-        again. It can go once that counter counts the lines of the written
-        file (ROADMAP item 1).
-        """
-        records: list[tuple[str, str]] = []
-        for keyword, report_ids, counts in self.postings:
-            for report_id, n in zip(report_ids, counts):
-                records += [(keyword, report_id)] * n
-        return records
+        """One ``(keyword, report_id)`` tuple per token occurrence, sorted on every access.
+        Only tests and the benchmark's record counter read it (ROADMAP item 1b deletes it)."""
+        return sorted((self.keywords[k], rid) for rid, seq in self.sequences.items() for k in seq)
 
 
 # Tokens are maximal runs of characters for which ``str.isalnum()`` holds;
@@ -343,10 +321,23 @@ def build_sorted_keyword_file(
 
 
 def write_keyword_file(kwfile: KeywordFile, path) -> None:
-    """External format: one ``keyword<TAB>report_id`` line per record, LF endings."""
+    """External format: one ``keyword<TAB>report_id`` line per record, LF endings, sorted.
+
+    Each keyword's report ids and counts are tallied first, one ``Counter`` per
+    report in sorted id order, then written as one chunk per keyword. A report
+    id holding a tab or a line break is a ValidationError, before the file opens.
+    """
+    ids: list[list[str]] = [[] for _ in kwfile.keywords]
+    counts = [array("I") for _ in kwfile.keywords]
+    for rid in sorted(kwfile.sequences):
+        if "\t" in rid or len(f"{rid}.".splitlines()) > 1:
+            raise ValidationError(f"keyword file cannot hold report_id {rid!r}: tab or line break")
+        for k, n in Counter(kwfile.sequences[rid]).items():
+            ids[k].append(rid)
+            counts[k].append(n)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for keyword, report_ids, counts in kwfile.postings:
-            fh.write("".join([f"{keyword}\t{rid}\n" * n for rid, n in zip(report_ids, counts)]))
+        for keyword, k in sorted(zip(kwfile.keywords, count())):
+            fh.write("".join([f"{keyword}\t{rid}\n" * n for rid, n in zip(ids[k], counts[k])]))
 
 
 # First token -> (criterion index, phrase) entries, longest phrase first

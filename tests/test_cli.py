@@ -241,6 +241,28 @@ class TestMine:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    def test_report_id_with_tab_or_line_break_fails_binary_only(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        manifest = tmp_path / "manifest.csv"
+        text = MANIFEST.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("P1,", '"a\tb",').replace("P2,", '"c\nd",'),
+                            encoding="utf-8")
+        argv = ["mine", "--manifest", str(manifest), "--root", str(FIXTURE_DIR)]
+        out = tmp_path / "out"
+        assert run_subcommand([*argv, "--out-dir", str(out), "--strategy", "binary"]) == 1
+        assert capsys.readouterr().err == (
+            "mine: keyword file cannot hold report_id 'a\\tb': tab or line break\n"
+        )
+        assert not (out / "keyword_file.tsv").exists()
+        assert not (out / "frequencies.csv").exists()
+        with pytest.raises(ChildProcessError):  # the writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert run_subcommand([*argv, "--out-dir", str(out), "--strategy", "linear"]) == 0
+        assert (out / "frequencies.csv").is_file()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_scan_error_wins_over_write_error(self, tmp_path, capsys, monkeypatch, cpus):
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
 

@@ -234,6 +234,21 @@ class TestKeywordFile:
         assert path.read_bytes() == b"a\tA\na\tB\nb\tA\n"
 
 
+# A tab and every character at which str.splitlines() breaks a line.
+@pytest.mark.parametrize("ch", ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                "\x85", "\u2028", "\u2029"])
+def test_keyword_file_rejects_report_id_breaking_its_lines(tmp_path, ch):
+    kwfile = build_sorted_keyword_file([doc("A", "a"), doc(f"B{ch}", "a")])
+    path = tmp_path / "kw.tsv"
+    with pytest.raises(ValidationError, match=re.escape(f"report_id {f'B{ch}'!r}")):
+        write_keyword_file(kwfile, path)
+    assert not path.exists()
+    # Spaces, a no-break one too, a comma and a quote are written as they are.
+    kwfile = build_sorted_keyword_file([doc("A", "a"), doc("B ,\u00a0\"", "a")])
+    write_keyword_file(kwfile, path)
+    assert path.read_text(encoding="utf-8").splitlines() == ["a\tA", "a\tB ,\u00a0\""]
+
+
 class TestMineLinear:
     def test_phrase_alternative(self):
         table = mine_linear(
@@ -700,21 +715,14 @@ def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_wo
     st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_keyword_file_postings_and_sequences(docs_words, stemming):
+def test_keyword_file_sequences(docs_words, stemming):
     corpus = [doc(f"r{len(docs_words) - i}", " ".join(words)) for i, words in enumerate(docs_words)]
     kwfile = build_sorted_keyword_file(corpus, {"the"}, stemming)
     keywords = kwfile.keywords
     assert len(set(keywords)) == len(keywords)
-    assert len(kwfile.postings) == len(keywords)
-    posted = [keyword for keyword, _, _ in kwfile.postings]
-    assert all(a < b for a, b in zip(posted, posted[1:]))
-    for _, report_ids, counts in kwfile.postings:
-        assert report_ids and all(a < b for a, b in zip(report_ids, report_ids[1:]))
-        assert len(counts) == len(report_ids) and min(counts) >= 1
     for d in corpus:
         decoded = [keywords[k] for k in kwfile.sequences[d.report_id]]
         assert decoded == preprocess_text(d.text, {"the"}, stemming)
-    assert sum(sum(counts) for _, _, counts in kwfile.postings) == len(kwfile.records)
 
 
 ACCENTED_VOCAB = ["énergie", "renouvelable", "forêt", "naïve", "café", "à", "accès", "the"]
