@@ -130,15 +130,21 @@ def _stage(name: str):
 def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.FrequencyTable:
     corpus = _load_corpus(args)
     stoplist = _stoplist(args)
+    kwfile_path = args.out_dir / KEYWORD_FILE_NAME
     if args.strategy == "binary":
         kwfile = miner.build_sorted_keyword_file(corpus, stoplist, args.stemming)
-        # The scan runs here while a worker writes the keyword file; serially, scan then write.
-        table, _ = miner.map_forked(lambda runs: [run() for run in runs], [
-            partial(miner.mine_binary, kwfile, corpus, criteria),
-            partial(miner.write_keyword_file, kwfile, args.out_dir / KEYWORD_FILE_NAME),
-        ])
+        try:
+            # The scan runs here while a worker writes the keyword file; serially, scan then write.
+            table, _ = miner.map_forked(lambda runs: [run() for run in runs], [
+                partial(miner.mine_binary, kwfile, corpus, criteria),
+                partial(miner.write_keyword_file, kwfile, kwfile_path),
+            ])
+        except BaseException:  # every worker is reaped; a directory stays for its writer's error
+            if kwfile_path.is_file():
+                kwfile_path.unlink()
+            raise
     else:
-        (args.out_dir / KEYWORD_FILE_NAME).unlink(missing_ok=True)  # left by a binary run
+        kwfile_path.unlink(missing_ok=True)  # left by a binary run
         table = miner.mine_linear(corpus, criteria, stoplist, args.stemming)
     miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
     return table
@@ -171,61 +177,54 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-# One computation and one artifact writer per analysis, shared by the single
-# commands, pipeline and report. Each imports its analysis module when it
-# runs and looks the analysis functions up through that module at call time,
-# so bench/tracing.py can wrap them.
-def _anova(args: argparse.Namespace, cards: list[scoring.ScoreCard]) -> list[AnovaRow]:
+# One stage function per analysis, shared by the single commands, pipeline
+# and report: it computes, writes its artifacts into ``out_dir`` when given
+# one, and returns the result. Each imports its analysis module when it runs
+# and looks the analysis functions up through that module at call time, so
+# bench/tracing.py can wrap them.
+def _anova(args: argparse.Namespace, cards: list[scoring.ScoreCard],
+           out_dir: Path | None) -> list[AnovaRow]:
     from . import anova as anova_mod
 
-    return anova_mod.anova_table(cards)
+    rows = anova_mod.anova_table(cards)
+    if out_dir is not None:
+        anova_mod.write_anova_csv(rows, out_dir / ANOVA_NAME)
+    return rows
 
 
-def _write_anova(out_dir: Path, rows: list[AnovaRow]) -> None:
-    from . import anova as anova_mod
-
-    anova_mod.write_anova_csv(rows, out_dir / ANOVA_NAME)
-
-
-def _mda(args: argparse.Namespace, cards: list[scoring.ScoreCard]) -> MdaResult:
+def _mda(args: argparse.Namespace, cards: list[scoring.ScoreCard],
+         out_dir: Path | None) -> MdaResult:
     from . import mda as mda_mod
 
-    return mda_mod.run_mda(cards)
+    result = mda_mod.run_mda(cards)
+    if out_dir is not None:
+        _write_json(out_dir / MDA_NAME, mda_mod.mda_result_to_dict(result))
+        mda_mod.write_case_scores_csv(result, out_dir / CASE_SCORES_NAME)
+    return result
 
 
-def _write_mda(out_dir: Path, result: MdaResult) -> None:
-    from . import mda as mda_mod
-
-    _write_json(out_dir / MDA_NAME, mda_mod.mda_result_to_dict(result))
-    mda_mod.write_case_scores_csv(result, out_dir / CASE_SCORES_NAME)
-
-
-def _sem(args: argparse.Namespace, cards: list[scoring.ScoreCard]) -> SemFit:
+def _sem(args: argparse.Namespace, cards: list[scoring.ScoreCard],
+         out_dir: Path | None) -> SemFit:
     from . import sem as sem_mod
 
     path = args.sem_model
     model = sem_mod.load_model(path) if path is not None else sem_mod.default_model()
     s, n = sem_mod.covariance_from_cards(cards, model.observed_vars)
-    return sem_mod.fit_model(model, s, n)
+    fit = sem_mod.fit_model(model, s, n)
+    if out_dir is not None:
+        _write_json(out_dir / SEM_NAME, sem_mod.fit_to_dict(fit))
+    return fit
 
 
-def _write_sem(out_dir: Path, fit: SemFit) -> None:
-    from . import sem as sem_mod
-
-    _write_json(out_dir / SEM_NAME, sem_mod.fit_to_dict(fit))
-
-
-ANALYSES = {
-    "anova": (_anova, _write_anova),
-    "mda": (_mda, _write_mda),
-    "sem": (_sem, _write_sem),
-}
+ANALYSES = {"anova": _anova, "mda": _mda, "sem": _sem}
 
 
 def _write_failure(out_dir: Path, name: str, error: CeraError) -> None:
     """A failed analysis leaves a header-only anova.csv, or an error JSON."""
     if name == "anova":
-        _write_anova(out_dir, [])
+        from . import anova as anova_mod
+
+        anova_mod.write_anova_csv([], out_dir / ANOVA_NAME)
         return
     payload = {
         "status": "error",
@@ -245,24 +244,20 @@ def _run_analyses(
     failure artifact.
     """
     results = {}
-    for name, (analyze, write) in ANALYSES.items():
+    for name, analyze in ANALYSES.items():
         try:
-            results[name] = analyze(args, cards)
+            results[name] = analyze(args, cards, out_dir)
         except CeraError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             results[name] = None
             if out_dir is not None:
                 _write_failure(out_dir, name, exc)
-        else:
-            if out_dir is not None:
-                write(out_dir, results[name])
     return results
 
 
 def _cmd_analysis(args: argparse.Namespace) -> int:
     cards = scoring.read_scorecards_csv(args.scorecards or args.out_dir / SCORECARDS_NAME)
-    analyze, write = ANALYSES[args.command]
-    write(args.out_dir, analyze(args, cards))
+    ANALYSES[args.command](args, cards, args.out_dir)
     return 0
 
 

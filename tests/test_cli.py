@@ -297,6 +297,43 @@ class TestMine:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("cpus, how", [(1, "raise"), (2, "raise"), (2, "kill"), (2, "scan")])
+    def test_failed_binary_mine_leaves_no_keyword_file(
+        self, tmp_path, capsys, monkeypatch, cpus, how
+    ):
+        """A writer that fails after its first line, or a scan that fails while the
+        writer is under way, leaves no part of keyword_file.tsv behind."""
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        parent, write, out = os.getpid(), miner.write_keyword_file, tmp_path / "out"
+
+        def write_keyword_file(kwfile, path):
+            if how == "scan":
+                return write(kwfile, path)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("partial\tP1\n")
+            if how == "kill" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError("disk full")
+
+        def mine_binary(*args):
+            deadline = time.perf_counter() + 10
+            while not (out / "keyword_file.tsv").is_file() and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            raise ValidationError("scan failed")
+
+        monkeypatch.setattr(miner, "write_keyword_file", write_keyword_file)
+        if how == "scan":
+            monkeypatch.setattr(miner, "mine_binary", mine_binary)
+        assert run_pipeline(out, "--strategy", "binary") == 1
+        err = capsys.readouterr().err
+        line = {"raise": "disk full", "scan": "scan failed",
+                "kill": r"mining worker \d+ killed by signal 9 before sending its rows"}[how]
+        assert re.fullmatch(f"mine: {line}\n", err), err
+        assert not (out / "keyword_file.tsv").exists()
+        assert not (out / "frequencies.csv").exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_interrupted_scan_kills_keyword_file_writer(self, tmp_path, monkeypatch):
         monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
         parent, write = os.getpid(), miner.write_keyword_file
@@ -502,6 +539,17 @@ class TestReport:
         assert "STRUCTURAL EQUATION MODEL" not in text
         err = capsys.readouterr().err
         assert "mda:" in err and "sem:" in err
+
+    def test_writes_only_the_report(self, tmp_path, capsys):
+        cards, out = tmp_path / "cards.csv", tmp_path / "out"
+        write_scorecards_csv(seeded_cards(11, 120), cards)
+        assert run_subcommand(["report", "--scorecards", str(cards), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        text = (out / "report.txt").read_text(encoding="utf-8")
+        for section in ("SECTOR COMPOSITION", "ONE-WAY ANOVA BY SECTOR", "DISCRIMINANT ANALYSIS",
+                        "STRUCTURAL EQUATION MODEL"):
+            assert section in text
+        assert [p.name for p in out.iterdir()] == ["report.txt"]
 
     def test_custom_target(self, tmp_path):
         out = tmp_path / "out"
