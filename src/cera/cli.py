@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -131,21 +130,29 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
     corpus = _load_corpus(args)
     stoplist = _stoplist(args)
     kwfile_path = args.out_dir / KEYWORD_FILE_NAME
-    if args.strategy == "binary":
-        kwfile = miner.build_sorted_keyword_file(corpus, stoplist, args.stemming)
-        try:
-            # The scan runs here while a worker writes the keyword file; serially, scan then write.
-            table, _ = miner.map_forked(lambda runs: [run() for run in runs], [
-                partial(miner.mine_binary, kwfile, corpus, criteria),
-                partial(miner.write_keyword_file, kwfile, kwfile_path),
-            ])
-        except BaseException:  # every worker is reaped; a directory stays for its writer's error
-            if kwfile_path.is_file():
-                kwfile_path.unlink()
-            raise
-    else:
+    binary = args.strategy == "binary"
+
+    def mine(block: miner.Corpus) -> list:
+        """The block's frequency table and, mined binary, its keyword postings."""
+        if not binary:
+            return [(miner.mine_linear(block, criteria, stoplist, args.stemming), {})]
+        kwfile = miner.build_sorted_keyword_file(block, stoplist, args.stemming)
+        return [(miner.mine_binary(kwfile, block, criteria), miner.keyword_postings(kwfile))]
+
+    if not binary:
         kwfile_path.unlink(missing_ok=True)  # left by a binary run
-        table = miner.mine_linear(corpus, criteria, stoplist, args.stemming)
+    try:
+        # Blocks ascend in report id, so each keyword's postings join block by block.
+        blocks = miner.map_forked(mine, sorted(corpus, key=lambda doc: doc.report_id))
+        tables, postings = zip(*blocks)
+        if binary:
+            miner.write_keyword_file(postings, kwfile_path)
+    except BaseException:  # every worker is reaped; a directory stays for its writer's error
+        if kwfile_path.is_file():
+            kwfile_path.unlink()
+        raise
+    counts = {key: n for block in tables for key, n in block.counts.items()}
+    table = miner.FrequencyTable([doc.report_id for doc in corpus], tables[0].criterion_ids, counts)
     miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
     return table
 

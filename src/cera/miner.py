@@ -288,44 +288,32 @@ class FrequencyTable:
 def build_sorted_keyword_file(
     corpus: Corpus, stoplist: Iterable[str] = frozenset(), stemming: bool = False
 ) -> KeywordFile:
-    """Token sequences from one preprocessing pass per report.
+    """Token sequences from one preprocessing pass per report, in this process.
 
     Keywords are numbered as first seen; they are sorted where the file is
     written and searched. A report id listed twice is a ValidationError.
-    Reports are preprocessed in contiguous blocks, here and in forked workers
-    (:func:`map_forked`), each numbering its own keywords as first seen. Merged
-    in corpus order through one lookup list per block, they equal a serial build.
     """
     stopset = frozenset(stoplist)
-
-    def number(block: Corpus) -> list[tuple[list[str], list[array]]]:
-        first_seen: defaultdict[str, int] = defaultdict(count().__next__)
-        numbers = [  # each token list is freed before the next report is preprocessed
-            array("I", [*map(first_seen.__getitem__, preprocess_text(doc.text, stopset, stemming))])
-            for doc in block
-        ]
-        return [(list(first_seen), numbers)]
-
     first_seen: defaultdict[str, int] = defaultdict(count().__next__)
     sequences: dict[str, array] = {}
-    docs = iter(corpus)
-    for keywords, block in map_forked(number, corpus):
-        lookup = [*map(first_seen.__getitem__, keywords)]
-        if lookup != [*range(len(lookup))]:  # the first block's numbers are kept
-            block = [array("I", [*map(lookup.__getitem__, numbers)]) for numbers in block]
-        for numbers, doc in zip(block, docs):  # the block first: zip stops on it, taking no doc
-            if doc.report_id in sequences:
-                raise ValidationError(f"report_id {doc.report_id!r} appears twice")
-            sequences[doc.report_id] = numbers
+    for doc in corpus:
+        if doc.report_id in sequences:
+            raise ValidationError(f"report_id {doc.report_id!r} appears twice")
+        sequences[doc.report_id] = array("I", [  # no name keeps a report's token list alive
+            *map(first_seen.__getitem__, preprocess_text(doc.text, stopset, stemming))
+        ])
     return KeywordFile(list(first_seen), sequences, stopset, stemming)
 
 
-def write_keyword_file(kwfile: KeywordFile, path) -> None:
-    """External format: one ``keyword<TAB>report_id`` line per record, LF endings, sorted.
+# Each keyword's report ids in sorted order, and its occurrence count in each.
+Postings = dict[str, tuple[list[str], array]]
 
-    Each keyword's report ids and counts are tallied first, one ``Counter`` per
-    report in sorted id order, then written as one chunk per keyword. A report
-    id holding a tab or a line break is a ValidationError, before the file opens.
+
+def keyword_postings(kwfile: KeywordFile) -> Postings:
+    """The postings of every keyword, tallied with one ``Counter`` per report in sorted id order.
+
+    A report id holding a tab or a line break, which would break the keyword
+    file's lines, is a ValidationError.
     """
     ids: list[list[str]] = [[] for _ in kwfile.keywords]
     counts = [array("I") for _ in kwfile.keywords]
@@ -335,9 +323,19 @@ def write_keyword_file(kwfile: KeywordFile, path) -> None:
         for k, n in Counter(kwfile.sequences[rid]).items():
             ids[k].append(rid)
             counts[k].append(n)
+    return dict(zip(kwfile.keywords, zip(ids, counts)))
+
+
+def write_keyword_file(blocks: Sequence[Postings], path) -> None:
+    """External format: one ``keyword<TAB>report_id`` line per record, LF endings, sorted.
+
+    ``blocks`` holds the :func:`keyword_postings` of blocks of reports that ascend in
+    report id, so each keyword's postings join block by block into one written chunk.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for keyword, k in sorted(zip(kwfile.keywords, count())):
-            fh.write("".join([f"{keyword}\t{rid}\n" * n for rid, n in zip(ids[k], counts[k])]))
+        for keyword in sorted(set().union(*blocks)):
+            fh.write("".join([f"{keyword}\t{rid}\n" * n for postings in blocks
+                              for rid, n in zip(*postings.get(keyword, ((), ())))]))
 
 
 # First token -> (criterion index, phrase) entries, longest phrase first
@@ -425,7 +423,8 @@ def map_forked(job: Callable[[Sequence], list], items: Sequence) -> list:
     worker is reaped before this returns or raises. An exception raised here
     wins, and the workers are killed; otherwise a worker's exception is
     raised again here, and a worker that ends without sending its rows is a
-    CeraError. With one process the call is ``job(items)``, here.
+    CeraError. With one process the call is ``job(items)``, here. Its one
+    caller, ``cli._mine``, maps the corpus sorted by report id.
     """
     n = _processes(len(items))
     if n < 2:
@@ -514,21 +513,12 @@ def mine_linear(
     stoplist: Iterable[str] = frozenset(),
     stemming: bool = False,
 ) -> FrequencyTable:
-    """Linear strategy: preprocess each report and scan it for criterion phrases.
-
-    Reports are mined in contiguous blocks by forked workers, one per further
-    available CPU, and by this process (:func:`map_forked`). Rows keep corpus
-    order, so artifacts are byte-identical to a serial run; on Windows (no
-    ``os.fork``), on one CPU or while other OS threads run, the corpus is mined
-    here as one block. Workers are reaped before this returns, so a command's
-    rusage CPU time and peak RSS include theirs.
-    """
+    """Linear strategy: preprocess and scan each report in turn, in this process."""
     stopset = frozenset(stoplist)
     index = _compile_criteria(criteria, stopset, stemming)
     n = len(criteria)
-    return _frequency_table(corpus, criteria, map_forked(lambda block: [
-        _count_hits(preprocess_text(doc.text, stopset, stemming), index, n) for doc in block
-    ], corpus))
+    rows = (_count_hits(preprocess_text(doc.text, stopset, stemming), index, n) for doc in corpus)
+    return _frequency_table(corpus, criteria, rows)
 
 
 def _find(table: Sequence[tuple[str, int]], word: str) -> int | None:

@@ -15,7 +15,7 @@ import pytest
 import cera
 from cera import cli, miner, scoring, sem
 
-from cera.cli import FLAGS, _build_config, build_parser, run_subcommand
+from cera.cli import FLAGS, STRATEGIES, _build_config, build_parser, run_subcommand
 from cera.errors import IdentificationError, ValidationError
 from cera.miner import Sector
 from cera.scoring import ScoreCard, rate_frequency, read_scorecards_csv, write_scorecards_csv
@@ -215,15 +215,18 @@ class TestMine:
             return preprocess(*args)
 
         monkeypatch.setattr(miner, "preprocess_text", killed_in_worker)
-        out = tmp_path / "out"
-        assert run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(
-            r"mine: mining worker \d+ killed by signal 9 before sending its rows\n", err
-        ), err
-        assert not (out / "frequencies.csv").exists()
-        with pytest.raises(ChildProcessError):  # the worker was reaped
-            os.waitpid(-1, os.WNOHANG)
+        for strategy in STRATEGIES:
+            out = tmp_path / strategy
+            assert run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out),
+                                   "--strategy", strategy]) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(
+                r"mine: mining worker \d+ killed by signal 9 before sending its rows\n", err
+            ), err
+            assert not (out / "frequencies.csv").exists()
+            assert not (out / "keyword_file.tsv").exists()
+            with pytest.raises(ChildProcessError):  # the worker was reaped
+                os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_unwritable_keyword_file_is_a_mine_diagnostic(
@@ -277,81 +280,95 @@ class TestMine:
         with pytest.raises(ChildProcessError):  # the writer was killed and reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_killed_keyword_file_writer_is_a_mine_diagnostic(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
-        parent, write = os.getpid(), miner.write_keyword_file
-
-        def write_keyword_file(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return write(*args)
-
-        monkeypatch.setattr(miner, "write_keyword_file", write_keyword_file)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_binary_scan_deletes_an_earlier_keyword_file(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        """``mine`` alone, unlike ``pipeline``, deletes no earlier artifact before it mines."""
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
         out = tmp_path / "out"
-        assert run_pipeline(out, "--strategy", "binary") == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(
-            r"mine: mining worker \d+ killed by signal 9 before sending its rows\n", err
-        ), err
-        assert not (out / "frequencies.csv").exists()
-        with pytest.raises(ChildProcessError):
+        argv = ["mine", "--manifest", str(MANIFEST), "--out-dir", str(out), "--strategy", "binary"]
+        assert run_subcommand(argv) == 0
+        assert (out / "keyword_file.tsv").is_file()
+
+        def mine_binary(*args):
+            raise ValidationError("scan failed")
+
+        monkeypatch.setattr(miner, "mine_binary", mine_binary)
+        assert run_subcommand(argv) == 1
+        assert capsys.readouterr().err == "mine: scan failed\n"
+        assert not (out / "keyword_file.tsv").exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("cpus, how", [(1, "raise"), (2, "raise"), (2, "kill"), (2, "scan")])
+    @pytest.mark.parametrize("cpus, how", [(1, "raise"), (2, "raise"), (2, "scan")])
     def test_failed_binary_mine_leaves_no_keyword_file(
         self, tmp_path, capsys, monkeypatch, cpus, how
     ):
-        """A writer that fails after its first line, or a scan that fails while the
-        writer is under way, leaves no part of keyword_file.tsv behind."""
+        """A writer that fails after its first line, or a scan that fails in a worker
+        once the command's own block is mined, leaves no keyword_file.tsv behind."""
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
-        parent, write, out = os.getpid(), miner.write_keyword_file, tmp_path / "out"
+        parent, scan, out = os.getpid(), miner.mine_binary, tmp_path / "out"
 
-        def write_keyword_file(kwfile, path):
-            if how == "scan":
-                return write(kwfile, path)
+        def write_keyword_file(blocks, path):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("partial\tP1\n")
-            if how == "kill" and os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
             raise OSError("disk full")
 
         def mine_binary(*args):
-            deadline = time.perf_counter() + 10
-            while not (out / "keyword_file.tsv").is_file() and time.perf_counter() < deadline:
-                time.sleep(0.01)
-            raise ValidationError("scan failed")
+            if os.getpid() != parent:
+                raise ValidationError("scan failed")
+            return scan(*args)
 
-        monkeypatch.setattr(miner, "write_keyword_file", write_keyword_file)
         if how == "scan":
             monkeypatch.setattr(miner, "mine_binary", mine_binary)
+        else:
+            monkeypatch.setattr(miner, "write_keyword_file", write_keyword_file)
         assert run_pipeline(out, "--strategy", "binary") == 1
-        err = capsys.readouterr().err
-        line = {"raise": "disk full", "scan": "scan failed",
-                "kill": r"mining worker \d+ killed by signal 9 before sending its rows"}[how]
-        assert re.fullmatch(f"mine: {line}\n", err), err
+        line = {"raise": "disk full", "scan": "scan failed"}[how]
+        assert capsys.readouterr().err == f"mine: {line}\n"
         assert not (out / "keyword_file.tsv").exists()
         assert not (out / "frequencies.csv").exists()
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_interrupted_scan_kills_keyword_file_writer(self, tmp_path, monkeypatch):
+    def test_interrupted_block_kills_the_other_worker(self, tmp_path, monkeypatch):
         monkeypatch.setattr(miner, "_cpu_count", lambda: 2)
-        parent, write = os.getpid(), miner.write_keyword_file
-
-        def write_keyword_file(*args):
-            if os.getpid() != parent:
-                time.sleep(60)
-            return write(*args)
+        parent = os.getpid()
 
         def mine_binary(*args):
-            raise KeyboardInterrupt
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
 
-        monkeypatch.setattr(miner, "write_keyword_file", write_keyword_file)
         monkeypatch.setattr(miner, "mine_binary", mine_binary)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(tmp_path / "out", "--strategy", "binary")
         assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("flags", [[], ["--stemming"]])
+    def test_blocks_join_in_report_id_order(self, tmp_path, monkeypatch, flags):
+        """Mined in blocks of the corpus sorted by report id, one block per CPU, a
+        shuffled manifest gives the fixture's keyword file, and its frequency rows
+        in manifest order, on 1, 2 and 3 CPUs."""
+        argv = ["mine", "--root", str(FIXTURE_DIR), "--strategy", "binary", *flags]
+        assert run_subcommand([*argv, "--manifest", str(MANIFEST),
+                               "--out-dir", str(tmp_path / "fixture")]) == 0
+        keyword_file = (tmp_path / "fixture" / "keyword_file.tsv").read_bytes()
+        rows = (tmp_path / "fixture" / "frequencies.csv").read_bytes().splitlines(keepends=True)
+        lines = MANIFEST.read_bytes().splitlines(keepends=True)
+        order = [0, 4, 6, 1, 5, 2, 3]  # the header, then S2, T2, P1, T1, P2, S1
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"".join(lines[i] for i in order))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus-{cpus}"
+            assert run_subcommand([*argv, "--manifest", str(manifest), "--out-dir", str(out)]) == 0
+            assert (out / "keyword_file.tsv").read_bytes() == keyword_file
+            assert (out / "frequencies.csv").read_bytes() == b"".join(rows[i] for i in order)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

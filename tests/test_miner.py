@@ -20,6 +20,7 @@ from cera.miner import (
     Document,
     Sector,
     build_sorted_keyword_file,
+    keyword_postings,
     load_corpus,
     mine_binary,
     mine_linear,
@@ -230,7 +231,7 @@ class TestKeywordFile:
     def test_round_trip(self, tmp_path):
         kwfile = build_sorted_keyword_file([doc("A", "b a"), doc("B", "a")])
         path = tmp_path / "kw.tsv"
-        write_keyword_file(kwfile, path)
+        write_keyword_file([keyword_postings(kwfile)], path)
         assert path.read_bytes() == b"a\tA\na\tB\nb\tA\n"
 
 
@@ -239,13 +240,12 @@ class TestKeywordFile:
                                 "\x85", "\u2028", "\u2029"])
 def test_keyword_file_rejects_report_id_breaking_its_lines(tmp_path, ch):
     kwfile = build_sorted_keyword_file([doc("A", "a"), doc(f"B{ch}", "a")])
-    path = tmp_path / "kw.tsv"
     with pytest.raises(ValidationError, match=re.escape(f"report_id {f'B{ch}'!r}")):
-        write_keyword_file(kwfile, path)
-    assert not path.exists()
+        keyword_postings(kwfile)
     # Spaces, a no-break one too, a comma and a quote are written as they are.
     kwfile = build_sorted_keyword_file([doc("A", "a"), doc("B ,\u00a0\"", "a")])
-    write_keyword_file(kwfile, path)
+    path = tmp_path / "kw.tsv"
+    write_keyword_file([keyword_postings(kwfile)], path)
     assert path.read_text(encoding="utf-8").splitlines() == ["a\tA", "a\tB ,\u00a0\""]
 
 
@@ -324,11 +324,15 @@ class TestForkedMining:
         assert_no_children()
 
     def test_forked_and_in_process_tables_equal(self, monkeypatch, fixture_corpus):
+        def job(block):
+            return [mine_linear(block, default_criteria(), frozenset(["the"]), True).counts]
+
         monkeypatch.setattr(miner, "_cpu_count", lambda: 1)
-        serial = mine_linear(fixture_corpus, default_criteria(), frozenset(["the"]), True)
+        [serial] = miner.map_forked(job, fixture_corpus)
         monkeypatch.setattr(miner, "_cpu_count", lambda: 3)
-        forked = mine_linear(fixture_corpus, default_criteria(), frozenset(["the"]), True)
-        assert forked == serial
+        forked = miner.map_forked(job, fixture_corpus)
+        assert len(forked) == 3
+        assert {key: n for counts in forked for key, n in counts.items()} == serial
         assert_no_children()
 
     def test_worker_exception_keeps_class_and_message(self, monkeypatch):
@@ -394,15 +398,14 @@ class TestForkedMining:
             assert os_threads() == 1
             assert rows == [(os.getpid(), 3)]  # one call, on every item
 
-    def test_unflushed_stdout_is_written_once(self):
+    def test_unflushed_stdout_is_written_once(self, tmp_path):
+        argv = ["mine", "--manifest", str(MANIFEST), "--out-dir", str(tmp_path)]
         script = (
             "import sys\n"
-            "from cera import miner\n"
-            "from cera.scoring import default_criteria\n"
+            "from cera import cli, miner\n"
             "miner._cpu_count = lambda: 3\n"
             "sys.stdout.write('before mining\\n')\n"
-            f"corpus = miner.load_corpus({str(FIXTURE_DIR)!r}, {str(MANIFEST)!r})\n"
-            "miner.mine_linear(corpus, default_criteria())\n"
+            f"assert cli.run_subcommand({argv!r}) == 0\n"
             "print('after mining')\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -412,67 +415,6 @@ class TestForkedMining:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "before mining\nafter mining\n"
-
-
-# Blocks of 2 CPUs start at r0 and r4, of 3 CPUs at r0, r3 and r6. Each later block
-# brings keywords the first lacks, and r3 and r4 are empty.
-BLOCK_TEXTS = [
-    "alpha beta gamma", "beta delta alpha", "gamma epsilon", "", "",
-    "zeta beta eta alpha", "theta gamma zeta iota", "kappa alpha theta kappa",
-]
-BLOCK_KEYWORDS = [
-    "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa",
-]
-
-
-class TestForkedBuild:
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_equals_serial_build(self, monkeypatch, tmp_path, cpus):
-        corpus = [doc(f"r{i}", text) for i, text in enumerate(BLOCK_TEXTS)]
-        monkeypatch.setattr(miner, "_cpu_count", lambda: 1)
-        serial = build_sorted_keyword_file(corpus)
-        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
-        assert os_threads() == 1
-        kwfile = build_sorted_keyword_file(corpus)
-        assert_no_children()
-        assert kwfile.keywords == BLOCK_KEYWORDS
-        assert kwfile.sequences["r6"].tolist() == [7, 2, 5, 8]
-        assert kwfile.sequences["r3"].tolist() == []
-        assert kwfile == serial
-        write_keyword_file(serial, tmp_path / "serial.tsv")
-        write_keyword_file(kwfile, tmp_path / "forked.tsv")
-        assert (tmp_path / "forked.tsv").read_bytes() == (tmp_path / "serial.tsv").read_bytes()
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_repeated_report_id_rejected(self, monkeypatch, cpus):
-        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
-        corpus = [doc(f"r{i}", text) for i, text in enumerate(BLOCK_TEXTS)] + [doc("r2", "x")]
-        with pytest.raises(ValidationError, match=r"^report_id 'r2' appears twice$"):
-            build_sorted_keyword_file(corpus)
-        assert_no_children()
-        # Both copies in one worker's block: positions 4 and 5, in 4-7 under 2 CPUs, 3-5 under 3.
-        corpus = corpus[:8]
-        corpus[5] = doc("r4", BLOCK_TEXTS[5])
-        with pytest.raises(ValidationError, match=r"^report_id 'r4' appears twice$"):
-            build_sorted_keyword_file(corpus)
-        assert_no_children()
-
-
-@given(
-    st.lists(st.lists(st.sampled_from(["a", "b", "ab", "c", "the", "cases"]), max_size=8), max_size=9),
-    st.sampled_from([2, 3]),
-)
-@settings(max_examples=25, deadline=None)
-def test_forked_build_equals_serial(docs_words, cpus):
-    corpus = [doc(f"r{i}", " ".join(words)) for i, words in enumerate(docs_words)]
-    original = miner._cpu_count
-    try:
-        miner._cpu_count = lambda: 1
-        serial = build_sorted_keyword_file(corpus, {"the"}, True)
-        miner._cpu_count = lambda: cpus
-        assert build_sorted_keyword_file(corpus, {"the"}, True) == serial
-    finally:
-        miner._cpu_count = original
 
 
 class TestMineBinary:
@@ -695,9 +637,10 @@ def test_merged_scan_matches_per_criterion_oracle(words, stemming, use_stop):
 @given(
     st.lists(st.lists(st.sampled_from(["a", "b", "ab", "c", "the", "cases"]), max_size=30), max_size=12),
     st.booleans(),
+    st.integers(0, 12),
 )
 @settings(max_examples=60, deadline=None)
-def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_words, stemming):
+def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_words, stemming, cut):
     # Descending ids, some of which sort differently as strings than as numbers.
     corpus = [doc(f"r{len(docs_words) - i}", " ".join(words)) for i, words in enumerate(docs_words)]
     kwfile = build_sorted_keyword_file(corpus, {"the"}, stemming)
@@ -705,9 +648,17 @@ def test_keyword_file_matches_per_occurrence_rendering(tmp_path_factory, docs_wo
         (token, d.report_id) for d in corpus for token in preprocess_text(d.text, {"the"}, stemming)
     )
     assert kwfile.records == occurrences
+    rendering = "".join(f"{k}\t{r}\n" for k, r in occurrences).encode()
     path = tmp_path_factory.mktemp("kw") / "kw.tsv"
-    write_keyword_file(kwfile, path)
-    assert path.read_bytes() == "".join(f"{k}\t{r}\n" for k, r in occurrences).encode()
+    write_keyword_file([keyword_postings(kwfile)], path)
+    assert path.read_bytes() == rendering
+    # Two blocks that ascend in report id, each built on its own, join to the same file.
+    ordered = sorted(corpus, key=lambda d: d.report_id)
+    blocks = [ordered[:cut], ordered[cut:]]
+    write_keyword_file(
+        [keyword_postings(build_sorted_keyword_file(b, {"the"}, stemming)) for b in blocks], path
+    )
+    assert path.read_bytes() == rendering
 
 
 @given(
