@@ -139,8 +139,8 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
         kwfile = miner.build_sorted_keyword_file(block, stoplist, args.stemming)
         return [(miner.mine_binary(kwfile, block, criteria), miner.keyword_postings(kwfile))]
 
-    if not binary:
-        kwfile_path.unlink(missing_ok=True)  # left by a binary run
+    if not binary and kwfile_path.is_file():
+        kwfile_path.unlink()  # left by a binary run; a directory stays, as for pipeline
     try:
         # Blocks ascend in report id, so each keyword's postings join block by block.
         blocks = miner.map_forked(mine, sorted(corpus, key=lambda doc: doc.report_id))

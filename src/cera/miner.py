@@ -73,8 +73,8 @@ class KeywordFile:
 
     keywords: list[str]
     sequences: dict[str, array]
-    stoplist: frozenset[str] = frozenset()
-    stemming: bool = False
+    stoplist: frozenset[str]
+    stemming: bool
 
     @property
     def records(self) -> list[tuple[str, str]]:

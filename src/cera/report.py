@@ -1,9 +1,9 @@
 """Human-readable summary of a full analysis run.
 
-Sections appear in a fixed order (sector composition, ANOVA, discriminant
-analysis, structural equation model); only sections whose results are
-present are rendered. Layout and number formatting are deterministic:
-means 2 dp, test statistics 3 dp, percentages and the hit rate 1 dp.
+The sector composition section always comes first, then ANOVA, discriminant
+analysis and the structural equation model, each only when its result is
+present. Layout and number formatting are deterministic: means 2 dp, test
+statistics 3 dp, percentages and the hit rate 1 dp.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Hashable
 
-from .errors import ValidationError
 from .miner import Sector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,26 +99,17 @@ def _sem_section(sem: SemFit) -> list[str]:
 
 
 def emit_report(
-    composition: dict[Hashable, tuple[int, float]] | None = None,
+    composition: dict[Hashable, tuple[int, float]],
     anova: list[AnovaRow] | None = None,
     mda: MdaResult | None = None,
     sem: SemFit | None = None,
 ) -> str:
-    """The report text: one section per result given, in the module's fixed order."""
-    sections: list[list[str]] = []
-    if composition is not None:
-        sections.append(_compose_section(composition))
+    """The report text: the composition, then one section per analysis result given."""
+    sections = [_compose_section(composition)]
     if anova is not None:
         sections.append(_anova_section(anova))
     if mda is not None:
         sections.append(_mda_section(mda))
     if sem is not None:
         sections.append(_sem_section(sem))
-    if not sections:
-        raise ValidationError("nothing to report: every section is empty")
-    lines: list[str] = []
-    for i, section in enumerate(sections):
-        if i:
-            lines.append("")
-        lines.extend(section)
-    return "\n".join(lines) + "\n"
+    return "\n\n".join("\n".join(s) for s in sections) + "\n"

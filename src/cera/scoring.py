@@ -121,12 +121,12 @@ def build_scorecards(
 
 def filter_sample(
     cards: Sequence[ScoreCard],
-    analysis_language: str = "en",
-    rule: str = "conjunction",
+    analysis_language: str,
+    rule: str,
 ) -> list[ScoreCard]:
     """Drop reports excluded from analysis; input order is preserved.
 
-    Under the default ``conjunction`` rule a card is removed only when its
+    Under the ``conjunction`` rule a card is removed only when its
     frequencies are zero for every criterion AND its language differs from
     ``analysis_language``. The ``disjunction`` rule removes a card when
     either condition holds on its own.

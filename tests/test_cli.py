@@ -1,16 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import re
+import shutil
 import signal
 import subprocess
 import sys
 import time
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cera
 from cera import cli, miner, scoring, sem
@@ -20,7 +25,7 @@ from cera.errors import IdentificationError, ValidationError
 from cera.miner import Sector
 from cera.scoring import ScoreCard, rate_frequency, read_scorecards_csv, write_scorecards_csv
 
-from conftest import FIXTURE_DIR, FIXTURE_SCORES, MANIFEST
+from conftest import FIXTURE_DIR, FIXTURE_FREQUENCIES, FIXTURE_SCORES, MANIFEST
 
 OUTPUT_FILES = ("frequencies.csv", "scorecards.csv", "anova.csv", "mda.json", "sem_fit.json")
 
@@ -159,6 +164,10 @@ class TestMine:
         assert (out / "keyword_file.tsv").is_file()
         assert run_subcommand(argv) == 0
         assert not (out / "keyword_file.tsv").exists()
+        # A directory of that name is no keyword file: linear mining leaves it be.
+        (out / "keyword_file.tsv").mkdir()
+        assert run_subcommand(argv) == 0
+        assert (out / "keyword_file.tsv").is_dir()
 
     @pytest.mark.parametrize("max_score", [5, 0])
     def test_max_score_below_top_band_rejected(self, tmp_path, capsys, max_score):
@@ -946,6 +955,125 @@ def test_bad_input_is_one_named_diagnostic(tmp_path, capsys, name):
         assert fit["message"].startswith(f"cannot read SEM model {bad}: {BAD_BYTE}")
 
 
+# The CLI's error contract, under damaged inputs: pipeline runs from a --config file
+# naming a manifest of 12 reports per sector, the packaged criteria, a stop list and a
+# one-factor SEM model, on which every analysis fits. An example damages one of them.
+def _contract_inputs() -> dict[str, bytes]:
+    rng = random.Random(37)
+    phrases = [criterion.alternatives[0] for criterion in scoring.default_criteria()]
+    files = {"manifest.csv": b"report_id,sector,language,path\n"}
+    for i in range(36):
+        level = rng.gauss(i % 3 - 1.0, 1.0)
+        counts = [max(0, round(8 + 5 * level + 4 * rng.gauss(0, 1))) for _ in phrases]
+        words = [p for p, n in zip(phrases, counts) for _ in range(n)]
+        rng.shuffle(words)
+        files[f"R{i:02d}.txt"] = f"We report on {'. '.join(words)}.\n".encode()
+        files["manifest.csv"] += f"R{i:02d},{list(Sector)[i % 3].value},en,R{i:02d}.txt\n".encode()
+    files["criteria.txt"] = _packaged("criteria.txt").encode()
+    files["stoplist.txt"] = b"we\non\n"
+    files["model.txt"] = (b"[latents]\nf\n[loadings]\nf -> v1 free\nf -> v2 free\nf -> v3 free\n"
+                          b"f -> v4 free\n[residuals]\nv1 free\nv2 free\nv3 free\nv4 free\n")
+    files["config.json"] = json.dumps({
+        "manifest": "manifest.csv", "criteria": "criteria.txt", "stoplist": "stoplist.txt",
+        "sem_model": "model.txt", "language": "en", "elimination": "conjunction",
+    }, indent=1).encode()
+    return files
+
+
+CONTRACT_INPUTS = _contract_inputs()
+EDITS = ("truncate", "insert", "delete", "bom", "crlf", "nul", "repeat_row", "sector_case")
+
+
+def _damage(data: bytes, edit: str, at: int, byte: int) -> bytes:
+    """``data`` with one ``edit`` at the byte or line that ``at`` picks."""
+    i, lines = at % (len(data) + 1), data.splitlines(keepends=True) or [b""]
+    row = at % len(lines)
+    if edit == "repeat_row":
+        lines.insert(row, lines[row])
+    elif edit == "sector_case":
+        for sector in Sector:
+            lines[row] = lines[row].replace(sector.value.encode(), sector.value.title().encode())
+    else:
+        return {"truncate": data[:i], "insert": data[:i] + bytes([byte]) + data[i:],
+                "delete": data[:i] + data[i + 1:], "bom": b"\xef\xbb\xbf" + data,
+                "crlf": data.replace(b"\n", b"\r\n"), "nul": data[:i] + b"\0" + data[i:]}[edit]
+    return b"".join(lines)
+
+
+def _failing_keyword_file_writer(blocks, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("partial\tR00\n")
+    raise OSError("disk full")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(target=st.sampled_from(("manifest.csv", "report", "criteria.txt", "stoplist.txt",
+                               "model.txt", "config.json")),
+       report=st.integers(0, 35),
+       edits=st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 1 << 16),
+                                st.integers(0, 255)), min_size=1, max_size=4),
+       run=st.sampled_from((("linear", ""), ("binary", ""), ("binary", "\t"), ("binary", "\n"),
+                            ("binary", "writer"))),
+       cpus=st.sampled_from((1, 2)))
+def test_damaged_input_keeps_the_error_contract(
+    tmp_path_factory, target, report, edits, run, cpus
+):
+    """Exit 0, 1 or 2 and one diagnostic line per failed stage, named after it. A failed
+    mine leaves no artifact, a failed score only what it mined, each failed analysis its
+    error artifact, and a written keyword file two fields on every line.
+
+    ``run`` is the strategy and, mined binary, a fault for the keyword file besides the
+    edits to ``target``: the manifest gives report ``report`` an id with a tab or a line
+    break in it, or the keyword file's writer writes a line and then fails."""
+    (strategy, fault), inputs = run, tmp_path_factory.mktemp("contract")
+    rid = f"R{report:02d}"
+    target = f"{rid}.txt" if target == "report" else target
+    for name, data in CONTRACT_INPUTS.items():
+        if name == "manifest.csv" and fault in ("\t", "\n"):
+            broken = f'"{rid[:2]}{fault}{rid[2:]}"'
+            data = data.replace(f"\n{rid},".encode(), f"\n{broken},".encode())
+        if name == target:
+            for edit in edits:
+                data = _damage(data, *edit)
+        (inputs / name).write_bytes(data)
+    out, err = inputs / "out", io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(miner, "_cpu_count", lambda: cpus))
+        if fault == "writer":
+            stack.enter_context(
+                mock.patch.object(miner, "write_keyword_file", _failing_keyword_file_writer))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:  # any other exception fails the test
+            code = run_subcommand(["pipeline", "--config", str(inputs / "config.json"),
+                                   "--out-dir", str(out), "--strategy", strategy])
+        except SystemExit as exc:  # usage errors exit through argparse
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if code == 2:
+        usage, error = lines[:-1], lines[-1]
+        assert usage[0].startswith("usage: cera ") and error.startswith("cera: error: "), lines
+        assert all(line.startswith(" ") for line in usage[1:]) and left == [], lines
+        return
+    stages = [line.partition(": ")[0] for line in lines]
+    if code == 1:
+        assert stages in (["mine"], ["score"]), lines
+        mined = ["frequencies.csv", *(["keyword_file.tsv"] if strategy == "binary" else [])]
+        assert left == ([] if stages == ["mine"] else sorted(mined)), (lines, left)
+        return
+    assert code == 0 and set(stages) <= set(cli.ANALYSES), lines
+    assert len(stages) == len(set(stages)), lines
+    assert ((out / "anova.csv").read_text(encoding="utf-8").count("\n") == 1) == (
+        "anova" in stages)
+    for name, artifact in (("mda", "mda.json"), ("sem", "sem_fit.json")):
+        payload = json.loads((out / artifact).read_text(encoding="utf-8"))
+        assert (payload.get("status") == "error") == (name in stages), (name, lines)
+    if strategy == "binary":
+        text = (out / "keyword_file.tsv").read_text(encoding="utf-8")
+        assert text.endswith("\n") and all(
+            line.count("\t") == 1 for line in text[:-1].split("\n")), "keyword file"
+
+
 @pytest.mark.parametrize("load, text, error", [
     (miner.load_stoplist, "two words\n", ValidationError),
     (scoring.load_criteria, "[v1]\nlabel: no phrases\n", ValidationError),
@@ -960,8 +1088,17 @@ def test_parse_error_names_the_file(tmp_path, load, text, error):
     assert type(excinfo.value) is error and f" {path}: " in str(excinfo.value)
 
 
-def test_every_export_exists():
-    assert [name for name in cera.__all__ if not hasattr(cera, name)] == []
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    """The README's "Library use" block runs as written, on a copy of the fixture corpus."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(FIXTURE_DIR, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(block, names)
+    table = names["table"]
+    assert {rid: list(table.row(rid).values()) for rid in table.report_ids} == FIXTURE_FREQUENCIES
+    assert [row.variable_id for row in names["rows"]] == [f"v{j}" for j in range(1, 11)]
 
 
 def run_child(script: str, *args: str) -> str:

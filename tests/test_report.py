@@ -2,11 +2,9 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 
 from cera.anova import AnovaRow, anova_table
 from cera.cli import run_subcommand
-from cera.errors import ValidationError
 from cera.mda import ClassificationMatrix, run_mda
 from cera.miner import Sector
 from cera.report import emit_report
@@ -70,8 +68,9 @@ class TestSections:
         assert "  total          539" in text
 
     def test_anova_only_bundle(self):
-        text = emit_report(anova=sample_anova_rows())
-        assert text.startswith("ONE-WAY ANOVA BY SECTOR")
+        text = emit_report(sample_composition(), anova=sample_anova_rows())
+        assert text.startswith("SECTOR COMPOSITION")
+        assert "  total          539\n\nONE-WAY ANOVA BY SECTOR\n" in text
         assert "DISCRIMINANT" not in text
         lines = text.splitlines()
         v1 = next(line for line in lines if line.lstrip().startswith("v1"))
@@ -79,12 +78,8 @@ class TestSections:
         v2 = next(line for line in lines if line.lstrip().startswith("v2"))
         assert "NA" in v2 and not v2.endswith("*")
 
-    def test_empty_bundle_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            emit_report()
-
     def test_mda_section_content(self):
-        text = emit_report(mda=sample_mda_result())
+        text = emit_report(sample_composition(), mda=sample_mda_result())
         assert "canonical functions: 2" in text
         assert "Wilks' Lambda tests:" in text
         assert "functions 1 through 2:" in text
@@ -98,12 +93,12 @@ class TestSections:
             result.classification.group_order,
         )
         patched = dataclasses.replace(result, classification=reference)
-        text = emit_report(mda=patched)
+        text = emit_report(sample_composition(), mda=patched)
         assert "hit rate: 59.7%" in text
         assert "57.3%" in text
 
     def test_sem_section_content(self):
-        text = emit_report(sem=sample_sem_fit())
+        text = emit_report(sample_composition(), sem=sample_sem_fit())
         assert "chi-square 167.200, df 39, p 0.001 (N = 539)" in text
         assert "acceptable at the 5% level (p > 0.05): no" in text
         assert "converged: yes (48 iterations)" in text
@@ -111,13 +106,13 @@ class TestSections:
 
     def test_sem_acceptable_and_heywood(self):
         fit = sample_sem_fit(p=0.21, chi_square=45.0, heywood=("v3",))
-        text = emit_report(sem=fit)
+        text = emit_report(sample_composition(), sem=fit)
         assert "acceptable at the 5% level (p > 0.05): yes" in text
         assert "zero bound for v3" in text
 
     def test_box_warning_only_when_rejected(self):
         result = sample_mda_result()
-        text = emit_report(mda=result)
+        text = emit_report(sample_composition(), mda=result)
         warning = "equality of group covariance matrices rejected"
         assert (warning in text) == (result.box.p < 0.05)
 

@@ -107,15 +107,15 @@ def card(report_id, freqs, language="en", sector=Sector.PRIMARY):
 class TestFilterSample:
     def test_foreign_all_zero_removed(self):
         cards = [card("keep", [1] + [0] * 9), card("drop", [0] * 10, language="de")]
-        assert [c.report_id for c in filter_sample(cards)] == ["keep"]
+        assert [c.report_id for c in filter_sample(cards, "en", "conjunction")] == ["keep"]
 
     def test_english_all_zero_retained(self):
         cards = [card("r1", [0] * 10, language="en")]
-        assert filter_sample(cards) == cards
+        assert filter_sample(cards, "en", "conjunction") == cards
 
     def test_foreign_nonzero_retained_under_conjunction(self):
         cards = [card("r1", [3] + [0] * 9, language="fr")]
-        assert filter_sample(cards) == cards
+        assert filter_sample(cards, "en", "conjunction") == cards
 
     def test_disjunction_rule(self):
         cards = [
@@ -123,12 +123,12 @@ class TestFilterSample:
             card("nonzero_fr", [2] + [0] * 9, language="fr"),
             card("nonzero_en", [2] + [0] * 9),
         ]
-        kept = filter_sample(cards, rule="disjunction")
+        kept = filter_sample(cards, "en", "disjunction")
         assert [c.report_id for c in kept] == ["nonzero_en"]
 
     def test_unknown_rule(self):
         with pytest.raises(ValidationError):
-            filter_sample([], rule="xor")
+            filter_sample([], "en", "xor")
 
     def test_idempotent(self):
         cards = [
@@ -136,12 +136,13 @@ class TestFilterSample:
             card("b", [0] * 10, language="de"),
             card("c", [0] * 10),
         ]
-        once = filter_sample(cards)
-        assert filter_sample(once) == once
+        once = filter_sample(cards, "en", "conjunction")
+        assert filter_sample(once, "en", "conjunction") == once
 
     def test_order_preserved(self):
         cards = [card(f"r{i}", [i + 1] * 10) for i in range(5)]
-        assert [c.report_id for c in filter_sample(cards)] == [f"r{i}" for i in range(5)]
+        kept = filter_sample(cards, "en", "conjunction")
+        assert [c.report_id for c in kept] == [f"r{i}" for i in range(5)]
 
 
 class TestSectorComposition:

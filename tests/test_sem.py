@@ -33,6 +33,7 @@ from cera.sem import (
 )
 
 from conftest import make_cards
+from test_report import sample_composition
 
 ONE_FACTOR = """
 [latents]
@@ -837,5 +838,5 @@ class TestSerialization:
         assert not fit.converged
         assert fit.acceptable_at_05 is False
         assert fit_to_dict(fit)["acceptable_at_05"] is False
-        text = emit_report(sem=fit)
+        text = emit_report(sample_composition(), sem=fit)
         assert "acceptable at the 5% level (p > 0.05): no" in text
