@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from . import numcore
 from .errors import ValidationError
@@ -12,18 +11,17 @@ from .miner import Sector, write_table
 from .scoring import ScoreCard, score_rows
 
 
-@dataclass(frozen=True)
 class GroupedSample:
-    values: tuple[float, ...]
-    group_labels: tuple[Hashable, ...]
+    """Values and their group labels, checked to pair up when made."""
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group_labels):
+    def __init__(self, values: tuple[float, ...], group_labels: tuple[Hashable, ...]):
+        if len(values) != len(group_labels):
             raise ValidationError("values and group_labels differ in length")
+        self.values = values
+        self.group_labels = group_labels
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     variable_id: str
     group_means: dict[Hashable, float]
     grand_mean: float

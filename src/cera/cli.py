@@ -7,25 +7,29 @@ a command takes and its other keys are ignored; flags given on the command
 line win. The parsed namespace, filled in this way, is the run's resolved
 config. Exit codes: 0 success, 1 runtime or analysis error, 2 usage error.
 
-The analysis modules are imported by the commands that run them, so
-``--help``, ``mine`` and ``score`` load none of them. No command imports
-numpy: the analyses compute in plain Python.
+Arguments are parsed before any stage is loaded: this module imports only
+the parser's needs and ``report``, and each handler imports the stage
+modules it runs (``miner``, ``scoring``, an analysis) and ``json`` when it
+runs. So ``--help`` and a usage error load no stage, ``mine`` and ``score``
+no analysis, and no command imports numpy or ``dataclasses``. Stage functions
+are looked up through their modules at call time, so bench/tracing.py can
+wrap them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from . import miner, scoring
+from . import ELIMINATION_RULES
 from .errors import CeraError, IngestionError, ValidationError
 from .report import emit_report
 
+TYPE_CHECKING = False  # typing is not imported at start-up
 if TYPE_CHECKING:  # pragma: no cover
+    from . import miner, scoring
     from .anova import AnovaRow
     from .mda import MdaResult
     from .sem import SemFit
@@ -55,6 +59,10 @@ def _load_config_file(path: str, dests: tuple[str, ...]) -> dict:
     Booleans must be JSON booleans and every other value a JSON string.
     Relative paths resolve against the file's directory.
     """
+    import json
+
+    from . import miner
+
     text = miner.read_text(path, "config")
     try:
         raw = json.loads(text)
@@ -97,6 +105,8 @@ def _build_config(args: argparse.Namespace) -> None:
 
 
 def _stoplist(args: argparse.Namespace) -> frozenset[str]:
+    from . import miner
+
     if not args.use_stoplist:
         return frozenset()
     if args.stoplist is not None:
@@ -105,12 +115,16 @@ def _stoplist(args: argparse.Namespace) -> frozenset[str]:
 
 
 def _criteria(args: argparse.Namespace) -> scoring.CriteriaSet:
+    from . import scoring
+
     if args.criteria is not None:
         return scoring.load_criteria(args.criteria)
     return scoring.default_criteria()
 
 
 def _load_corpus(args: argparse.Namespace) -> miner.Corpus:
+    from . import miner
+
     if args.manifest is None:
         raise ValidationError("a corpus manifest is required (--manifest)")
     root = args.root if args.root is not None else args.manifest.parent
@@ -126,7 +140,24 @@ def _stage(name: str):
         raise StageFailure(f"{name}: {exc}") from exc
 
 
+@contextmanager
+def _removed_on_failure(*paths: Path):
+    """Run a block that writes ``paths``: when it raises, each of them that is a
+    file is deleted, an earlier run's too. A directory stays, for its writer's error."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            if path.is_file():
+                path.unlink()
+        raise
+
+
 def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.FrequencyTable:
+    """Mine the corpus and write its artifacts; a failure once the inputs are read
+    leaves none of them."""
+    from . import miner
+
     corpus = _load_corpus(args)
     stoplist = _stoplist(args)
     kwfile_path = args.out_dir / KEYWORD_FILE_NAME
@@ -141,32 +172,43 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
 
     if not binary and kwfile_path.is_file():
         kwfile_path.unlink()  # left by a binary run; a directory stays, as for pipeline
-    try:
+    with _removed_on_failure(kwfile_path, args.out_dir / FREQUENCIES_NAME):
         # Blocks ascend in report id, so each keyword's postings join block by block.
         blocks = miner.map_forked(mine, sorted(corpus, key=lambda doc: doc.report_id))
         tables, postings = zip(*blocks)
         if binary:
             miner.write_keyword_file(postings, kwfile_path)
-    except BaseException:  # every worker is reaped; a directory stays for its writer's error
-        if kwfile_path.is_file():
-            kwfile_path.unlink()
-        raise
-    counts = {key: n for block in tables for key, n in block.counts.items()}
-    table = miner.FrequencyTable([doc.report_id for doc in corpus], tables[0].criterion_ids, counts)
-    miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
+        counts = {key: n for block in tables for key, n in block.counts.items()}
+        ids = [doc.report_id for doc in corpus]
+        table = miner.FrequencyTable(ids, tables[0].criterion_ids, counts)
+        miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
     return table
 
 
 def _score(
     args: argparse.Namespace, table: miner.FrequencyTable, criteria: scoring.CriteriaSet
 ) -> list[scoring.ScoreCard]:
-    cards = scoring.build_scorecards(table, _load_corpus(args), criteria)
-    sample = scoring.filter_sample(cards, args.language, args.elimination)
-    scoring.write_scorecards_csv(sample, args.out_dir / SCORECARDS_NAME)
+    """Rate and filter the mined reports and write their scorecards; a failure once
+    the inputs are read leaves no scorecards.csv."""
+    from . import scoring
+
+    corpus, path = _load_corpus(args), args.out_dir / SCORECARDS_NAME
+    with _removed_on_failure(path):
+        cards = scoring.build_scorecards(table, corpus, criteria)
+        sample = scoring.filter_sample(cards, args.language, args.elimination)
+        scoring.write_scorecards_csv(sample, path)
     return sample
 
 
+def _read_scorecards(args: argparse.Namespace) -> list[scoring.ScoreCard]:
+    from . import scoring
+
+    return scoring.read_scorecards_csv(args.scorecards or args.out_dir / SCORECARDS_NAME)
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -179,6 +221,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from . import miner
+
     freq_path = args.frequencies or args.out_dir / FREQUENCIES_NAME
     _score(args, miner.read_frequency_csv(freq_path), _criteria(args))
     return 0
@@ -186,9 +230,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 # One stage function per analysis, shared by the single commands, pipeline
 # and report: it computes, writes its artifacts into ``out_dir`` when given
-# one, and returns the result. Each imports its analysis module when it runs
-# and looks the analysis functions up through that module at call time, so
-# bench/tracing.py can wrap them.
+# one, and returns the result.
 def _anova(args: argparse.Namespace, cards: list[scoring.ScoreCard],
            out_dir: Path | None) -> list[AnovaRow]:
     from . import anova as anova_mod
@@ -263,8 +305,7 @@ def _run_analyses(
 
 
 def _cmd_analysis(args: argparse.Namespace) -> int:
-    cards = scoring.read_scorecards_csv(args.scorecards or args.out_dir / SCORECARDS_NAME)
-    ANALYSES[args.command](args, cards, args.out_dir)
+    ANALYSES[args.command](args, _read_scorecards(args), args.out_dir)
     return 0
 
 
@@ -283,7 +324,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    cards = scoring.read_scorecards_csv(args.scorecards or args.out_dir / SCORECARDS_NAME)
+    from . import scoring
+
+    cards = _read_scorecards(args)
     composition = scoring.sector_composition(cards)
     text = emit_report(composition, **_run_analyses(args, cards))
     with open(args.out or args.out_dir / REPORT_NAME, "w", encoding="utf-8", newline="") as fh:
@@ -313,7 +356,7 @@ FLAGS = {
         "drop a report when it is foreign-language AND all-zero (conjunction, "
         "the default) or when EITHER holds (disjunction)",
         "conjunction",
-        {"choices": scoring.ELIMINATION_RULES},
+        {"choices": ELIMINATION_RULES},
     ),
     "language": ("--language", "analysis language tag (default: en)", "en", {}),
     "frequencies": (

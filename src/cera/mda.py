@@ -12,8 +12,7 @@ classification counts); data may be any array-like of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from . import numcore
 from .errors import ConditioningError, ValidationError
@@ -22,8 +21,7 @@ from .numcore import Matrix
 from .scoring import ScoreCard, score_rows
 
 
-@dataclass(frozen=True)
-class ScatterPair:
+class ScatterPair(NamedTuple):
     W: Matrix  # pooled within-group scatter, p x p
     B: Matrix  # between-group scatter, p x p
     group_sizes: dict[Hashable, int]
@@ -45,16 +43,14 @@ class ScatterPair:
         return len(self.group_order)
 
 
-@dataclass(frozen=True)
-class CanonicalFunction:
+class CanonicalFunction(NamedTuple):
     index: int  # 1-based
     eigenvalue: float
     coefficients: list[float]
     group_centroids: dict[Hashable, float]
 
 
-@dataclass(frozen=True)
-class WilksTest:
+class WilksTest(NamedTuple):
     function_range: str  # "1 through 2", "2", ...
     wilks_lambda: float
     chi_square: float
@@ -62,8 +58,7 @@ class WilksTest:
     p: float
 
 
-@dataclass(frozen=True)
-class BoxMResult:
+class BoxMResult(NamedTuple):
     M: float
     F_approx: float
     df1: int
@@ -71,8 +66,7 @@ class BoxMResult:
     p: float
 
 
-@dataclass(frozen=True)
-class ClassificationMatrix:
+class ClassificationMatrix(NamedTuple):
     group_order: tuple[Hashable, ...]
     counts: Matrix  # g x g, rows = actual, columns = predicted
     row_percentages: list[list[float]]  # rounded to 1 decimal
@@ -96,8 +90,7 @@ class ClassificationMatrix:
         return cls(tuple(group_order), counts, percentages, hit_rate)
 
 
-@dataclass(frozen=True)
-class MdaModel:
+class MdaModel(NamedTuple):
     criterion_ids: tuple[str, ...]
     scatter: ScatterPair
     functions: tuple[CanonicalFunction, ...]
@@ -107,8 +100,7 @@ class MdaModel:
         return [f.eigenvalue for f in self.functions]
 
 
-@dataclass(frozen=True)
-class CaseProjection:
+class CaseProjection(NamedTuple):
     report_id: str
     group: Hashable
     scores: tuple[float, ...]
@@ -355,8 +347,7 @@ def _classify_scores(
     return ClassificationMatrix.from_counts(counts, order)
 
 
-@dataclass(frozen=True)
-class MdaResult:
+class MdaResult(NamedTuple):
     model: MdaModel
     wilks: list[WilksTest]
     box: BoxMResult

@@ -19,12 +19,10 @@ import unicodedata
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from itertools import compress, count, filterfalse
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence, TYPE_CHECKING
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import CeraError, IngestionError, ValidationError
 
@@ -50,8 +48,7 @@ class Sector(str, Enum):
         raise ValueError(f"unknown sector {label!r}; expected one of {', '.join(values)}")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     report_id: str
     sector: Sector
     language_tag: str
@@ -61,8 +58,7 @@ class Document:
 Corpus = list[Document]
 
 
-@dataclass
-class KeywordFile:
+class KeywordFile(NamedTuple):
     """The ``<keyword, file>`` record file, held as token sequences.
 
     ``keywords`` holds each keyword once, as first seen. ``sequences`` maps each
@@ -132,8 +128,9 @@ def read_text(path, kind: str) -> str:
 
 
 def packaged_text(name: str) -> str:
-    """The text of the data file ``name`` shipped in ``cera.data``."""
-    return resources.files("cera.data").joinpath(name).read_text("utf-8")
+    """The text of the data file ``name`` shipped in ``cera.data``, read beside this
+    module: ``importlib.resources`` would load ``inspect`` on Python 3.12 and later."""
+    return (Path(__file__).parent / "data" / name).read_text("utf-8")
 
 
 def load_config(path, kind: str, parse):
@@ -257,26 +254,30 @@ def load_corpus(root_path, manifest) -> Corpus:
     return corpus
 
 
-@dataclass
 class FrequencyTable:
-    """Complete (report, criterion) -> count mapping over a corpus."""
+    """Complete (report, criterion) -> count mapping over a corpus; equal tables
+    hold the same ids in the same order and the same counts."""
 
-    report_ids: list[str]
-    criterion_ids: list[str]
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(
+        self, report_ids: list[str], criterion_ids: list[str], counts: dict[tuple[str, str], int]
+    ):
         seen: set[str] = set()
-        for rid in self.report_ids:
+        for rid in report_ids:
             if rid in seen:
                 raise ValidationError(f"report_id {rid!r} appears twice")
             seen.add(rid)
-            for cid in self.criterion_ids:
-                value = self.counts.get((rid, cid))
+            for cid in criterion_ids:
+                value = counts.get((rid, cid))
                 if value is None:
                     raise ValidationError(f"missing count for ({rid}, {cid})")
                 if value < 0:
                     raise ValidationError(f"negative count for ({rid}, {cid})")
+        self.report_ids = report_ids
+        self.criterion_ids = criterion_ids
+        self.counts = counts
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FrequencyTable and vars(other) == vars(self)
 
     def get(self, report_id: str, criterion_id: str) -> int:
         return self.counts[(report_id, criterion_id)]

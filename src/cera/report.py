@@ -9,11 +9,11 @@ statistics 3 dp, percentages and the hit rate 1 dp.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Hashable
 
-from .miner import Sector
-
+TYPE_CHECKING = False  # the command line imports this module at start-up, without typing
 if TYPE_CHECKING:  # pragma: no cover
+    from typing import Hashable
+
     from .anova import AnovaRow
     from .mda import MdaResult
     from .sem import SemFit
@@ -33,6 +33,8 @@ def _compose_section(composition) -> list[str]:
 
 
 def _anova_section(rows: list[AnovaRow]) -> list[str]:
+    from .miner import Sector  # loaded with anova, which made the rows
+
     lines = ["ONE-WAY ANOVA BY SECTOR", ""]
     header = f"  {'variable':<10}" + "".join(f"{'mean_' + s:>16}" for s in Sector)
     header += f"{'grand_mean':>12}{'F':>10}{'p':>8}  sig"

@@ -8,9 +8,9 @@ Ten shipped criteria (v1..v10) each carry a set of phrase alternatives and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from . import ELIMINATION_RULES
 from .errors import ValidationError
 from .miner import Corpus, FrequencyTable, Sector, read_table, write_table
 from .miner import config_sections, load_config, packaged_text
@@ -21,30 +21,31 @@ from .miner import config_sections, load_config, packaged_text
 BANDS = ((75, 10), (50, 7), (20, 5), (5, 3), (1, 1))
 
 
-@dataclass(frozen=True)
 class Criterion:
-    criterion_id: str
-    label: str
-    alternatives: tuple[str, ...]
-    max_score: int = 10
+    """A search criterion: its phrase alternatives and score ceiling, checked when made."""
 
-    def __post_init__(self):
-        if not self.criterion_id:
+    def __init__(
+        self, criterion_id: str, label: str, alternatives: tuple[str, ...], max_score: int = 10
+    ):
+        if not criterion_id:
             raise ValidationError("criterion_id must be nonempty")
-        if not self.alternatives:
-            raise ValidationError(f"criterion {self.criterion_id} has no phrase alternatives")
-        if self.max_score < BANDS[0][1]:
+        if not alternatives:
+            raise ValidationError(f"criterion {criterion_id} has no phrase alternatives")
+        if max_score < BANDS[0][1]:
             raise ValidationError(
-                f"criterion {self.criterion_id} max_score {self.max_score} is below the "
+                f"criterion {criterion_id} max_score {max_score} is below the "
                 f"scale's top score {BANDS[0][1]}"
             )
+        self.criterion_id = criterion_id
+        self.label = label
+        self.alternatives = alternatives
+        self.max_score = max_score
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Criterion and vars(other) == vars(self)
 
 
 CriteriaSet = list[Criterion]
-
-
-# Sample-filter rules of :func:`filter_sample`, the default first.
-ELIMINATION_RULES = ("conjunction", "disjunction")
 
 
 def rate_frequency(freq: int) -> int:
@@ -57,8 +58,7 @@ def rate_frequency(freq: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ScoreCard:
+class ScoreCard(NamedTuple):
     report_id: str
     sector: Sector
     language_tag: str

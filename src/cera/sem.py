@@ -13,9 +13,7 @@ any array-like.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import numcore
 from .errors import (
@@ -43,7 +41,6 @@ _LAMBDA, _PHI, _THETA = range(3)
 Cell = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class SemModelSpec:
     """A model as matrix cells.
 
@@ -52,12 +49,26 @@ class SemModelSpec:
     residual variances. A cell is (matrix, row, column), indexing
     ``observed_vars`` and ``latent_vars``. Variances (diagonal cells of Phi
     and Theta) enter the optimizer as logarithms, so they stay positive
-    without bounds.
+    without bounds. ``free_cells`` and ``logged``, which every optimizer step
+    reads, are derived once when the model is made; models with the same
+    three fields are equal.
     """
 
-    observed_vars: tuple[str, ...]
-    latent_vars: tuple[str, ...]
-    parameters: tuple[tuple[str, float | None, Cell], ...]
+    def __init__(
+        self,
+        observed_vars: tuple[str, ...],
+        latent_vars: tuple[str, ...],
+        parameters: tuple[tuple[str, float | None, Cell], ...],
+    ):
+        self.observed_vars = observed_vars
+        self.latent_vars = latent_vars
+        self.parameters = parameters
+        self.free_cells = tuple(cell for _, fixed, cell in parameters if fixed is None)
+        # Per free cell: whether the optimizer holds its logarithm.
+        self.logged = tuple(k != _LAMBDA and i == j for k, i, j in self.free_cells)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SemModelSpec and vars(other) == vars(self)
 
     @property
     def n_observed(self) -> int:
@@ -67,15 +78,6 @@ class SemModelSpec:
         """Free parameters in optimizer order: loadings, latent variances,
         latent covariances, residual variances."""
         return [name for name, fixed, _ in self.parameters if fixed is None]
-
-    @cached_property
-    def free_cells(self) -> tuple[Cell, ...]:
-        return tuple(cell for _, fixed, cell in self.parameters if fixed is None)
-
-    @cached_property
-    def logged(self) -> tuple[bool, ...]:
-        """Per free cell: whether the optimizer holds its logarithm."""
-        return tuple(k != _LAMBDA and i == j for k, i, j in self.free_cells)
 
     @property
     def free_parameter_count(self) -> int:
@@ -124,8 +126,7 @@ def _put(mats: Sequence[list[list[float]]], cell: Cell, value: float) -> None:
         mats[k][j][i] = value
 
 
-@dataclass(frozen=True)
-class SemFit:
+class SemFit(NamedTuple):
     estimates: dict[str, float]
     standard_form: dict[str, float]
     F_ML: float
@@ -364,8 +365,7 @@ def fd_gradient(
     return grad
 
 
-@dataclass
-class _Point:
+class _Point(NamedTuple):
     """One optimizer point with what the next scoring step needs."""
 
     x: list[float]

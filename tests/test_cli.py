@@ -464,6 +464,35 @@ class TestScore:
         assert capsys.readouterr().err.startswith("score:")
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("stage, module, writer", [
+    ("mine", miner, "write_frequency_csv"), ("score", scoring, "write_scorecards_csv"),
+], ids=["frequencies", "scorecards"])
+def test_failed_write_leaves_no_partial_artifact(
+    tmp_path, capsys, monkeypatch, strategy, stage, module, writer
+):
+    """A writer that fails after its first line leaves no artifact of its stage, in
+    ``pipeline`` or in the stage's own command run over an earlier ``mine``'s output;
+    a failed ``score`` keeps what ``mine`` wrote."""
+    def write(rows, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("partial\n")
+        raise OSError("disk full")
+
+    corpus = ["--manifest", str(MANIFEST)]
+    mine = ["mine", *corpus, "--strategy", strategy]
+    alone = mine if stage == "mine" else ["score", *corpus]
+    mined = ["frequencies.csv", *(["keyword_file.tsv"] if strategy == "binary" else [])]
+    for command, out in ((["pipeline", *corpus, "--strategy", strategy], tmp_path / "pipeline"),
+                         (alone, tmp_path / "alone")):
+        assert run_subcommand([*mine, "--out-dir", str(out)]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(module, writer, write)
+            assert run_subcommand([*command, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"{stage}: disk full\n"
+        assert sorted(p.name for p in out.iterdir()) == ([] if stage == "mine" else mined)
+
+
 class TestAnalysisCommands:
     @pytest.fixture()
     def scored(self, tmp_path):
@@ -1207,11 +1236,33 @@ def test_sector_letter_case_keeps_analysis_bytes(tmp_path):
     assert artifacts[1] == artifacts[0]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--help"], 0), (["frobnicate"], 2), (["mine", "--strategy", "bogus"], 2),
+], ids=["help", "unknown-command", "bad-choice"])
+def test_parsing_loads_no_stage(argv, expected):
+    """``--help`` and a usage error end before any stage module or ``json`` is imported."""
+    script = """
+import contextlib, io, sys
+from cera.cli import run_subcommand
+try:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run_subcommand(sys.argv[2:])
+except SystemExit as exc:
+    assert exc.code == int(sys.argv[1]), exc.code
+stages = {"cera.miner", "cera.scoring", "cera.anova", "cera.mda", "cera.sem", "cera.numcore",
+          "json"}
+loaded = sorted(stages & set(sys.modules))
+assert not loaded, loaded
+"""
+    run_child(script, str(expected), *argv)
+
+
 def test_no_command_loads_numpy(tmp_path):
     """Every command runs without importing numpy, the analyses on cards they can fit.
 
-    ``--help``, ``mine`` and ``score`` load no analysis module either. ``--help`` and
-    the analyses load neither ``pickle`` nor ``signal``, which only forked mining needs.
+    No command loads ``dataclasses`` or ``inspect``. ``--help``, ``mine`` and ``score``
+    load no analysis module either. ``--help`` and the analyses load neither ``pickle``
+    nor ``signal``, which only forked mining needs.
     """
     cards = tmp_path / "cards.csv"
     write_scorecards_csv(seeded_cards(11, 120), cards)
@@ -1239,6 +1290,8 @@ for argv, expected in runs:
     assert code == expected, (argv, code)
     loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
     assert not loaded, (argv[0], loaded[:5])
+    generated = {"dataclasses", "inspect"} & set(sys.modules)
+    assert not generated, (argv[0], sorted(generated))
     if argv[0] in ("--help", "mine", "score"):
         analysis = {"cera.anova", "cera.mda", "cera.sem", "cera.numcore"} & set(sys.modules)
         assert not analysis, (argv[0], sorted(analysis))

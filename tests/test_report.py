@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -92,7 +91,7 @@ class TestSections:
             [[129, 55, 41], [51, 114, 32], [16, 22, 79]],
             result.classification.group_order,
         )
-        patched = dataclasses.replace(result, classification=reference)
+        patched = result._replace(classification=reference)
         text = emit_report(sample_composition(), mda=patched)
         assert "hit rate: 59.7%" in text
         assert "57.3%" in text

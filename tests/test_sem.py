@@ -147,10 +147,14 @@ class TestParseModel:
             parse_model(ONE_FACTOR.replace(entry, fixed))
 
     def test_parses_of_the_same_text_are_equal(self):
-        # The bench labels each SEM fit by comparing its model with this file's.
+        # The bench labels each SEM fit by comparing its model with this file's,
+        # loaded once before any fit.
         path = Path(__file__).parents[1] / "bench" / "free_loadings_model.txt"
-        assert load_model(path) == load_model(path)
-        assert load_model(path) != default_model()
+        model, reference = load_model(path), load_model(path)
+        fit_model(model, [[0.3 + (i == j) for j in range(10)] for i in range(10)], 100)
+        assert model == reference and reference == model
+        assert load_model(path) != default_model() and default_model() != model
+        assert default_model() == default_model()
 
     def test_defaults_and_comments(self):
         model = parse_model(
