@@ -7,6 +7,10 @@ a command takes and its other keys are ignored; flags given on the command
 line win. The parsed namespace, filled in this way, is the run's resolved
 config. Exit codes: 0 success, 1 runtime or analysis error, 2 usage error.
 
+Each stage (mine, score, anova, mda, sem) owns its files in --out-dir
+(``OUTPUTS``). ``_stage`` is the one boundary: it deletes them before the
+stage runs and when it fails, and names the failed stage on stderr.
+
 Arguments are parsed before any stage is loaded: this module imports only
 the parser's needs and ``report``, and each handler imports the stage
 modules it runs (``miner``, ``scoring``, an analysis) and ``json`` when it
@@ -29,6 +33,8 @@ from .report import emit_report
 
 TYPE_CHECKING = False  # typing is not imported at start-up
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterable
+
     from . import miner, scoring
     from .anova import AnovaRow
     from .mda import MdaResult
@@ -44,9 +50,9 @@ MDA_NAME = "mda.json"
 CASE_SCORES_NAME = "case_scores.csv"
 SEM_NAME = "sem_fit.json"
 REPORT_NAME = "report.txt"
-# Every artifact pipeline writes; it deletes an earlier run's before it mines.
-PIPELINE_NAMES = (FREQUENCIES_NAME, KEYWORD_FILE_NAME, SCORECARDS_NAME, ANOVA_NAME, MDA_NAME,
-                  CASE_SCORES_NAME, SEM_NAME)
+# The files each stage owns in --out-dir, its error artifact first; pipeline and report own none.
+OUTPUTS = {"mine": (FREQUENCIES_NAME, KEYWORD_FILE_NAME), "score": (SCORECARDS_NAME,),
+           "anova": (ANOVA_NAME,), "mda": (MDA_NAME, CASE_SCORES_NAME), "sem": (SEM_NAME,)}
 
 
 class StageFailure(Exception):
@@ -131,36 +137,38 @@ def _load_corpus(args: argparse.Namespace) -> miner.Corpus:
     return miner.load_corpus(root, args.manifest)
 
 
+def _delete(out_dir: Path, stages: Iterable[str]) -> None:
+    """Delete the files that ``stages`` own in ``out_dir``; a directory stays."""
+    for stage in stages:
+        for path in map(out_dir.joinpath, OUTPUTS.get(stage, ())):
+            if path.is_file():
+                path.unlink()
+
+
 @contextmanager
-def _stage(name: str):
-    """Run a block as stage ``name``: an input or I/O error in it fails the stage."""
+def _stage(name: str, out_dir: Path | None = None):
+    """Run a block as stage ``name``: an input or I/O error in it fails the stage
+    with one ``name: message`` line. With ``out_dir``, the stage's files there are
+    deleted before the block runs and again when it raises, so a failed stage
+    leaves none of them, an earlier run's or its own."""
+    owned = (name,) if out_dir is not None else ()
     try:
-        yield
+        try:
+            _delete(out_dir, owned)
+            yield
+        except BaseException:
+            _delete(out_dir, owned)
+            raise
     except (CeraError, OSError) as exc:
         raise StageFailure(f"{name}: {exc}") from exc
 
 
-@contextmanager
-def _removed_on_failure(*paths: Path):
-    """Run a block that writes ``paths``: when it raises, each of them that is a
-    file is deleted, an earlier run's too. A directory stays, for its writer's error."""
-    try:
-        yield
-    except BaseException:
-        for path in paths:
-            if path.is_file():
-                path.unlink()
-        raise
-
-
 def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.FrequencyTable:
-    """Mine the corpus and write its artifacts; a failure once the inputs are read
-    leaves none of them."""
+    """Mine the corpus and write its artifacts."""
     from . import miner
 
     corpus = _load_corpus(args)
     stoplist = _stoplist(args)
-    kwfile_path = args.out_dir / KEYWORD_FILE_NAME
     binary = args.strategy == "binary"
 
     def mine(block: miner.Corpus) -> list:
@@ -170,33 +178,27 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
         kwfile = miner.build_sorted_keyword_file(block, stoplist, args.stemming)
         return [(miner.mine_binary(kwfile, block, criteria), miner.keyword_postings(kwfile))]
 
-    if not binary and kwfile_path.is_file():
-        kwfile_path.unlink()  # left by a binary run; a directory stays, as for pipeline
-    with _removed_on_failure(kwfile_path, args.out_dir / FREQUENCIES_NAME):
-        # Blocks ascend in report id, so each keyword's postings join block by block.
-        blocks = miner.map_forked(mine, sorted(corpus, key=lambda doc: doc.report_id))
-        tables, postings = zip(*blocks)
-        if binary:
-            miner.write_keyword_file(postings, kwfile_path)
-        counts = {key: n for block in tables for key, n in block.counts.items()}
-        ids = [doc.report_id for doc in corpus]
-        table = miner.FrequencyTable(ids, tables[0].criterion_ids, counts)
-        miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
+    # Blocks ascend in report id, so each keyword's postings join block by block.
+    blocks = miner.map_forked(mine, sorted(corpus, key=lambda doc: doc.report_id))
+    tables, postings = zip(*blocks)
+    if binary:
+        miner.write_keyword_file(postings, args.out_dir / KEYWORD_FILE_NAME)
+    counts = {key: n for block in tables for key, n in block.counts.items()}
+    ids = [doc.report_id for doc in corpus]
+    table = miner.FrequencyTable(ids, tables[0].criterion_ids, counts)
+    miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
     return table
 
 
 def _score(
     args: argparse.Namespace, table: miner.FrequencyTable, criteria: scoring.CriteriaSet
 ) -> list[scoring.ScoreCard]:
-    """Rate and filter the mined reports and write their scorecards; a failure once
-    the inputs are read leaves no scorecards.csv."""
+    """Rate and filter the mined reports and write their scorecards."""
     from . import scoring
 
-    corpus, path = _load_corpus(args), args.out_dir / SCORECARDS_NAME
-    with _removed_on_failure(path):
-        cards = scoring.build_scorecards(table, corpus, criteria)
-        sample = scoring.filter_sample(cards, args.language, args.elimination)
-        scoring.write_scorecards_csv(sample, path)
+    cards = scoring.build_scorecards(table, _load_corpus(args), criteria)
+    sample = scoring.filter_sample(cards, args.language, args.elimination)
+    scoring.write_scorecards_csv(sample, args.out_dir / SCORECARDS_NAME)
     return sample
 
 
@@ -281,26 +283,25 @@ def _write_failure(out_dir: Path, name: str, error: CeraError) -> None:
         "error_class": type(error).__name__,
         "message": str(error),
     }
-    _write_json(out_dir / (MDA_NAME if name == "mda" else SEM_NAME), payload)
+    _write_json(out_dir / OUTPUTS[name][0], payload)
 
 
 def _run_analyses(
     args: argparse.Namespace, cards: list[scoring.ScoreCard], out_dir: Path | None = None
 ) -> dict:
-    """Every analysis on ``cards``; a failed one reports on stderr and yields None.
-
-    With ``out_dir``, each analysis writes its artifacts there, or its
-    failure artifact.
-    """
+    """Every analysis on ``cards``, each its own stage; one that cannot run reports
+    on stderr and yields None. With ``out_dir``, each writes its artifacts there, or
+    its failure artifact; an I/O error fails the run under the analysis's name."""
     results = {}
     for name, analyze in ANALYSES.items():
-        try:
-            results[name] = analyze(args, cards, out_dir)
-        except CeraError as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
-            results[name] = None
-            if out_dir is not None:
-                _write_failure(out_dir, name, exc)
+        with _stage(name, out_dir):
+            try:
+                results[name] = analyze(args, cards, out_dir)
+            except CeraError as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                results[name] = None
+                if out_dir is not None:
+                    _write_failure(out_dir, name, exc)
     return results
 
 
@@ -311,13 +312,11 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     """Chain every stage; analysis failures leave diagnostic artifacts."""
-    with _stage("mine"):
-        # A directory of one of these names stays, for its writer to report.
-        for stale in filter(Path.is_file, map(args.out_dir.joinpath, PIPELINE_NAMES)):
-            stale.unlink()
+    with _stage("mine", args.out_dir):
+        _delete(args.out_dir, OUTPUTS)
         criteria = _criteria(args)
         table = _mine(args, criteria)
-    with _stage("score"):
+    with _stage("score", args.out_dir):
         sample = _score(args, table, criteria)
     _run_analyses(args, sample, args.out_dir)
     return 0
@@ -416,7 +415,7 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     except (ValueError, IngestionError) as exc:
         parser.error(str(exc))  # exits 2
     try:
-        with _stage(args.command):
+        with _stage(args.command, args.out_dir):
             args.out_dir.mkdir(parents=True, exist_ok=True)
             return args.run(args)
     except StageFailure as exc:

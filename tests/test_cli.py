@@ -493,6 +493,26 @@ def test_failed_write_leaves_no_partial_artifact(
         assert sorted(p.name for p in out.iterdir()) == ([] if stage == "mine" else mined)
 
 
+@pytest.mark.parametrize("stage", ["mine", "score"])
+def test_unreadable_manifest_deletes_the_stage_files(tmp_path, capsys, stage):
+    """A stage that fails while it reads its inputs, alone, deletes an earlier run's files
+    of that stage and keeps the other stage's."""
+    out, manifest = tmp_path / "out", tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST.read_text(encoding="utf-8").replace(",tertiary,", ",quaternary,"),
+                        encoding="utf-8")
+    corpus = ["--manifest", str(MANIFEST), "--out-dir", str(out)]
+    assert run_subcommand(["mine", *corpus, "--strategy", "binary"]) == 0
+    assert run_subcommand(["score", *corpus]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["frequencies.csv", "keyword_file.tsv", "scorecards.csv"]
+    argv = [stage, "--manifest", str(manifest), "--root", str(FIXTURE_DIR), "--out-dir", str(out)]
+    assert run_subcommand(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{stage}: manifest row at line 6, report 'T1': ") and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        name for name in names if name not in cli.OUTPUTS[stage]]
+
+
 class TestAnalysisCommands:
     @pytest.fixture()
     def scored(self, tmp_path):
@@ -554,6 +574,50 @@ class TestAnalysisCommands:
             assert len(expected) == 1
             assert capsys.readouterr().err.splitlines() == expected
         assert [p.name for p in single.iterdir()] == ["anova.csv"]
+
+    @pytest.mark.parametrize("analysis", ["mda", "sem"])
+    def test_failed_command_deletes_its_earlier_files(self, tmp_path, capsys, analysis):
+        """An analysis that cannot fit, run alone over a successful run's files, leaves
+        none of its own files; the other analyses' stay as they were."""
+        cards, out, fixture = tmp_path / "cards.csv", tmp_path / "out", tmp_path / "fixture"
+        write_scorecards_csv(seeded_cards(11, 120), cards)
+        for command in cli.ANALYSES:
+            assert run_subcommand([command, "--scorecards", str(cards), "--out-dir", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["anova.csv", "case_scores.csv", "mda.json", "sem_fit.json"]
+        assert run_pipeline(fixture) == 0  # six reports: mda and sem cannot fit
+        line = [x for x in capsys.readouterr().err.splitlines() if x.startswith(f"{analysis}: ")]
+        argv = [analysis, "--scorecards", str(fixture / "scorecards.csv"), "--out-dir", str(out)]
+        assert run_subcommand(argv) == 1
+        assert capsys.readouterr().err.splitlines() == line
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            name: data for name, data in before.items() if name not in cli.OUTPUTS[analysis]}
+
+    @pytest.mark.parametrize("analysis, blocked", [
+        ("anova", "anova.csv"), ("mda", "case_scores.csv"), ("sem", "sem_fit.json"),
+    ])
+    def test_write_error_names_the_analysis(self, tmp_path, capsys, analysis, blocked):
+        """An artifact path that is a directory fails the analysis under its own name, in
+        pipeline and alone, and leaves no other file of it; pipeline keeps what mine, score
+        and the analyses before it wrote."""
+        for name, data in CONTRACT_INPUTS.items():
+            (tmp_path / name).write_bytes(data)  # every analysis fits these
+        config = ["--config", str(tmp_path / "config.json")]
+        piped, alone = tmp_path / "pipeline", tmp_path / "alone"
+        assert run_subcommand(["pipeline", *config, "--out-dir", str(piped)]) == 0
+        assert capsys.readouterr().err == ""
+        shutil.copytree(piped, alone)
+        earlier = list(cli.ANALYSES)[:list(cli.ANALYSES).index(analysis)]
+        kept_piped = ["frequencies.csv", "scorecards.csv",
+                      *(name for stage in earlier for name in cli.OUTPUTS[stage])]
+        kept_alone = [p.name for p in alone.iterdir() if p.name not in cli.OUTPUTS[analysis]]
+        for out, command, kept in ((piped, "pipeline", kept_piped), (alone, analysis, kept_alone)):
+            (out / blocked).unlink()
+            (out / blocked).mkdir()
+            assert run_subcommand([command, *config, "--out-dir", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"{analysis}: [Errno 21] Is a directory: '{out / blocked}'\n")
+            assert sorted(p.name for p in out.iterdir()) == sorted([*kept, blocked])
 
     def test_corrupt_scorecards_reported_cleanly(self, scored, capsys):
         # A hand-edited scorecard file must fail as a stage diagnostic,
