@@ -7,8 +7,7 @@ from typing import Hashable, NamedTuple, Sequence
 
 from . import numcore
 from .errors import ValidationError
-from .miner import Sector, write_table
-from .scoring import ScoreCard, score_rows
+from .scoring import ScoreCard, Sector, score_rows, write_table
 
 
 class GroupedSample:

@@ -13,11 +13,11 @@ stage runs and when it fails, and names the failed stage on stderr.
 
 Arguments are parsed before any stage is loaded: this module imports only
 the parser's needs and ``report``, and each handler imports the stage
-modules it runs (``miner``, ``scoring``, an analysis) and ``json`` when it
-runs. So ``--help`` and a usage error load no stage, ``mine`` and ``score``
-no analysis, and no command imports numpy or ``dataclasses``. Stage functions
-are looked up through their modules at call time, so bench/tracing.py can
-wrap them.
+modules it runs and ``json`` when it runs, ``miner`` only for ``mine``,
+``score`` and ``pipeline``. So ``--help`` and a usage error load no stage,
+``mine`` and ``score`` no analysis, the other commands no mining code, and
+no command imports numpy or ``dataclasses``. Stage functions are looked up
+through their modules at call time, so bench/tracing.py can wrap them.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def _load_config_file(path: str, dests: tuple[str, ...]) -> dict:
     """
     import json
 
-    from . import miner
+    from . import scoring
 
-    text = miner.read_text(path, "config")
+    text = scoring.read_text(path, "config")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -289,19 +289,19 @@ def _write_failure(out_dir: Path, name: str, error: CeraError) -> None:
 def _run_analyses(
     args: argparse.Namespace, cards: list[scoring.ScoreCard], out_dir: Path | None = None
 ) -> dict:
-    """Every analysis on ``cards``, each its own stage; one that cannot run reports
-    on stderr and yields None. With ``out_dir``, each writes its artifacts there, or
-    its failure artifact; an I/O error fails the run under the analysis's name."""
+    """Every analysis on ``cards``, each its own stage; one that cannot run yields None
+    and, with ``out_dir``, writes its failure artifact there, then prints its line. An
+    I/O error fails the run under the analysis's name, so each stage prints one line."""
     results = {}
     for name, analyze in ANALYSES.items():
         with _stage(name, out_dir):
             try:
                 results[name] = analyze(args, cards, out_dir)
             except CeraError as exc:
-                print(f"{name}: {exc}", file=sys.stderr)
                 results[name] = None
                 if out_dir is not None:
                     _write_failure(out_dir, name, exc)
+                print(f"{name}: {exc}", file=sys.stderr)
     return results
 
 

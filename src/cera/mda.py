@@ -16,9 +16,8 @@ from typing import Hashable, NamedTuple, Sequence
 
 from . import numcore
 from .errors import ConditioningError, ValidationError
-from .miner import Sector, write_table
 from .numcore import Matrix
-from .scoring import ScoreCard, score_rows
+from .scoring import ScoreCard, Sector, score_rows, write_table
 
 
 class ScatterPair(NamedTuple):

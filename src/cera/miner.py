@@ -6,46 +6,25 @@ the non-overlapping occurrences of any of the criterion's phrase
 alternatives in the preprocessed token stream. Two interchangeable search
 strategies are provided: a sequential scan (:func:`mine_linear`) and a
 lookup against a sorted ``<keyword, file>`` record file (:func:`mine_binary`).
-Both must produce identical frequency tables on identical inputs.
+Both must produce identical frequency tables on identical inputs. ``Sector``
+and the text, config and CSV readers come from :mod:`scoring`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import re
 import unicodedata
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from enum import Enum
 from itertools import compress, count, filterfalse
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence, TYPE_CHECKING
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CeraError, IngestionError, ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scoring import Criterion
-
-
-class Sector(str, Enum):
-    """Industry sector. Artifacts list sectors in member order; ``str()`` gives the value.
-    ``Sector(label)`` reads a value in any letter case; an unknown label's error lists them."""
-
-    PRIMARY = "primary"
-    SECONDARY = "secondary"
-    TERTIARY = "tertiary"
-
-    __str__ = str.__str__
-
-    @classmethod
-    def _missing_(cls, label):
-        values = [sector.value for sector in cls]
-        if isinstance(label, str) and label.lower() in values:
-            return cls(label.lower())
-        raise ValueError(f"unknown sector {label!r}; expected one of {', '.join(values)}")
+from .scoring import Criterion, Sector, config_lines, load_config, packaged_text, read_table
+from .scoring import write_table
 
 
 class Document(NamedTuple):
@@ -117,52 +96,6 @@ def preprocess_text(
     return list(map(stem_token, kept) if stemming else kept)
 
 
-def read_text(path, kind: str) -> str:
-    """The text of a strict UTF-8 ``kind`` file; a leading byte-order mark is dropped,
-    line endings are kept, and an unreadable file is an IngestionError naming it."""
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read {kind} {path}: {exc}") from exc
-
-
-def packaged_text(name: str) -> str:
-    """The text of the data file ``name`` shipped in ``cera.data``, read beside this
-    module: ``importlib.resources`` would load ``inspect`` on Python 3.12 and later."""
-    return (Path(__file__).parent / "data" / name).read_text("utf-8")
-
-
-def load_config(path, kind: str, parse):
-    """``parse`` applied to the ``kind`` file at ``path``; a ValidationError it
-    raises is raised again, of the same class, with the kind and path in front."""
-    text = read_text(path, kind)
-    try:
-        return parse(text)
-    except ValidationError as exc:
-        raise type(exc)(f"{kind} {path}: {exc}") from exc
-
-
-def config_lines(text: str) -> list[str]:
-    """The nonblank lines of a config text, ``#`` comments and surrounding whitespace removed."""
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [line for line in lines if line]
-
-
-def config_sections(text: str) -> list[tuple[str, list[str]]]:
-    """``(name, lines)`` per ``[name]`` header, in file order, lines as :func:`config_lines`
-    gives them; a line before the first header is a ValidationError."""
-    sections: list[tuple[str, list[str]]] = []
-    for line in config_lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            sections.append((line[1:-1].strip(), []))
-        elif not sections:
-            raise ValidationError(f"content before any section: {line!r}")
-        else:
-            sections[-1][1].append(line)
-    return sections
-
-
 def default_stoplist() -> frozenset[str]:
     """Shipped stop list: articles, prepositions, conjunctions, pronouns, common verbs."""
     return _parse_stoplist(packaged_text("stopwords.txt"))
@@ -180,54 +113,6 @@ def _parse_stoplist(text: str) -> frozenset[str]:
             raise ValidationError(f"stop-list entries must be single words: {word!r}")
         words.add(word)
     return frozenset(words)
-
-
-def read_table(path, kind: str, columns: Sequence[str] = ("report_id",)):
-    """The header and ``(line, {name: cell})`` rows of a manifest, frequency or scorecard table.
-
-    Blank lines are skipped; data cells are stripped, header names are not.
-    The header must name each of ``columns`` and no column twice; each row
-    must have the header's cell count and a new, nonempty ``report_id``.
-    Errors, the csv module's too (a cell over its size limit), name ``kind`` and a row's line.
-    """
-    reader = csv.reader(io.StringIO(read_text(path, kind), newline=""))
-    try:
-        lines = [(reader.line_num, cells) for cells in reader]
-    except csv.Error as exc:
-        raise ValidationError(f"{kind} row at line {reader.line_num}: {exc}") from None
-    if not lines:
-        raise ValidationError(f"{kind} file has no header row")
-    header = lines[0][1]
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ValidationError(f"{kind} header repeats column {name!r}")
-    if not set(columns) <= set(header):
-        raise ValidationError(f"{kind} needs columns {','.join(columns)}")
-    rows = []
-    seen: set[str] = set()
-    for line, cells in lines[1:]:
-        if not cells:
-            continue
-        if len(cells) != len(header):
-            raise ValidationError(
-                f"{kind} row at line {line} has {len(cells)} cells, header has {len(header)}"
-            )
-        row = dict(zip(header, map(str.strip, cells)))
-        rid = row["report_id"]
-        if not rid or rid in seen:
-            problem = "duplicate" if rid else "empty"
-            raise ValidationError(f"{kind} row at line {line}: {problem} report_id {rid!r}")
-        seen.add(rid)
-        rows.append((line, row))
-    return header, rows
-
-
-def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV table: UTF-8, LF line endings, the csv module's minimal quoting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def load_corpus(root_path, manifest) -> Corpus:
@@ -345,7 +230,7 @@ CriteriaIndex = dict[str, list[tuple[int, tuple[str, ...]]]]
 
 
 def _compile_criteria(
-    criteria: Sequence["Criterion"], stoplist: frozenset[str], stemming: bool
+    criteria: Sequence[Criterion], stoplist: frozenset[str], stemming: bool
 ) -> CriteriaIndex:
     """Preprocess every criterion's phrases into one first-token index.
 
@@ -382,7 +267,7 @@ def _count_hits(tokens: Sequence, index: dict, n_criteria: int) -> list[int]:
     return counts
 
 
-def _frequency_table(corpus: Corpus, criteria: Sequence["Criterion"], rows) -> FrequencyTable:
+def _frequency_table(corpus: Corpus, criteria: Sequence[Criterion], rows) -> FrequencyTable:
     """Table from one row of per-criterion counts per report, in corpus order."""
     cids = [crit.criterion_id for crit in criteria]
     counts: dict[tuple[str, str], int] = {}
@@ -510,7 +395,7 @@ def _end(workers: list[tuple[int, BinaryIO]]) -> None:
 
 def mine_linear(
     corpus: Corpus,
-    criteria: Sequence["Criterion"],
+    criteria: Sequence[Criterion],
     stoplist: Iterable[str] = frozenset(),
     stemming: bool = False,
 ) -> FrequencyTable:
@@ -529,7 +414,7 @@ def _find(table: Sequence[tuple[str, int]], word: str) -> int | None:
 
 
 def mine_binary(
-    kwfile: KeywordFile, corpus: Corpus, criteria: Sequence["Criterion"]
+    kwfile: KeywordFile, corpus: Corpus, criteria: Sequence[Criterion]
 ) -> FrequencyTable:
     """Keyword-file strategy; must agree exactly with :func:`mine_linear`.
 

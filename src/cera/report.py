@@ -33,7 +33,7 @@ def _compose_section(composition) -> list[str]:
 
 
 def _anova_section(rows: list[AnovaRow]) -> list[str]:
-    from .miner import Sector  # loaded with anova, which made the rows
+    from .scoring import Sector  # loaded with anova, which made the rows
 
     lines = ["ONE-WAY ANOVA BY SECTOR", ""]
     header = f"  {'variable':<10}" + "".join(f"{'mean_' + s:>16}" for s in Sector)

@@ -1,19 +1,137 @@
-"""Search criteria, frequency-to-score rating, scorecards, and sample filtering.
+"""Sectors, the shared readers, criteria, rating, scorecards, and sample filtering.
 
-Ten shipped criteria (v1..v10) each carry a set of phrase alternatives and a
-10-point ceiling. Raw keyword frequencies are rated on a banded scale:
-75 or more occurrences earn 10, 50..74 earn 7, 20..49 earn 5, 5..19 earn 3,
-1..4 earn 1, and zero earns 0.
+Mining and every analysis import ``Sector`` and the text, config and CSV
+readers from here, so an analysis loads no mining code. Ten shipped criteria
+(v1..v10) each carry a set of phrase alternatives and a 10-point ceiling. Raw
+keyword frequencies are rated on a banded scale: 75 or more occurrences earn
+10, 50..74 earn 7, 20..49 earn 5, 5..19 earn 3, 1..4 earn 1, and zero earns 0.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+import csv
+import io
+from enum import Enum
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import ELIMINATION_RULES
-from .errors import ValidationError
-from .miner import Corpus, FrequencyTable, Sector, read_table, write_table
-from .miner import config_sections, load_config, packaged_text
+from .errors import IngestionError, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .miner import Corpus, FrequencyTable
+
+
+class Sector(str, Enum):
+    """Industry sector. Artifacts list sectors in member order; ``str()`` gives the value.
+    ``Sector(label)`` reads a value in any letter case; an unknown label's error lists them."""
+
+    PRIMARY = "primary"
+    SECONDARY = "secondary"
+    TERTIARY = "tertiary"
+
+    __str__ = str.__str__
+
+    @classmethod
+    def _missing_(cls, label):
+        values = [sector.value for sector in cls]
+        if isinstance(label, str) and label.lower() in values:
+            return cls(label.lower())
+        raise ValueError(f"unknown sector {label!r}; expected one of {', '.join(values)}")
+
+
+def read_text(path, kind: str) -> str:
+    """The text of a strict UTF-8 ``kind`` file; a leading byte-order mark is dropped,
+    line endings are kept, and an unreadable file is an IngestionError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {kind} {path}: {exc}") from exc
+
+
+def packaged_text(name: str) -> str:
+    """The text of the data file ``name`` shipped in ``cera.data``, read beside this
+    module: ``importlib.resources`` would load ``inspect`` on Python 3.12 and later."""
+    return (Path(__file__).parent / "data" / name).read_text("utf-8")
+
+
+def load_config(path, kind: str, parse):
+    """``parse`` applied to the ``kind`` file at ``path``; a ValidationError it
+    raises is raised again, of the same class, with the kind and path in front."""
+    text = read_text(path, kind)
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise type(exc)(f"{kind} {path}: {exc}") from exc
+
+
+def config_lines(text: str) -> list[str]:
+    """The nonblank lines of a config text, ``#`` comments and surrounding whitespace removed."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
+def config_sections(text: str) -> list[tuple[str, list[str]]]:
+    """``(name, lines)`` per ``[name]`` header, in file order, lines as :func:`config_lines`
+    gives them; a line before the first header is a ValidationError."""
+    sections: list[tuple[str, list[str]]] = []
+    for line in config_lines(text):
+        if line.startswith("[") and line.endswith("]"):
+            sections.append((line[1:-1].strip(), []))
+        elif not sections:
+            raise ValidationError(f"content before any section: {line!r}")
+        else:
+            sections[-1][1].append(line)
+    return sections
+
+
+def read_table(path, kind: str, columns: Sequence[str] = ("report_id",)):
+    """The header and ``(line, {name: cell})`` rows of a manifest, frequency or scorecard table.
+
+    Blank lines are skipped; data cells are stripped, header names are not.
+    The header must name each of ``columns`` and no column twice; each row
+    must have the header's cell count and a new, nonempty ``report_id``.
+    Errors, the csv module's too (a cell over its size limit), name ``kind`` and a row's line.
+    """
+    reader = csv.reader(io.StringIO(read_text(path, kind), newline=""))
+    try:
+        lines = [(reader.line_num, cells) for cells in reader]
+    except csv.Error as exc:
+        raise ValidationError(f"{kind} row at line {reader.line_num}: {exc}") from None
+    if not lines:
+        raise ValidationError(f"{kind} file has no header row")
+    header = lines[0][1]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValidationError(f"{kind} header repeats column {name!r}")
+    if not set(columns) <= set(header):
+        raise ValidationError(f"{kind} needs columns {','.join(columns)}")
+    rows = []
+    seen: set[str] = set()
+    for line, cells in lines[1:]:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{kind} row at line {line} has {len(cells)} cells, header has {len(header)}"
+            )
+        row = dict(zip(header, map(str.strip, cells)))
+        rid = row["report_id"]
+        if not rid or rid in seen:
+            problem = "duplicate" if rid else "empty"
+            raise ValidationError(f"{kind} row at line {line}: {problem} report_id {rid!r}")
+        seen.add(rid)
+        rows.append((line, row))
+    return header, rows
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: UTF-8, LF line endings, the csv module's minimal quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # (lower bound, score) bands, highest first; a frequency scores the first band

@@ -22,9 +22,8 @@ from .errors import (
     ParameterBoundsError,
     ValidationError,
 )
-from .miner import config_sections, load_config, packaged_text
 from .numcore import dot, total
-from .scoring import ScoreCard, score_rows
+from .scoring import ScoreCard, config_sections, load_config, packaged_text, score_rows
 
 # Residual variances this far below the observed variance are flagged as
 # boundary (Heywood) solutions.

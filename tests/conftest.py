@@ -3,8 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cera.miner import Sector
-from cera.scoring import ScoreCard
+from cera.scoring import ScoreCard, Sector
 
 # numpy's OpenBLAS starts a second OS thread when it loads. Tests fork the miner's
 # workers from this process, and a forked multi-threaded process can deadlock, so

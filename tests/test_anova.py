@@ -5,8 +5,7 @@ import pytest
 
 from cera.anova import AnovaRow, GroupedSample, anova_table, one_way_anova, write_anova_csv
 from cera.errors import ValidationError
-from cera.miner import Sector
-from cera.scoring import ScoreCard
+from cera.scoring import ScoreCard, Sector
 
 from conftest import FIXTURE_SECTORS, FIXTURE_SCORES, make_cards
 

@@ -22,8 +22,7 @@ from cera import cli, miner, scoring, sem
 
 from cera.cli import FLAGS, STRATEGIES, _build_config, build_parser, run_subcommand
 from cera.errors import IdentificationError, ValidationError
-from cera.miner import Sector
-from cera.scoring import ScoreCard, rate_frequency, read_scorecards_csv, write_scorecards_csv
+from cera.scoring import ScoreCard, Sector, rate_frequency, read_scorecards_csv, write_scorecards_csv
 
 from conftest import FIXTURE_DIR, FIXTURE_FREQUENCIES, FIXTURE_SCORES, MANIFEST
 
@@ -618,6 +617,20 @@ class TestAnalysisCommands:
             assert capsys.readouterr().err == (
                 f"{analysis}: [Errno 21] Is a directory: '{out / blocked}'\n")
             assert sorted(p.name for p in out.iterdir()) == sorted([*kept, blocked])
+
+    @pytest.mark.parametrize("blocked, lines", [
+        ("sem_fit.json", ["mda: group primary has 2 cases; needs at least 11 for a nonsingular "
+                          "within-group scatter", "sem: [Errno 21] Is a directory: '{}'"]),
+        ("mda.json", ["mda: [Errno 21] Is a directory: '{}'"]),
+    ])
+    def test_unwritable_error_artifact_prints_one_line(self, tmp_path, capsys, blocked, lines):
+        """An analysis that cannot fit and cannot write its error artifact prints only the
+        I/O error, so each failed stage prints one line; the run stops there with exit 1."""
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run_pipeline(out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            line.format(out / blocked) for line in lines]
 
     def test_corrupt_scorecards_reported_cleanly(self, scored, capsys):
         # A hand-edited scorecard file must fail as a stage diagnostic,
@@ -1319,6 +1332,27 @@ loaded = sorted(stages & set(sys.modules))
 assert not loaded, loaded
 """
     run_child(script, str(expected), *argv)
+
+
+def test_analysis_commands_load_no_mining_code(tmp_path):
+    """``anova``, ``mda``, ``sem`` and ``report``, each in a fresh interpreter, never import
+    ``cera.miner``, whether they fit or fail; ``pipeline`` does."""
+    script = """
+import contextlib, io, sys
+from cera.cli import run_subcommand
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = run_subcommand(sys.argv[1:])
+print(code, "cera.miner" in sys.modules)
+"""
+    fixture, cards = tmp_path / "fixture", tmp_path / "cards.csv"
+    write_scorecards_csv(seeded_cards(11, 120), cards)
+    argv = ["pipeline", "--manifest", str(MANIFEST), "--out-dir", str(fixture)]
+    assert run_child(script, *argv).split() == ["0", "True"]
+    # Six fixture reports are too few for mda and sem, which exit 1 on them.
+    for scorecards, codes in ((fixture / "scorecards.csv", "0110"), (cards, "0000")):
+        for command, code in zip(("anova", "mda", "sem", "report"), codes):
+            argv = [command, "--scorecards", str(scorecards), "--out-dir", str(tmp_path / "out")]
+            assert run_child(script, *argv).split() == [code, "False"], command
 
 
 def test_no_command_loads_numpy(tmp_path):

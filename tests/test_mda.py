@@ -20,8 +20,7 @@ from cera.mda import (
     wilks_tests,
     write_case_scores_csv,
 )
-from cera.miner import Sector
-from cera.scoring import ScoreCard
+from cera.scoring import ScoreCard, Sector
 
 from conftest import FIXTURE_SECTORS, FIXTURE_SCORES, make_cards
 

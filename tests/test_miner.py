@@ -18,7 +18,6 @@ from cera import miner
 from cera.errors import CeraError, IngestionError, ValidationError
 from cera.miner import (
     Document,
-    Sector,
     build_sorted_keyword_file,
     keyword_postings,
     load_corpus,
@@ -31,7 +30,7 @@ from cera.miner import (
     write_frequency_csv,
     write_keyword_file,
 )
-from cera.scoring import Criterion, default_criteria
+from cera.scoring import Criterion, Sector, default_criteria
 
 from conftest import FIXTURE_DIR, FIXTURE_FREQUENCIES, MANIFEST
 

@@ -5,9 +5,8 @@ import numpy as np
 from cera.anova import AnovaRow, anova_table
 from cera.cli import run_subcommand
 from cera.mda import ClassificationMatrix, run_mda
-from cera.miner import Sector
 from cera.report import emit_report
-from cera.scoring import read_scorecards_csv, sector_composition
+from cera.scoring import Sector, read_scorecards_csv, sector_composition
 from cera.sem import SemFit
 
 from conftest import MANIFEST, make_cards

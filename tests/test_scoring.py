@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cera.errors import ValidationError
-from cera.miner import Document, FrequencyTable, Sector
+from cera.miner import Document, FrequencyTable
 from cera.scoring import (
     Criterion,
     ScoreCard,
+    Sector,
     build_scorecards,
     default_criteria,
     filter_sample,

@@ -15,9 +15,8 @@ from cera.errors import (
     ValidationError,
 )
 from cera import numcore, sem
-from cera.miner import Sector
 from cera.report import emit_report
-from cera.scoring import ScoreCard
+from cera.scoring import ScoreCard, Sector
 from cera.sem import (
     _evaluate,
     _score,
