@@ -2,10 +2,11 @@
 
 Subcommands: mine, score, anova, mda, sem, pipeline, report. ``FLAGS``
 declares every option once: its flag, help line, default and argparse
-options. A JSON file passed with --config supplies values for the options
-a command takes and its other keys are ignored; flags given on the command
-line win. The parsed namespace, filled in this way, is the run's resolved
-config. Exit codes: 0 success, 1 runtime or analysis error, 2 usage error.
+options. ``_build_config`` resolves only the options a command takes, in
+one pass and in order: its flag, else its key in the --config JSON file,
+else its default, computed for --root and the files in --out-dir from the
+options before it. The filled-in namespace is the run's resolved config.
+Exit codes: 0 success, 1 runtime or analysis error, 2 usage error.
 
 Each stage (mine, score, anova, mda, sem) owns its files in --out-dir
 (``OUTPUTS``). ``_stage`` is the one boundary: it deletes them before the
@@ -14,10 +15,11 @@ stage runs and when it fails, and names the failed stage on stderr.
 Arguments are parsed before any stage is loaded: this module imports only
 the parser's needs and ``report``, and each handler imports the stage
 modules it runs and ``json`` when it runs, ``miner`` only for ``mine``,
-``score`` and ``pipeline``. So ``--help`` and a usage error load no stage,
-``mine`` and ``score`` no analysis, the other commands no mining code, and
-no command imports numpy or ``dataclasses``. Stage functions are looked up
-through their modules at call time, so bench/tracing.py can wrap them.
+``score`` and ``pipeline``. So ``--help`` and a usage error in the flags
+load no stage, reading a --config file loads only ``scoring`` and ``json``,
+``mine`` and ``score`` load no analysis, the other commands no mining code,
+and no command imports numpy or ``dataclasses``. Stage functions are looked
+up through their modules at call time, so bench/tracing.py can wrap them.
 """
 
 from __future__ import annotations
@@ -59,49 +61,42 @@ class StageFailure(Exception):
     """A stage failed; the message is its diagnostic line, stage name first."""
 
 
-def _load_config_file(path: str, dests: tuple[str, ...]) -> dict:
-    """The config file's values for the options ``dests``; null means unset.
-
-    Booleans must be JSON booleans and every other value a JSON string.
-    Relative paths resolve against the file's directory.
-    """
+def _read_config(path: str) -> dict:
+    """The JSON object in the --config file ``path``."""
     import json
 
     from . import scoring
 
-    text = scoring.read_text(path, "config")
     try:
-        raw = json.loads(text)
+        raw = json.loads(scoring.read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    values = {}
-    for key in dests:
-        value = raw.get(key)
-        if value is None:
-            continue
-        _, _, default, options = FLAGS[key]
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
-        elif not isinstance(value, str):
-            raise ValueError(f"config key {key!r} must be a string, got {value!r}")
-        values[key] = Path(path).parent / value if options.get("type") is Path else value
-    return values
+    return raw
 
 
 def _build_config(args: argparse.Namespace) -> None:
-    """Fill in each option the command takes, then check its choices and input files.
+    """Resolve each option the command takes, in order, and check its choice or file.
 
-    An option takes its flag, else the config file's value, else its FLAGS default.
+    An option takes its flag, else the config file's value, else its FLAGS default; a
+    callable default is computed from the options resolved before it. In the config file
+    null means unset, booleans must be JSON booleans and every other value a JSON string,
+    and relative paths resolve against the file's directory.
     """
-    dests = ("out_dir", *COMMANDS[args.command][2])
-    file_values = _load_config_file(args.config, dests) if args.config else {}
-    for dest in dests:
+    raw = _read_config(args.config) if args.config else {}
+    for dest in ("out_dir", *COMMANDS[args.command][2]):
         _, _, default, options = FLAGS[dest]
+        value = raw.get(dest)
+        if value is not None:
+            if not isinstance(value, bool if isinstance(default, bool) else str):
+                kind = "true or false" if isinstance(default, bool) else "a string"
+                raise ValueError(f"config key {dest!r} must be {kind}, got {value!r}")
+            value = Path(args.config).parent / value if options.get("type") is Path else value
         if getattr(args, dest) is None:
-            setattr(args, dest, file_values.get(dest, default))
+            if value is None:
+                value = default(args) if callable(default) else default
+            setattr(args, dest, value)
         value, choices = getattr(args, dest), options.get("choices")
         if choices and value not in choices:
             raise ValueError(f"{dest} must be one of {choices}, got {value!r}")
@@ -133,8 +128,7 @@ def _load_corpus(args: argparse.Namespace) -> miner.Corpus:
 
     if args.manifest is None:
         raise ValidationError("a corpus manifest is required (--manifest)")
-    root = args.root if args.root is not None else args.manifest.parent
-    return miner.load_corpus(root, args.manifest)
+    return miner.load_corpus(args.root, args.manifest)
 
 
 def _delete(out_dir: Path, stages: Iterable[str]) -> None:
@@ -202,12 +196,6 @@ def _score(
     return sample
 
 
-def _read_scorecards(args: argparse.Namespace) -> list[scoring.ScoreCard]:
-    from . import scoring
-
-    return scoring.read_scorecards_csv(args.scorecards or args.out_dir / SCORECARDS_NAME)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     import json
 
@@ -217,17 +205,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # Each subcommand's handler, which COMMANDS binds to its subparser as ``run``.
-def _cmd_mine(args: argparse.Namespace) -> int:
+def _cmd_mine(args: argparse.Namespace) -> None:
     _mine(args, _criteria(args))
-    return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> None:
     from . import miner
 
-    freq_path = args.frequencies or args.out_dir / FREQUENCIES_NAME
-    _score(args, miner.read_frequency_csv(freq_path), _criteria(args))
-    return 0
+    _score(args, miner.read_frequency_csv(args.frequencies), _criteria(args))
 
 
 # One stage function per analysis, shared by the single commands, pipeline
@@ -305,12 +290,13 @@ def _run_analyses(
     return results
 
 
-def _cmd_analysis(args: argparse.Namespace) -> int:
-    ANALYSES[args.command](args, _read_scorecards(args), args.out_dir)
-    return 0
+def _cmd_analysis(args: argparse.Namespace) -> None:
+    from . import scoring
+
+    ANALYSES[args.command](args, scoring.read_scorecards_csv(args.scorecards), args.out_dir)
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> None:
     """Chain every stage; analysis failures leave diagnostic artifacts."""
     with _stage("mine", args.out_dir):
         _delete(args.out_dir, OUTPUTS)
@@ -319,28 +305,27 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     with _stage("score", args.out_dir):
         sample = _score(args, table, criteria)
     _run_analyses(args, sample, args.out_dir)
-    return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> None:
     from . import scoring
 
-    cards = _read_scorecards(args)
+    cards = scoring.read_scorecards_csv(args.scorecards)
     composition = scoring.sector_composition(cards)
     text = emit_report(composition, **_run_analyses(args, cards))
-    with open(args.out or args.out_dir / REPORT_NAME, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    return 0
 
 
-# Every option, keyed by its dest: (flag, help, default, other add_argument options).
-# Path options parse to a Path; in a config file they resolve against its directory.
+# Every option, keyed by its dest: (flag, help, default or a function of the options
+# resolved before it, other add_argument options). Path options parse to a Path.
 _PATH = {"type": Path}
 FLAGS = {
     "config": ("--config", "JSON file with default option values", None, {}),
     "out_dir": ("--out-dir", "output directory (default: out)", Path("out"), _PATH),
     "manifest": ("--manifest", "corpus manifest CSV (report_id,sector,language,path)", None, _PATH),
-    "root": ("--root", "base directory for relative report paths", None, _PATH),
+    "root": ("--root", "base directory for relative report paths",
+             lambda args: args.manifest and args.manifest.parent, _PATH),
     "criteria": ("--criteria", "criteria config file (default: packaged set)", None, _PATH),
     "stoplist": ("--stoplist", "stop-word list file (default: packaged list)", None, _PATH),
     "use_stoplist": ("--no-stoplist", "disable stop-word removal", True, {"action": "store_false"}),
@@ -358,12 +343,13 @@ FLAGS = {
         {"choices": ELIMINATION_RULES},
     ),
     "language": ("--language", "analysis language tag (default: en)", "en", {}),
-    "frequencies": (
-        "--frequencies", "frequency CSV (default: OUT_DIR/frequencies.csv)", None, _PATH
-    ),
-    "scorecards": ("--scorecards", "scorecard CSV (default: OUT_DIR/scorecards.csv)", None, _PATH),
+    "frequencies": ("--frequencies", "frequency CSV (default: OUT_DIR/frequencies.csv)",
+                    lambda args: args.out_dir / FREQUENCIES_NAME, _PATH),
+    "scorecards": ("--scorecards", "scorecard CSV (default: OUT_DIR/scorecards.csv)",
+                   lambda args: args.out_dir / SCORECARDS_NAME, _PATH),
     "sem_model": ("--sem-model", "model config file", None, _PATH),
-    "out": ("--out", "report path (default: OUT_DIR/report.txt)", None, _PATH),
+    "out": ("--out", "report path (default: OUT_DIR/report.txt)",
+            lambda args: args.out_dir / REPORT_NAME, _PATH),
 }
 _CORPUS = ("manifest", "root", "criteria")
 _MINING = ("stoplist", "use_stoplist", "stemming", "strategy")
@@ -417,10 +403,11 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     try:
         with _stage(args.command, args.out_dir):
             args.out_dir.mkdir(parents=True, exist_ok=True)
-            return args.run(args)
+            args.run(args)
     except StageFailure as exc:
         print(exc, file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -967,6 +967,29 @@ class TestConfigFields:
         assert not hasattr(config, "no_such_option")
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_resolved_config_names_every_file(tmp_path, command):
+    """The resolved config names each file the command reads or writes: frequencies,
+    scorecards and out in out_dir, and root the manifest's directory, from flags and
+    through --config."""
+    manifest, config = tmp_path / "corpus" / "manifest.csv", tmp_path / "config.json"
+    manifest.parent.mkdir()
+    manifest.write_text("", encoding="utf-8")
+    config.write_text(json.dumps({"manifest": "corpus/manifest.csv", "out_dir": "results"}),
+                      encoding="utf-8")
+    dests = cli.COMMANDS[command][2]
+    flags = ["--manifest", str(manifest)] if "manifest" in dests else []
+    for argv, out_dir in (([*flags, "--out-dir", str(tmp_path / "flags")], tmp_path / "flags"),
+                          (["--config", str(config)], tmp_path / "results")):
+        args = TestConfigFields.build([command, *argv])
+        for dest, name in (("frequencies", "frequencies.csv"), ("scorecards", "scorecards.csv"),
+                           ("out", "report.txt")):
+            if dest in dests:
+                assert getattr(args, dest) == out_dir / name, (dest, argv)
+        if "root" in dests:
+            assert args.root == manifest.parent, argv
+
+
 def _packaged(name: str) -> str:
     return resources.files("cera.data").joinpath(name).read_text("utf-8")
 
@@ -977,8 +1000,7 @@ BOM_INPUTS = {
     "stoplist": ("the\nand\n", miner.load_stoplist),
     "criteria": (_packaged("criteria.txt"), scoring.load_criteria),
     "sem_model": (_packaged("sem_model.txt"), sem.load_model),
-    "config": (json.dumps({"language": "fr", "sem_model": "model.txt"}),
-               lambda path: cli._load_config_file(path, ("language", "sem_model"))),
+    "config": (json.dumps({"language": "fr", "sem_model": "model.txt"}), cli._read_config),
     "frequencies": ("report_id,v1,v2\nA,1,2\nB,3,4\n", miner.read_frequency_csv),
     "scorecards": ("report_id,sector,v1_freq,v1_score,language\nr1,primary,3,1,en\n",
                    scoring.read_scorecards_csv),
@@ -1332,6 +1354,26 @@ loaded = sorted(stages & set(sys.modules))
 assert not loaded, loaded
 """
     run_child(script, str(expected), *argv)
+
+
+def test_config_usage_error_loads_only_the_config_reader(tmp_path):
+    """A usage error in the --config file exits 2 once ``scoring`` and ``json`` have read
+    the file, before any mining or analysis module is imported."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"strategy": "bogus"}), encoding="utf-8")
+    script = """
+import contextlib, io, sys
+from cera.cli import run_subcommand
+try:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run_subcommand(sys.argv[1:])
+except SystemExit as exc:
+    stages = {"cera.miner", "cera.scoring", "cera.anova", "cera.mda", "cera.sem",
+              "cera.numcore", "json"}
+    print(exc.code, *sorted(stages & set(sys.modules)))
+"""
+    loaded = run_child(script, "pipeline", "--config", str(config)).split()
+    assert loaded == ["2", "cera.scoring", "json"]
 
 
 def test_analysis_commands_load_no_mining_code(tmp_path):
