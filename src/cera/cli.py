@@ -5,8 +5,11 @@ declares every option once: its flag, help line, default and argparse
 options. ``_build_config`` resolves only the options a command takes, in
 one pass and in order: its flag, else its key in the --config JSON file,
 else its default, computed for --root and the files in --out-dir from the
-options before it. The filled-in namespace is the run's resolved config.
-Exit codes: 0 success, 1 runtime or analysis error, 2 usage error.
+options before it. The shipped files in ``cera.DATA`` are the defaults of
+--criteria, --stoplist and --sem-model, and a missing manifest is a usage
+error, so the filled-in namespace, the run's resolved config, sets every
+option the command reads. Exit codes: 0 success, 1 runtime or analysis
+error, 2 usage error.
 
 Each stage (mine, score, anova, mda, sem) owns its files in --out-dir
 (``OUTPUTS``). ``_stage`` is the one boundary: it deletes them before the
@@ -29,8 +32,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import ELIMINATION_RULES
-from .errors import CeraError, IngestionError, ValidationError
+from . import DATA, ELIMINATION_RULES
+from .errors import CeraError, IngestionError
 from .report import emit_report
 
 TYPE_CHECKING = False  # typing is not imported at start-up
@@ -100,35 +103,17 @@ def _build_config(args: argparse.Namespace) -> None:
         value, choices = getattr(args, dest), options.get("choices")
         if choices and value not in choices:
             raise ValueError(f"{dest} must be one of {choices}, got {value!r}")
-        if dest in ("manifest", "criteria", "stoplist", "sem_model") and value is not None:
+        if dest in ("manifest", "criteria", "stoplist", "sem_model"):
+            if value is None:  # only the manifest has no default
+                raise ValueError("a corpus manifest is required (--manifest)")
             if not value.is_file():
                 raise ValueError(f"{dest.replace('_', ' ')} file not found: {value}")
-
-
-def _stoplist(args: argparse.Namespace) -> frozenset[str]:
-    from . import miner
-
-    if not args.use_stoplist:
-        return frozenset()
-    if args.stoplist is not None:
-        return miner.load_stoplist(args.stoplist)
-    return miner.default_stoplist()
 
 
 def _criteria(args: argparse.Namespace) -> scoring.CriteriaSet:
     from . import scoring
 
-    if args.criteria is not None:
-        return scoring.load_criteria(args.criteria)
-    return scoring.default_criteria()
-
-
-def _load_corpus(args: argparse.Namespace) -> miner.Corpus:
-    from . import miner
-
-    if args.manifest is None:
-        raise ValidationError("a corpus manifest is required (--manifest)")
-    return miner.load_corpus(args.root, args.manifest)
+    return scoring.load_criteria(args.criteria)
 
 
 def _delete(out_dir: Path, stages: Iterable[str]) -> None:
@@ -161,8 +146,8 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
     """Mine the corpus and write its artifacts."""
     from . import miner
 
-    corpus = _load_corpus(args)
-    stoplist = _stoplist(args)
+    corpus = miner.load_corpus(args.root, args.manifest)
+    stoplist = miner.load_stoplist(args.stoplist) if args.use_stoplist else frozenset()
     binary = args.strategy == "binary"
 
     def mine(block: miner.Corpus) -> list:
@@ -188,9 +173,9 @@ def _score(
     args: argparse.Namespace, table: miner.FrequencyTable, criteria: scoring.CriteriaSet
 ) -> list[scoring.ScoreCard]:
     """Rate and filter the mined reports and write their scorecards."""
-    from . import scoring
+    from . import miner, scoring
 
-    cards = scoring.build_scorecards(table, _load_corpus(args), criteria)
+    cards = scoring.build_scorecards(table, miner.load_corpus(args.root, args.manifest), criteria)
     sample = scoring.filter_sample(cards, args.language, args.elimination)
     scoring.write_scorecards_csv(sample, args.out_dir / SCORECARDS_NAME)
     return sample
@@ -243,8 +228,7 @@ def _sem(args: argparse.Namespace, cards: list[scoring.ScoreCard],
          out_dir: Path | None) -> SemFit:
     from . import sem as sem_mod
 
-    path = args.sem_model
-    model = sem_mod.load_model(path) if path is not None else sem_mod.default_model()
+    model = sem_mod.load_model(args.sem_model)
     s, n = sem_mod.covariance_from_cards(cards, model.observed_vars)
     fit = sem_mod.fit_model(model, s, n)
     if out_dir is not None:
@@ -325,9 +309,11 @@ FLAGS = {
     "out_dir": ("--out-dir", "output directory (default: out)", Path("out"), _PATH),
     "manifest": ("--manifest", "corpus manifest CSV (report_id,sector,language,path)", None, _PATH),
     "root": ("--root", "base directory for relative report paths",
-             lambda args: args.manifest and args.manifest.parent, _PATH),
-    "criteria": ("--criteria", "criteria config file (default: packaged set)", None, _PATH),
-    "stoplist": ("--stoplist", "stop-word list file (default: packaged list)", None, _PATH),
+             lambda args: args.manifest.parent, _PATH),
+    "criteria": ("--criteria", "criteria config file (default: packaged set)",
+                 DATA / "criteria.txt", _PATH),
+    "stoplist": ("--stoplist", "stop-word list file (default: packaged list)",
+                 DATA / "stopwords.txt", _PATH),
     "use_stoplist": ("--no-stoplist", "disable stop-word removal", True, {"action": "store_false"}),
     "stemming": (
         "--stemming", "enable suffix stemming (off by default)", False, {"action": "store_true"}
@@ -347,7 +333,7 @@ FLAGS = {
                     lambda args: args.out_dir / FREQUENCIES_NAME, _PATH),
     "scorecards": ("--scorecards", "scorecard CSV (default: OUT_DIR/scorecards.csv)",
                    lambda args: args.out_dir / SCORECARDS_NAME, _PATH),
-    "sem_model": ("--sem-model", "model config file", None, _PATH),
+    "sem_model": ("--sem-model", "model config file", DATA / "sem_model.txt", _PATH),
     "out": ("--out", "report path (default: OUT_DIR/report.txt)",
             lambda args: args.out_dir / REPORT_NAME, _PATH),
 }

@@ -22,9 +22,9 @@ from itertools import compress, count, filterfalse
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
 
+from . import DATA
 from .errors import CeraError, IngestionError, ValidationError
-from .scoring import Criterion, Sector, config_lines, load_config, packaged_text, read_table
-from .scoring import write_table
+from .scoring import Criterion, Sector, config_lines, load_config, read_table, write_table
 
 
 class Document(NamedTuple):
@@ -98,7 +98,7 @@ def preprocess_text(
 
 def default_stoplist() -> frozenset[str]:
     """Shipped stop list: articles, prepositions, conjunctions, pronouns, common verbs."""
-    return _parse_stoplist(packaged_text("stopwords.txt"))
+    return load_stoplist(DATA / "stopwords.txt")
 
 
 def load_stoplist(path) -> frozenset[str]:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import io
 from enum import Enum
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from . import ELIMINATION_RULES
+from . import DATA, ELIMINATION_RULES
 from .errors import IngestionError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,12 +47,6 @@ def read_text(path, kind: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {kind} {path}: {exc}") from exc
-
-
-def packaged_text(name: str) -> str:
-    """The text of the data file ``name`` shipped in ``cera.data``, read beside this
-    module: ``importlib.resources`` would load ``inspect`` on Python 3.12 and later."""
-    return (Path(__file__).parent / "data" / name).read_text("utf-8")
 
 
 def load_config(path, kind: str, parse):
@@ -275,7 +268,7 @@ def sector_composition(cards: Sequence[ScoreCard]) -> dict[Sector, tuple[int, fl
 
 def default_criteria() -> CriteriaSet:
     """Shipped transcription of the ten search criteria."""
-    return parse_criteria(packaged_text("criteria.txt"))
+    return load_criteria(DATA / "criteria.txt")
 
 
 def load_criteria(path) -> CriteriaSet:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from . import numcore
+from . import DATA, numcore
 from .errors import (
     ConditioningError,
     IdentificationError,
@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .numcore import dot, total
-from .scoring import ScoreCard, config_sections, load_config, packaged_text, score_rows
+from .scoring import ScoreCard, config_sections, load_config, score_rows
 
 # Residual variances this far below the observed variance are flagged as
 # boundary (Heywood) solutions.
@@ -283,7 +283,7 @@ def load_model(path) -> SemModelSpec:
 
 def default_model() -> SemModelSpec:
     """Shipped example: three constructs over the ten criteria, 16 free parameters."""
-    return parse_model(packaged_text("sem_model.txt"))
+    return load_model(DATA / "sem_model.txt")
 
 
 def _sigma(lam, phi, theta) -> tuple[list[list[float]], list[list[float]]]:

@@ -109,19 +109,26 @@ class TestPipeline:
         for name in OUTPUT_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
-    @pytest.mark.parametrize("argv, line", [
-        (["--manifest", str(MANIFEST), "--language", "fr", "--elimination", "disjunction"],
+    @pytest.mark.parametrize("argv, code, line", [
+        (["--manifest", str(MANIFEST), "--language", "fr", "--elimination", "disjunction"], 1,
          "score: no scorecards to write\n"),
-        ([], "mine: a corpus manifest is required (--manifest)\n"),
-        (["--manifest", str(MANIFEST), "--criteria", "@"],
+        ([], 2, "cera: error: a corpus manifest is required (--manifest)\n"),
+        (["--manifest", str(MANIFEST), "--criteria", "@"], 1,
          "mine: criteria config @: criterion v1 max_score 5 is below the scale's top score 10\n"),
     ], ids=["empty-sample", "no-manifest", "max-score"])
-    def test_diagnostic_names_the_stage(self, tmp_path, capsys, argv, line):
+    def test_diagnostic_names_the_stage(self, tmp_path, capsys, argv, code, line):
+        """The one diagnostic line names the failed stage, or ``cera`` for a usage error,
+        which stops before any stage runs; argparse's usage block is left out."""
         criteria = tmp_path / "criteria.txt"
         criteria.write_text("[v1]\nlabel: policy\nmax_score: 5\npolicy\n", encoding="utf-8")
         argv = [str(criteria) if a == "@" else a for a in argv]
-        assert run_subcommand(["pipeline", "--out-dir", str(tmp_path / "out"), *argv]) == 1
-        assert capsys.readouterr().err == line.replace("@", str(criteria))
+        try:
+            assert run_subcommand(["pipeline", "--out-dir", str(tmp_path / "out"), *argv]) == code
+        except SystemExit as exc:  # usage errors exit through argparse
+            assert exc.code == code
+        err = capsys.readouterr().err.splitlines(keepends=True)
+        assert [e for e in err if not e.startswith(("usage: ", " "))] == [
+            line.replace("@", str(criteria))]
 
     def test_write_error_names_the_stage(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -182,9 +189,15 @@ class TestMine:
         assert not (out / "frequencies.csv").exists()
 
     def test_missing_manifest_flag(self, tmp_path, capsys):
-        code = run_subcommand(["mine", "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("mine:")
+        """No manifest is a usage error, which deletes no earlier artifact."""
+        out = tmp_path / "out"
+        run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out)])
+        with pytest.raises(SystemExit) as excinfo:
+            run_subcommand(["mine", "--out-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "cera: error: a corpus manifest is required (--manifest)\n")
+        assert [p.name for p in out.iterdir()] == ["frequencies.csv"]
 
     def test_manifest_referencing_absent_file(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
@@ -448,12 +461,17 @@ class TestScore:
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_missing_manifest_flag_names_score(self, tmp_path, capsys):
+    def test_missing_manifest_flag_keeps_scorecards(self, tmp_path, capsys):
+        """score without a manifest is a usage error, which leaves the earlier scorecards."""
         out = tmp_path / "out"
-        run_subcommand(["mine", "--manifest", str(MANIFEST), "--out-dir", str(out)])
-        code = run_subcommand(["score", "--out-dir", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == "score: a corpus manifest is required (--manifest)\n"
+        for command in ("mine", "score"):
+            run_subcommand([command, "--manifest", str(MANIFEST), "--out-dir", str(out)])
+        with pytest.raises(SystemExit) as excinfo:
+            run_subcommand(["score", "--out-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "cera: error: a corpus manifest is required (--manifest)\n")
+        assert sorted(p.name for p in out.iterdir()) == ["frequencies.csv", "scorecards.csv"]
 
     def test_score_before_mine(self, tmp_path, capsys):
         code = run_subcommand(
@@ -935,7 +953,7 @@ class TestConfigFields:
     @pytest.mark.parametrize("key", sorted(FILE_VALUES))
     def test_field_from_config_file(self, setup, key):
         """Relative paths resolve against the config file's directory."""
-        config_dir, _ = setup
+        config_dir, flag_dir = setup
         path = self.write_config(config_dir, FILE_VALUES)
         command = _command_taking(key)
         config = self.build([command, "--config", path])
@@ -943,7 +961,10 @@ class TestConfigFields:
         if _is_path(key):
             expected = config_dir / expected
         assert getattr(config, key) == expected
-        assert getattr(config, key) != getattr(self.build([command]), key)
+        baseline = [command]
+        if "manifest" in cli.COMMANDS[command][2]:  # a command that reads one needs one
+            baseline += ["--manifest", str(flag_dir / "manifest.csv")]
+        assert getattr(config, key) != getattr(self.build(baseline), key)
 
     @pytest.mark.parametrize("key", sorted(FLAG_VALUES))
     def test_flag_overrides_field(self, setup, key):
@@ -961,7 +982,8 @@ class TestConfigFields:
 
     def test_unknown_key_ignored(self, setup):
         config_dir, _ = setup
-        path = self.write_config(config_dir, {"no_such_option": 3, "language": "fr"})
+        path = self.write_config(config_dir, {"no_such_option": 3, "language": "fr",
+                                              "manifest": FILE_VALUES["manifest"]})
         config = self.build(["pipeline", "--config", path])
         assert config.language == "fr"
         assert not hasattr(config, "no_such_option")
@@ -970,8 +992,9 @@ class TestConfigFields:
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_resolved_config_names_every_file(tmp_path, command):
     """The resolved config names each file the command reads or writes: frequencies,
-    scorecards and out in out_dir, and root the manifest's directory, from flags and
-    through --config."""
+    scorecards and out in out_dir, root the manifest's directory, and criteria, stoplist
+    and sem_model the shipped files, from flags and through --config. No option the
+    command takes is left None."""
     manifest, config = tmp_path / "corpus" / "manifest.csv", tmp_path / "config.json"
     manifest.parent.mkdir()
     manifest.write_text("", encoding="utf-8")
@@ -982,12 +1005,15 @@ def test_resolved_config_names_every_file(tmp_path, command):
     for argv, out_dir in (([*flags, "--out-dir", str(tmp_path / "flags")], tmp_path / "flags"),
                           (["--config", str(config)], tmp_path / "results")):
         args = TestConfigFields.build([command, *argv])
-        for dest, name in (("frequencies", "frequencies.csv"), ("scorecards", "scorecards.csv"),
-                           ("out", "report.txt")):
-            if dest in dests:
-                assert getattr(args, dest) == out_dir / name, (dest, argv)
-        if "root" in dests:
-            assert args.root == manifest.parent, argv
+        defaults = {"frequencies": out_dir / "frequencies.csv",
+                    "scorecards": out_dir / "scorecards.csv", "out": out_dir / "report.txt",
+                    "root": manifest.parent, "criteria": cera.DATA / "criteria.txt",
+                    "stoplist": cera.DATA / "stopwords.txt",
+                    "sem_model": cera.DATA / "sem_model.txt"}
+        for dest in ("out_dir", *dests):
+            assert getattr(args, dest) is not None, (dest, argv)
+            if dest in defaults:
+                assert getattr(args, dest) == defaults[dest], (dest, argv)
 
 
 def _packaged(name: str) -> str:
@@ -1336,8 +1362,8 @@ def test_sector_letter_case_keeps_analysis_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["--help"], 0), (["frobnicate"], 2), (["mine", "--strategy", "bogus"], 2),
-], ids=["help", "unknown-command", "bad-choice"])
+    (["--help"], 0), (["frobnicate"], 2), (["mine", "--strategy", "bogus"], 2), (["mine"], 2),
+], ids=["help", "unknown-command", "bad-choice", "no-manifest"])
 def test_parsing_loads_no_stage(argv, expected):
     """``--help`` and a usage error end before any stage module or ``json`` is imported."""
     script = """

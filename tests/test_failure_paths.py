@@ -140,11 +140,13 @@ CASES = {
     "pipeline-empty-sample": ("--language fr --elimination disjunction",
                               f"pipeline {CONFIG} --language fr --elimination disjunction",
                               None, ()),
-    "pipeline-six-reports": ("manifest cut to six reports: mda and sem cannot fit",
+    "pipeline-six-reports": ("manifest cut to six reports: mda cannot fit, sem fits",
                              f"pipeline {CONFIG}", _write("in/manifest.csv", SIX_REPORTS), ()),
     # Usage errors, from a flag or the --config file.
     "flag-manifest-missing": ("--manifest names no file", "mine --manifest @in/absent.csv",
                               None, ()),
+    "config-no-manifest": ("config without a manifest key", f"pipeline {CONFIG}", _config({}),
+                           ()),
     "config-missing": ("--config names no file", "pipeline --config @in/absent.json", None, ()),
     "config-bad-json": ("config is not JSON", f"pipeline {CONFIG}",
                         _write("in/config.json", b'{"manifest": '), ()),
