@@ -149,22 +149,9 @@ def _mine(args: argparse.Namespace, criteria: scoring.CriteriaSet) -> miner.Freq
     corpus = miner.load_corpus(args.root, args.manifest)
     stoplist = miner.load_stoplist(args.stoplist) if args.use_stoplist else frozenset()
     binary = args.strategy == "binary"
-
-    def mine(block: miner.Corpus) -> list:
-        """The block's frequency table and, mined binary, its keyword postings."""
-        if not binary:
-            return [(miner.mine_linear(block, criteria, stoplist, args.stemming), {})]
-        kwfile = miner.build_sorted_keyword_file(block, stoplist, args.stemming)
-        return [(miner.mine_binary(kwfile, block, criteria), miner.keyword_postings(kwfile))]
-
-    # Blocks ascend in report id, so each keyword's postings join block by block.
-    blocks = miner.map_forked(mine, sorted(corpus, key=lambda doc: doc.report_id))
-    tables, postings = zip(*blocks)
+    table, postings = miner.mine(corpus, criteria, stoplist, args.stemming, binary)
     if binary:
         miner.write_keyword_file(postings, args.out_dir / KEYWORD_FILE_NAME)
-    counts = {key: n for block in tables for key, n in block.counts.items()}
-    ids = [doc.report_id for doc in corpus]
-    table = miner.FrequencyTable(ids, tables[0].criterion_ids, counts)
     miner.write_frequency_csv(table, args.out_dir / FREQUENCIES_NAME)
     return table
 

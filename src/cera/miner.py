@@ -286,9 +286,9 @@ def _cpu_count() -> int:
 
 def _processes(jobs: int) -> int:
     """How many processes should share ``jobs`` jobs: the smaller of the CPU count
-    and ``jobs``, or 1 without ``os.fork`` or while other OS threads run (forking
-    them is unsafe). Threads are counted in ``/proc/self/task``, native ones too,
-    where it exists."""
+    and ``jobs`` but at least 1, or 1 without ``os.fork`` or while other OS threads
+    run (forking them is unsafe). Threads are counted in ``/proc/self/task``,
+    native ones too, where it exists."""
     import threading  # loaded only by the commands that mine
 
     try:
@@ -297,42 +297,38 @@ def _processes(jobs: int) -> int:
         threads = threading.active_count()
     if not hasattr(os, "fork") or threads > 1:
         return 1
-    return min(_cpu_count(), jobs)
+    return min(_cpu_count(), jobs) or 1
 
 
-def map_forked(job: Callable[[Sequence], list], items: Sequence) -> list:
-    """The lists ``job`` returns for contiguous blocks of ``items``, concatenated in order.
+def map_forked(job: Callable[[Sequence], object], items: Sequence) -> list:
+    """What ``job`` returns on each contiguous block of ``items``, in block order.
 
-    ``items`` is cut into :func:`_processes` blocks, the first ones one item
-    longer where they do not divide evenly. Each process calls ``job`` once:
-    this process on the first block, worker ``w`` on block ``w``. Every
-    worker is reaped before this returns or raises. An exception raised here
-    wins, and the workers are killed; otherwise a worker's exception is
-    raised again here, and a worker that ends without sending its rows is a
-    CeraError. With one process the call is ``job(items)``, here. Its one
-    caller, ``cli._mine``, maps the corpus sorted by report id.
+    ``items`` is cut into :func:`_processes` blocks, the first ones one item longer
+    where they do not divide evenly. Each process calls ``job`` once: this process on
+    the first block, worker ``w`` on block ``w``; one block, as for no items, forks no
+    worker. Every worker is reaped before this returns or raises. An exception raised
+    here wins, and the workers are killed; otherwise a worker's exception is raised
+    again here, and one that ends without sending its result is a CeraError.
     """
     n = _processes(len(items))
-    if n < 2:
-        return job(items)
     bounds = [-(-len(items) * w // n) for w in range(n + 1)]
     blocks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     workers: list[tuple[int, BinaryIO]] = []  # pid and pipe of each unreaped worker
     try:
         for block in blocks[1:]:
             workers.append(_fork(job, block))
-        rows = job(blocks[0])
+        results = [job(blocks[0])]
         while workers:
-            rows += _join(workers)
+            results.append(_join(workers))
     finally:
         _end(workers)
-    return rows
+    return results
 
 
-def _fork(job: Callable[[Sequence], list], block: Sequence) -> tuple[int, BinaryIO]:
+def _fork(job: Callable[[Sequence], object], block: Sequence) -> tuple[int, BinaryIO]:
     """Fork a worker that computes ``job(block)``; its pid and the read end of its pipe.
 
-    The worker sends ``pickle.dumps((True, rows))``, or ``(False, exception)``
+    The worker sends ``pickle.dumps((True, result))``, or ``(False, exception)``
     when ``job`` raises, then ends with ``os._exit``: it flushes no stdio
     buffer it inherited and never returns into the caller's stack.
     """
@@ -362,7 +358,7 @@ def _fork(job: Callable[[Sequence], list], block: Sequence) -> tuple[int, Binary
 
 
 def _join(workers: list[tuple[int, BinaryIO]]):
-    """Reap ``workers[0]``, drop it from the list and return the rows it sent.
+    """Reap ``workers[0]``, drop it from the list and return the result it sent.
 
     Its exception is raised again with its class and message; a worker that
     ends without sending is a CeraError.
@@ -384,10 +380,10 @@ def _join(workers: list[tuple[int, BinaryIO]]):
 
 
 def _end(workers: list[tuple[int, BinaryIO]]) -> None:
-    """Kill and reap the workers an exception left unreaped."""
-    import signal
-
+    """Kill and reap the workers an exception left unreaped; with none, load no ``signal``."""
     for pid, pipe in workers:
+        import signal
+
         pipe.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -435,6 +431,23 @@ def mine_binary(
         raise ValidationError(f"report(s) not in the keyword file: {', '.join(missing)}")
     rows = (_count_hits(kwfile.sequences[doc.report_id], index, len(criteria)) for doc in corpus)
     return _frequency_table(corpus, criteria, rows)
+
+
+def mine(corpus: Corpus, criteria: Sequence[Criterion], stoplist: frozenset[str],
+         stemming: bool, binary: bool) -> tuple[FrequencyTable, list[Postings]]:
+    """The one mining path: the table in corpus order and, mined binary, the postings of
+    the blocks :func:`map_forked` mines in report-id order, which :func:`write_keyword_file`
+    joins. Only here are blocks mined and their tables merged."""
+    def mine_block(block: Corpus) -> tuple[FrequencyTable, Postings]:
+        if not binary:
+            return mine_linear(block, criteria, stoplist, stemming), {}
+        kwfile = build_sorted_keyword_file(block, stoplist, stemming)
+        return mine_binary(kwfile, block, criteria), keyword_postings(kwfile)
+
+    tables, postings = zip(*map_forked(mine_block, sorted(corpus, key=lambda doc: doc.report_id)))
+    counts = {key: n for table in tables for key, n in table.counts.items()}
+    table = FrequencyTable([doc.report_id for doc in corpus], tables[0].criterion_ids, counts)
+    return table, list(postings) if binary else []
 
 
 def write_frequency_csv(table: FrequencyTable, path) -> None:

@@ -278,9 +278,9 @@ def load_criteria(path) -> CriteriaSet:
 def parse_criteria(text: str) -> CriteriaSet:
     """Parse the criteria config format.
 
-    Each criterion starts with ``[id]`` on its own line, followed by
-    ``label:`` and optional ``max_score:`` lines, then one phrase alternative
-    per line. ``#`` starts a comment.
+    Each criterion starts with ``[id]`` on its own line; its other lines are
+    phrase alternatives, one per line, but for optional ``label:`` and
+    ``max_score:`` lines anywhere in it. ``#`` starts a comment.
     """
     criteria: CriteriaSet = []
     for criterion_id, lines in config_sections(text):

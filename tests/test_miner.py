@@ -313,8 +313,8 @@ class TestForkedMining:
         monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
         assert os_threads() == 1  # conftest.py keeps numpy's BLAS to this one thread
         docs = [doc(f"d{i}", "x " * i) for i in range(7)]  # blocks of 3, 2 and 2
-        # One row per call of ``job``: the calling pid and the block's text lengths.
-        rows = miner.map_forked(lambda block: [(os.getpid(), [len(d.text) for d in block])], docs)
+        # One result per call of ``job``: the calling pid and the block's text lengths.
+        rows = miner.map_forked(lambda block: (os.getpid(), [len(d.text) for d in block]), docs)
         assert [len(lengths) for _, lengths in rows] == ([3, 2, 2] if cpus == 3 else [7])
         assert [n for _, lengths in rows for n in lengths] == [2 * i for i in range(7)]
         pids = [pid for pid, _ in rows]
@@ -324,7 +324,7 @@ class TestForkedMining:
 
     def test_forked_and_in_process_tables_equal(self, monkeypatch, fixture_corpus):
         def job(block):
-            return [mine_linear(block, default_criteria(), frozenset(["the"]), True).counts]
+            return mine_linear(block, default_criteria(), frozenset(["the"]), True).counts
 
         monkeypatch.setattr(miner, "_cpu_count", lambda: 1)
         [serial] = miner.map_forked(job, fixture_corpus)
@@ -388,7 +388,7 @@ class TestForkedMining:
             start(partial(release.wait, 30))
             try:
                 docs = [doc(f"r{i}", "") for i in range(3)]
-                rows = miner.map_forked(lambda block: [(os.getpid(), len(block))], docs)
+                rows = miner.map_forked(lambda block: (os.getpid(), len(block)), docs)
             finally:
                 release.set()
             deadline = time.monotonic() + 30
@@ -414,6 +414,30 @@ class TestForkedMining:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "before mining\nafter mining\n"
+
+    def test_one_block_loads_no_forking_module(self, tmp_path):
+        """In a fresh interpreter, ``mine`` on one CPU, both strategies, and ``map_forked``
+        on no items, with CPUs to spare, call the job once here and load neither ``pickle``
+        nor ``signal``."""
+        script = (
+            "import os, sys\n"
+            "from cera import cli, miner\n"
+            "miner._cpu_count = lambda: 1\n"
+            "for strategy in ('linear', 'binary'):\n"
+            "    argv = ['mine', '--manifest', *sys.argv[1:], '--strategy', strategy]\n"
+            "    assert cli.run_subcommand(argv) == 0\n"
+            "miner._cpu_count = lambda: 3\n"
+            "calls = miner.map_forked(lambda block: (os.getpid(), block), [])\n"
+            "assert calls == [(os.getpid(), [])], calls\n"
+            "print(*sorted({'pickle', 'signal'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [str(MANIFEST), "--out-dir", str(tmp_path)]
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "\n"
+        assert (tmp_path / "keyword_file.tsv").is_file()
 
 
 class TestMineBinary:
@@ -543,6 +567,52 @@ class TestStrategyEquivalence:
         kw1 = build_sorted_keyword_file(corpus, frozenset(["the"]), True)
         kw2 = build_sorted_keyword_file(corpus, frozenset(["the"]), True)
         assert kw1.records == kw2.records
+
+
+def shuffled_corpus():
+    """Seven reports listed out of report-id order."""
+    import numpy as np
+
+    texts = random_corpus(np.random.default_rng(5), 7, 80)
+    return [doc(rid, d.text, d.sector) for rid, d in zip("gceafbd", texts)]
+
+
+class TestMine:
+    """``miner.mine`` on one, two and three CPUs equals both strategies run on the
+    whole corpus in this process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("binary, stemming", [(False, False), (True, False), (True, True)],
+                             ids=["linear", "binary", "binary-stemmed"])
+    @pytest.mark.parametrize("corpus_name", ["fixture", "shuffled"])
+    def test_equals_whole_corpus_mining(self, monkeypatch, tmp_path, fixture_corpus, cpus,
+                                        binary, stemming, corpus_name):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: cpus)
+        assert os_threads() == 1  # else mining stays in one block
+        corpus, criteria = {"fixture": (fixture_corpus, default_criteria()),
+                            "shuffled": (shuffled_corpus(), TEST_CRITERIA)}[corpus_name]
+        stop = miner.default_stoplist()
+        table, postings = miner.mine(corpus, criteria, stop, stemming, binary)
+        assert table == mine_linear(corpus, criteria, stop, stemming)
+        assert table.report_ids == [d.report_id for d in corpus]  # manifest order
+        assert_no_children()
+        if not binary:
+            assert postings == []
+            return
+        assert len(postings) == cpus  # one block per CPU
+        whole = keyword_postings(build_sorted_keyword_file(corpus, stop, stemming))
+        write_keyword_file(postings, tmp_path / "blocks.tsv")
+        write_keyword_file([whole], tmp_path / "whole.tsv")
+        assert (tmp_path / "blocks.tsv").read_bytes() == (tmp_path / "whole.tsv").read_bytes()
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["linear", "binary"])
+    def test_empty_corpus(self, monkeypatch, tmp_path, binary):
+        monkeypatch.setattr(miner, "_cpu_count", lambda: 3)
+        table, postings = miner.mine([], TEST_CRITERIA, frozenset(), False, binary)
+        assert table.report_ids == [] and table.counts == {}
+        assert table.criterion_ids == [c.criterion_id for c in TEST_CRITERIA]
+        write_keyword_file(postings, tmp_path / "keyword_file.tsv")
+        assert (tmp_path / "keyword_file.tsv").read_bytes() == b""
 
 
 # The token rule, stated as a regex: maximal runs of Unicode word characters
